@@ -45,6 +45,7 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     NegativeWeight,
+    QuadratureNotConverged,
     SpaceMismatch,
     StepTooLarge,
     ZeroEvidence,
@@ -115,4 +116,5 @@ __all__ = [
     "SpaceMismatch", "IndexOutOfRange", "ZeroProbabilityEvent",
     "AllMembersZero", "AllDropped", "ConfigInvalid", "StepTooLarge",
     "DegenerateFamily", "ZeroEvidence", "ImpossibleHistory",
+    "QuadratureNotConverged",
 ]

@@ -56,6 +56,10 @@ class DegenerateFamily(CredalError):
     """A parametrized family whose density integrates to zero."""
 
 
+class QuadratureNotConverged(CredalError):
+    """Quadrature stopped at its panel or refinement cap above the tolerance."""
+
+
 class ZeroEvidence(CredalError):
     """The normalizing (evidence) term of a conditional quantity is zero."""
 

@@ -23,6 +23,7 @@ result is flagged ``conjecture_conditional``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -292,6 +293,8 @@ def binomial_test(
     """
     if not 0 <= k <= n:
         raise ConfigInvalid(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
+        raise ConfigInvalid(f"need a finite grid step in (0, 1], got {grid_step!r}")
     if measure is None:
         measure = build_measure(binomial_family(n), resolution=resolution)
     family = measure.family

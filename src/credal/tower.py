@@ -203,6 +203,8 @@ def build_tower(cfg: TowerConfig, rng: np.random.Generator | None = None, n_jobs
     experiment.  ``n_jobs`` parallelizes weight-row sampling without
     changing any sampled value.
     """
+    if n_jobs < 1:
+        raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     base_gen, *level_gens = rng.spawn(cfg.max_order)

@@ -17,11 +17,20 @@ Two regimes are supported:
 * a continuously parametrized family, where event probabilities are
   integrals ``(1/Z) * int rho(x) * f(x)(E) dx`` evaluated by adaptive
   Gauss-Legendre quadrature with panels split at the registered kink
-  locations of the thickness.
+  locations of the thickness.  A tolerance the quadrature cannot reach
+  raises :class:`~credal.errors.QuadratureNotConverged`.
 
-The binomial head-count family is the fully worked example: its
-thickness has sharp points at ``k/n`` and equals ``n`` at both
-endpoints, and its normalizer for ``n = 10`` is ``3.66021568``.
+Every quadrature term ``weight * density * f(x)(E)`` is non-negative, so
+numpy's pairwise sum is accurate to a few ulps of the total (Higham
+1993, "The accuracy of floating point summation"); the measure routes
+all its weighted sums through that one fixed-order reduction.
+
+The binomial head-count family is the fully worked example.  Half the
+L1 norm of the pmf's derivative has a closed form (de Moivre's mean
+absolute deviation; Diaconis & Zabell 1991): on ``[j/n, (j+1)/n]`` the
+thickness is ``n * C(n-1, j) * p^j * (1-p)^(n-1-j)``.  It has sharp
+points at ``k/n``, equals ``n`` at both endpoints, and its normalizer for
+``n = 10`` is ``3.66021568``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +56,7 @@ from .errors import (
     DegenerateFamily,
     IndexOutOfRange,
     LengthMismatch,
+    QuadratureNotConverged,
     SpaceMismatch,
     StepTooLarge,
     ZeroEvidence,
@@ -344,13 +354,57 @@ def _density_rows(family: ParamFamily, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gl_half(dens, lo: float, hi: float):
-    """Gauss-Legendre 8 nodes/weights/density on one subinterval."""
+def _panel_edges(breakpoints: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starting panels ``[lo_i, hi_i]``: each breakpoint segment cut into
+    equal parts in proportion to its length, about ``resolution`` in all."""
+    total_len = breakpoints[-1] - breakpoints[0]
+    edges = []
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        if b <= a:
+            continue
+        parts = max(1, math.ceil(resolution * (b - a) / total_len))
+        edges.append(np.linspace(a, b, parts + 1))
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    return lo, hi
+
+
+def _gl_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre 8 nodes and weights on each panel, shape ``(P, 8)``."""
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xs = c + half * _GL_NODES
-    ws = half * _GL_WEIGHTS
-    rho = dens(xs)
-    return xs, ws, rho, float(ws @ rho)
+    return c[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+
+
+class _Panel(NamedTuple):
+    """One quadrature panel: its 16 half-rule nodes, weights and density
+    values, the two half integrals, their sum, and that sum's distance
+    from the whole-panel rule as the local error estimate."""
+
+    lo: float
+    hi: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    rho: np.ndarray
+    halves: np.ndarray
+    value: float
+    err: float
+
+
+def _split_rules(dens, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> list[_Panel]:
+    """Half-panel GL-8 rules for panels ``[lo_i, hi_i]``, in one density call.
+
+    ``whole`` holds each panel's single-rule integral.
+    """
+    mid = 0.5 * (lo + hi)
+    xs, ws = _gl_nodes(np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel())
+    rho = dens(xs.ravel()).reshape(-1, 16)
+    halves = (ws * rho.reshape(xs.shape)).sum(axis=1).reshape(-1, 2)
+    values = halves.sum(axis=1)
+    xs, ws = xs.reshape(-1, 16), ws.reshape(-1, 16)
+    return [
+        _Panel(lo[i], hi[i], xs[i], ws[i], rho[i], halves[i], values[i], abs(whole[i] - values[i]))
+        for i in range(lo.size)
+    ]
 
 
 def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
@@ -360,68 +414,60 @@ def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
     edges) subdivided to roughly ``resolution`` panels in proportion to
     length.  Each panel's integral is estimated by its two half-panel
     GL-8 rules; the difference from the whole-panel rule is the local
-    error.  The worst panel is split until the summed error estimate
-    drops below ``tol`` relative to the integral.
+    error.  The worst panel is split until the summed error estimate,
+    kept as a running total, drops below ``tol`` relative to the
+    integral; missing it within ``max_panels`` panels raises
+    :class:`QuadratureNotConverged`.  Returns the nodes, weights and
+    density values in panel order, plus the diagnostics for ``meta``.
     """
-    total_len = breakpoints[-1] - breakpoints[0]
+    lo, hi = _panel_edges(breakpoints, resolution)
+    xs, ws = _gl_nodes(lo, hi)
+    whole = (ws * dens(xs.ravel()).reshape(xs.shape)).sum(axis=1)
+    panels = dict(enumerate(_split_rules(dens, lo, hi, whole)))
+    evaluations = 24 * lo.size
+    heap = [(-p.err, key) for key, p in panels.items()]
+    heapq.heapify(heap)
+    value = float(np.sum([p.value for p in panels.values()]))
+    err = float(np.sum([p.err for p in panels.values()]))
+    counter = itertools.count(len(panels))
 
-    def entry(a, b, i_self=None):
-        mid = 0.5 * (a + b)
-        left = _gl_half(dens, a, mid)
-        right = _gl_half(dens, mid, b)
-        if i_self is None:
-            i_self = _gl_half(dens, a, b)[3]
-        value = left[3] + right[3]
-        return {
-            "a": a,
-            "b": b,
-            "mid": mid,
-            "left": left,
-            "right": right,
-            "value": value,
-            "err": abs(i_self - value),
-        }
-
-    entries = {}
-    counter = itertools.count()
-    heap = []
-
-    def push(e):
-        key = next(counter)
-        entries[key] = e
-        heapq.heappush(heap, (-e["err"], key))
-
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b <= a:
-            continue
-        parts = max(1, math.ceil(resolution * (b - a) / total_len))
-        edges = np.linspace(a, b, parts + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            push(entry(lo, hi))
-
-    def totals():
-        vs = [e["value"] for e in entries.values()]
-        es = [e["err"] for e in entries.values()]
-        return math.fsum(vs), math.fsum(es)
-
-    value, err = totals()
-    while err > tol * max(abs(value), 1e-300) and len(entries) < max_panels:
-        neg_err, key = heapq.heappop(heap)
-        e = entries.pop(key, None)
-        if e is None:  # stale heap entry
-            continue
-        if e["err"] == 0.0:
-            push(e)
+    while err > tol * max(abs(value), 1e-300) and len(panels) < max_panels:
+        key = heapq.heappop(heap)[1]
+        worst = panels[key]
+        if worst.err == 0.0:  # every panel is exact; the running total only holds rounding
+            err = 0.0
             break
-        push(entry(e["a"], e["mid"], i_self=e["left"][3]))
-        push(entry(e["mid"], e["b"], i_self=e["right"][3]))
-        value, err = totals()
+        del panels[key]
+        mid = 0.5 * (worst.lo + worst.hi)
+        children = np.array([worst.lo, mid]), np.array([mid, worst.hi])
+        for child in _split_rules(dens, *children, worst.halves):
+            key = next(counter)
+            panels[key] = child
+            heapq.heappush(heap, (-child.err, key))
+            value += child.value
+            err += child.err
+        value -= worst.value
+        err -= worst.err
+        evaluations += 32
 
-    ordered = sorted(entries.values(), key=lambda e: e["a"])
-    nodes = np.concatenate([np.concatenate([e["left"][0], e["right"][0]]) for e in ordered])
-    weights = np.concatenate([np.concatenate([e["left"][1], e["right"][1]]) for e in ordered])
-    rho = np.concatenate([np.concatenate([e["left"][2], e["right"][2]]) for e in ordered])
-    return nodes, weights, rho
+    scale = max(abs(value), 1e-300)
+    if err > tol * scale:
+        raise QuadratureNotConverged(
+            f"error estimate {err / scale:.3g} above tol {tol:g} at {len(panels)} panels"
+        )
+    ordered = sorted(panels.values(), key=lambda p: p.lo)
+    diagnostics = {
+        "err_estimate": err / scale,
+        "converged": True,
+        "panels": len(ordered),
+        "evaluations": evaluations,
+    }
+    return (
+        np.concatenate([p.nodes for p in ordered]),
+        np.concatenate([p.weights for p in ordered]),
+        np.concatenate([p.rho for p in ordered]),
+        diagnostics,
+    )
 
 
 class TvuMeasure:
@@ -432,24 +478,28 @@ class TvuMeasure:
     at the nodes, and the normalizer ``Z = sum(weights * density)``.
     Event probabilities and posterior predictive values are weighted
     sums over this fixed node set, so they are deterministic for a given
-    construction.
+    construction.  ``meta`` records the construction's settings and
+    quadrature diagnostics (``err_estimate`` relative to ``Z``,
+    ``converged``, ``panels``, ``evaluations``).
     """
 
-    __slots__ = ("family", "nodes", "weights", "density", "z", "_probs", "meta")
+    __slots__ = ("family", "nodes", "weights", "density", "z", "_mass", "_probs", "meta")
 
     def __init__(self, family: ParamFamily, nodes, weights, density, meta=None):
         nodes = np.atleast_2d(np.asarray(nodes, dtype=np.float64))
         weights = np.asarray(weights, dtype=np.float64)
         density = np.asarray(density, dtype=np.float64)
-        z = float(math.fsum(weights * density))
-        if not math.isfinite(z) or z <= 0.0:
-            raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
-        for arr in (nodes, weights, density):
+        mass = weights * density
+        for arr in (nodes, weights, density, mass):
             arr.setflags(write=False)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "density", density)
+        object.__setattr__(self, "_mass", mass)
+        z = self._integrate(1.0)
+        if not math.isfinite(z) or z <= 0.0:
+            raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "_probs", family.probs_matrix(nodes))
         object.__setattr__(self, "meta", dict(meta or {}))
@@ -470,20 +520,28 @@ class TvuMeasure:
         """Normalized density at ``x``."""
         return tvu_density(self.family, x) / self.z
 
+    def _integrate(self, values) -> float:
+        """The quadrature sum ``sum(weights * density * values)``.
+
+        numpy's pairwise sum keeps one fixed reduction order (no BLAS, so
+        no dependence on its threading).  For non-negative ``values``
+        every term is non-negative and the result is within a few ulps
+        of the exact sum; for signed values the bound is relative to the
+        sum of magnitudes.
+        """
+        return float(np.sum(self._mass * values))
+
     def event_prob(self, event: Event) -> float:
         """Probability of an event on the family's outcome space."""
         _require_same_space(self.family.space, event.space)
-        if not event.indices:
-            return 0.0
-        pe = self._probs[:, list(event.indices)].sum(axis=1)
-        return float(math.fsum(self.weights * self.density * pe)) / self.z
+        return self._integrate(self._probs[:, list(event.indices)].sum(axis=1)) / self.z
 
     def expectation(self, values: np.ndarray) -> float:
         """Measure-weighted mean of per-node values (e.g. a statistic of x)."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.nodes.shape[0]:
             raise LengthMismatch("need one value per quadrature node")
-        return float(math.fsum(self.weights * self.density * values)) / self.z
+        return self._integrate(values) / self.z
 
     def posterior_predictive(
         self, observed: Event, query: Event, family: ParamFamily | None = None
@@ -503,13 +561,10 @@ class TvuMeasure:
         _require_same_space(fam.space, query.space)
         mat = self._probs if fam is self.family else fam.probs_matrix(self.nodes)
         joint = query.intersect(observed)
-        wj = mat[:, list(joint.indices)].sum(axis=1) if joint.indices else 0.0
-        wo = mat[:, list(observed.indices)].sum(axis=1) if observed.indices else 0.0
-        den = float(math.fsum(self.weights * self.density * wo)) if observed.indices else 0.0
+        den = self._integrate(mat[:, list(observed.indices)].sum(axis=1))
         if den <= 0.0:
             raise ZeroEvidence("observed event has measure-weighted likelihood zero")
-        num = float(math.fsum(self.weights * self.density * wj)) if joint.indices else 0.0
-        return num / den
+        return self._integrate(mat[:, list(joint.indices)].sum(axis=1)) / den
 
     def sample_params(
         self, rng: np.random.Generator, size: int, atoms: int = DEFAULT_ATOMS
@@ -654,40 +709,40 @@ def build_measure(
     if source.ndim == 1:
         dens = lambda xs: _density_rows(source, xs[:, None])  # noqa: E731
         bps = _breakpoints(source, 0)
-        nodes, weights, rho = _adaptive_panels_1d(dens, bps, resolution, tol, max_panels)
+        nodes, weights, rho, diagnostics = _adaptive_panels_1d(
+            dens, bps, resolution, tol, max_panels
+        )
         return TvuMeasure(
             source,
             nodes[:, None],
             weights,
             rho,
-            meta={"resolution": resolution, "tol": tol, "panels": nodes.size // 16},
+            meta={"resolution": resolution, "tol": tol, **diagnostics},
         )
     return _tensor_measure(source, resolution, tol)
+
+
+# Refinement levels (resolution, then five doublings) _tensor_measure tries.
+_TENSOR_LEVELS = 6
 
 
 def _tensor_measure(family: ParamFamily, resolution: int, tol: float) -> TvuMeasure:
     """Tensor-product quadrature for multi-dimensional boxes.
 
     Refines by doubling every dimension's panel count until the
-    normalizer is stable to ``tol`` (relative).  Intended for small
-    ``ndim``; the node count grows as ``(8 * panels)^ndim``.
+    normalizer is stable to ``tol`` (relative), raising
+    :class:`QuadratureNotConverged` if it is not after six levels.
+    Intended for small ``ndim``; the node count grows as
+    ``(8 * panels)^ndim``.
     """
     per_dim = resolution
     z_prev = None
-    for _ in range(6):
+    evaluations = 0
+    for _ in range(_TENSOR_LEVELS):
         axes = []
         for k in range(family.ndim):
-            bps = _breakpoints(family, k)
-            xs_list, ws_list = [], []
-            total_len = bps[-1] - bps[0]
-            for a, b in zip(bps[:-1], bps[1:]):
-                parts = max(1, math.ceil(per_dim * (b - a) / total_len))
-                edges = np.linspace(a, b, parts + 1)
-                for lo, hi in zip(edges[:-1], edges[1:]):
-                    c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                    xs_list.append(c + half * _GL_NODES)
-                    ws_list.append(half * _GL_WEIGHTS)
-            axes.append((np.concatenate(xs_list), np.concatenate(ws_list)))
+            xs, ws = _gl_nodes(*_panel_edges(_breakpoints(family, k), per_dim))
+            axes.append((xs.ravel(), ws.ravel()))
         mesh = np.stack(
             [g.ravel() for g in np.meshgrid(*[ax[0] for ax in axes], indexing="ij")],
             axis=1,
@@ -697,14 +752,27 @@ def _tensor_measure(family: ParamFamily, resolution: int, tol: float) -> TvuMeas
             axis=1,
         ).prod(axis=1)
         rho = _density_rows(family, mesh)
-        z = float(math.fsum(wmesh * rho))
-        if z_prev is not None and abs(z - z_prev) <= tol * max(abs(z), 1e-300):
+        evaluations += rho.size
+        z = float(np.sum(wmesh * rho))
+        gap = math.inf if z_prev is None else abs(z - z_prev) / max(abs(z), 1e-300)
+        if gap <= tol:
             break
         z_prev = z
         per_dim *= 2
-    return TvuMeasure(
-        family, mesh, wmesh, rho, meta={"resolution": per_dim, "tol": tol}
-    )
+    else:
+        raise QuadratureNotConverged(
+            f"normalizer still moves by {gap:.3g} (tol {tol:g})"
+            f" after {_TENSOR_LEVELS} refinement levels"
+        )
+    meta = {
+        "resolution": per_dim,
+        "tol": tol,
+        "err_estimate": gap,
+        "converged": True,
+        "panels": rho.size // 8**family.ndim,
+        "evaluations": evaluations,
+    }
+    return TvuMeasure(family, mesh, wmesh, rho, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -715,29 +783,42 @@ def _tensor_measure(family: ParamFamily, resolution: int, tol: float) -> TvuMeas
 def binomial_family(n: int) -> ParamFamily:
     """Head-count distributions of ``n`` i.i.d. tosses with bias ``p``.
 
-    Outcomes are the head counts ``0..n``.  The thickness has a closed
-    form — half the L1 norm of the coordinatewise derivative of the
-    pmf — with sharp points at ``k/n`` and value exactly ``n`` at both
-    endpoints; it is registered along with those kink locations.
+    Outcomes are the head counts ``0..n``.  The thickness, half the L1
+    norm of the pmf's derivative, has de Moivre's closed form: on
+    ``[j/n, (j+1)/n]`` it is ``n * C(n-1, j) * p^j * (1-p)^(n-1-j)``, with
+    sharp points at ``k/n`` and value exactly ``n`` at both endpoints.
+    Both it and the pmf are evaluated as ``exp`` of log terms with the
+    log binomial coefficients taken from exact integers, so any ``n``
+    whose matrices fit in memory works; ``p = 0`` and ``p = 1`` stay exact.
     """
     if n < 1:
         raise ConfigInvalid("need n >= 1")
     ks = np.arange(n + 1)
-    coeffs = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
+    log_comb = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+    # log(n * C(n-1, j)) for the thickness on panel j.
+    log_thick = np.array([math.log(n * math.comb(n - 1, j)) for j in range(n)])
 
     def probs_batch(xs: np.ndarray) -> np.ndarray:
-        p = xs[:, 0][:, None]
-        return coeffs * p**ks * (1.0 - p) ** (n - ks)
+        p = xs[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.multiply.outer(np.log(p), ks)
+            out += np.multiply.outer(np.log1p(-p), n - ks)
+        out += log_comb
+        np.exp(out, out=out)
+        # 0 * log(0) is nan above; the endpoint pmfs are point masses.
+        out[p == 0.0] = ks == 0
+        out[p == 1.0] = ks == n
+        return out
 
     def thickness_batch(xs: np.ndarray) -> np.ndarray:
         p = xs[:, 0]
-        out = np.empty_like(p)
+        out = np.full(p.shape, float(n))  # one-sided limit at both endpoints
         interior = (p > 0.0) & (p < 1.0)
-        q = p[interior][:, None]
-        # d/dp pmf(k; n, p) = C(n,k) p^(k-1) (1-p)^(n-k-1) (k - n p)
-        deriv = coeffs * q ** (ks - 1) * (1.0 - q) ** (n - ks - 1) * (ks - n * q)
-        out[interior] = 0.5 * np.abs(deriv).sum(axis=1)
-        out[~interior] = float(n)  # one-sided limit at both endpoints
+        q = p[interior]
+        j = np.minimum(np.floor(n * q), n - 1)
+        out[interior] = np.exp(
+            log_thick[j.astype(np.intp)] + j * np.log(q) + (n - 1 - j) * np.log1p(-q)
+        )
         return out
 
     return ParamFamily(

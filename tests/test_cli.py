@@ -99,6 +99,12 @@ class TestBinomialTestCommand:
         assert payload["n"] == 4
         assert not (tmp_path / "reference.csv").exists()
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "1.5", "nan", "inf"])
+    def test_bad_grid_step_exits_2(self, tmp_path, capsys, step):
+        assert main(["binomial-test", "--n", "4", "--k", "2", "--grid-step", step,
+                     "--out", str(tmp_path)]) == 2
+        assert "grid step" in capsys.readouterr().err
+
 
 class TestConvergeCommand:
     def test_deterministic_across_runs_and_threads(self, tmp_path):
@@ -138,6 +144,20 @@ class TestConvergeCommand:
     def test_bad_events_exit_2(self, tmp_path, capsys):
         assert main(["converge", "--events", "0,99",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["converge", "dilation"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exit_2(self, tmp_path, capsys, command, threads):
+        assert main([command, "--threads", threads, "--out", str(tmp_path)]) == 2
+        assert "n_jobs" in capsys.readouterr().err
+
+    def test_large_n_runs(self, tmp_path, capsys):
+        # n >= 1030 overflowed float binomial coefficients.
+        assert main(["converge", "--n", "1100", "--events", "0,550",
+                     "--base-samples", "40", "--order-samples", "40",
+                     "--max-order", "2", "--out", str(tmp_path)]) == 0
+        stats = read_csv(tmp_path / "stats_heads550.csv")
+        assert [r["order"] for r in stats] == ["1", "2"]
 
 
 class TestDilationCommand:

@@ -2,11 +2,13 @@
 
 Every load-bearing number is checked through two routes:
 
-* thickness: the package's derivative-sum form vs an independently
-  derived piecewise closed form (and vs finite differences);
+* thickness: the package's log-space closed form vs the same closed
+  form in plain floats, vs half the L1 norm of the pmf's derivative,
+  and vs finite differences;
 * normalizer and event probabilities: adaptive Gauss-Legendre vs
   ``scipy.integrate.quad`` with explicit kink breakpoints, plus frozen
-  golden values;
+  golden values; the measure's pairwise sums vs ``math.fsum`` over the
+  same products;
 * posterior predictive: continuum quadrature vs exact rational counting.
 """
 
@@ -26,6 +28,7 @@ from credal import (
     OutcomeSpace,
     ParamBox,
     ParamFamily,
+    QuadratureNotConverged,
     StepTooLarge,
     TvuMeasure,
     ZeroEvidence,
@@ -68,6 +71,31 @@ def panel_thickness(p: float, n: int = N) -> float:
     return n * math.comb(n - 1, j) * p**j * (1.0 - p) ** (n - 1 - j)
 
 
+def derivative_thickness(ps: np.ndarray, n: int) -> np.ndarray:
+    """Second reference: half the L1 norm of d/dp pmf, summed over all
+    n + 1 outcomes, with the one-sided limit n at both endpoints.
+
+    ``k - n p`` is evaluated as ``k (1-p) - (n-k) p``: written as
+    ``k - n * p`` the k = n term loses its leading digits to cancellation
+    near p = 1 (relative error 4e-5 at n = 400, p = 1 - 1e-12).
+    """
+    ks = np.arange(n + 1)
+    coeffs = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
+    out = np.full(ps.shape, float(n))
+    interior = (ps > 0.0) & (ps < 1.0)
+    q = ps[interior][:, None]
+    # d/dp pmf(k; n, p) = C(n,k) p^(k-1) (1-p)^(n-k-1) (k - n p)
+    slope = ks * (1.0 - q) - (n - ks) * q
+    deriv = coeffs * q ** (ks - 1) * (1.0 - q) ** (n - ks - 1) * slope
+    out[interior] = 0.5 * np.abs(deriv).sum(axis=1)
+    return out
+
+
+def fsum_reference(measure, values) -> float:
+    """Exactly rounded quadrature sum over the same products as the library."""
+    return math.fsum((measure.weights * measure.density * values).tolist())
+
+
 def quad_with_kinks(f) -> float:
     val, err = integrate.quad(f, 0.0, 1.0, points=KINKS, limit=400)
     assert err < 1e-10
@@ -102,6 +130,15 @@ class TestThickness:
             assert thickness(family, k, 0) == pytest.approx(
                 panel_thickness(k), abs=1e-6
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 400])
+    def test_closed_form_matches_derivative_l1_sum(self, n):
+        kinks = np.arange(n + 1) / n
+        near_ends = np.array([1e-12, 5e-13, 1.0 - 1e-12, 1.0 - 5e-13])
+        ps = np.concatenate([kinks, kinks[1:-1] + 1e-12, kinks[1:-1] - 1e-12,
+                             near_ends, np.linspace(0.0, 1.0, 1001)])
+        got = binomial_family(n).thickness_batch_fns[0](ps[:, None])
+        np.testing.assert_allclose(got, derivative_thickness(ps, n), rtol=1e-12, atol=0)
 
     def test_endpoints_equal_n_exactly(self, family):
         assert tvu_density(family, 0.0) == float(N)
@@ -157,6 +194,65 @@ class TestMeasure:
         assert measure.event_prob(family.space.full_event()) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("n", [10, 400])
+    def test_pairwise_sums_match_fsum(self, n):
+        m = build_measure(binomial_family(n))
+        space = m.family.space
+        probs = m.family.probs_matrix(m.nodes)
+        z = fsum_reference(m, 1.0)
+        events = [[k] for k in range(n + 1)]
+        events += [list(range(0, n + 1, 2)), list(range(n // 2 + 1)), list(range(n + 1))]
+        for idx in events:
+            want = fsum_reference(m, probs[:, idx].sum(axis=1)) / z
+            assert m.event_prob(space.event(idx)) == pytest.approx(want, rel=1e-13)
+        for values in (m.nodes[:, 0], m.nodes[:, 0] ** 2, 1.0 - m.nodes[:, 0]):
+            want = fsum_reference(m, values) / z
+            assert m.expectation(values) == pytest.approx(want, rel=1e-13)
+        observed, query = list(range(n // 2 + 1)), list(range(0, n + 1, 3))
+        joint = sorted(set(observed) & set(query))
+        want = fsum_reference(m, probs[:, joint].sum(axis=1)) / fsum_reference(
+            m, probs[:, observed].sum(axis=1)
+        )
+        got = m.posterior_predictive(space.event(observed), space.event(query))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_meta_records_quadrature_diagnostics(self, measure):
+        meta = measure.meta
+        assert meta["converged"] is True
+        assert 0.0 <= meta["err_estimate"] <= meta["tol"]
+        assert meta["panels"] * 16 == measure.nodes.shape[0]
+        assert meta["evaluations"] >= meta["panels"] * 24
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_missed_tolerance_raises(self, ndim):
+        # sqrt has an unbounded derivative at 0, so no GL rule integrates
+        # it to 1e-14 with this few panels or refinement levels.
+        fam = ParamFamily(
+            ParamBox([(0.0, 1.0)] * ndim),
+            OutcomeSpace([0, 1]),
+            lambda x: np.array([x[0], 1.0 - x[0]]),
+            thickness_batch=[lambda xs: np.sqrt(xs[:, 0])] + [
+                lambda xs: np.ones(xs.shape[0])] * (ndim - 1),
+        )
+        with pytest.raises(QuadratureNotConverged):
+            build_measure(fam, resolution=2, tol=1e-14, max_panels=2)
+
+    def test_large_n_stays_finite(self):
+        n = 1100
+        fam = binomial_family(n)
+        ends = np.array([[0.0], [1.0]])
+        np.testing.assert_array_equal(fam.thickness_batch_fns[0](ends), [n, n])
+        pmf = fam.probs_matrix(np.array([[0.0], [0.3], [0.5], [1.0]]))
+        assert pmf[0, 0] == 1.0 and pmf[0, 1:].sum() == 0.0
+        assert pmf[-1, -1] == 1.0 and pmf[-1, :-1].sum() == 0.0
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=1e-12)
+        assert pmf[2, n // 2] == pytest.approx(
+            float(Fraction(math.comb(n, n // 2), 2**n)), rel=1e-12
+        )
+        m = build_measure(fam)
+        assert math.isfinite(m.z) and m.z > 0.0
+        assert m.meta["converged"] is True
 
     def test_resolution_doubling_moves_z_below_tolerance(self, family, measure):
         z2 = build_measure(family, resolution=48).z
