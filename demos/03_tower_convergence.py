@@ -3,8 +3,9 @@
 Level 1 samples candidate coin biases from the thickness-weighted
 (TV-uniform) measure over the 10-toss family.  Level 2 samples random
 mixtures over those candidates; level 3 samples mixtures of mixtures,
-and so on.  The implied probability of an event at each level is the
-matrix chain of mixture weights applied to the base probabilities.
+and so on.  Each mixture is itself a distribution over head counts,
+so the implied probability of an event at each level is a column sum
+of that level's particle distributions.
 
 The spread of implied probabilities shrinks roughly like 1/sqrt(n)
 per level, and the mean converges to the event's probability under

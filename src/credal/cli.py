@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CredalError
+from .errors import ConfigInvalid, CredalError
 from .inference import UrnState, binomial_test, urn_update
 from .io import format_float, format_value, sha256_file, write_csv, write_json
 from .svg import write_line_chart
@@ -203,10 +203,9 @@ def _cmd_converge(args) -> int:
         sorted_cols = [np.sort(s.values) for s in stats]
         depth = max(c.size for c in sorted_cols)
         header = ["functionidx"] + [_order_name(s.order) for s in stats]
-        rows = [
-            [j] + [format_float(c[j]) if j < c.size else "" for c in sorted_cols]
-            for j in range(depth)
-        ]
+        cells = [[format_float(x) for x in c.tolist()] + [""] * (depth - c.size)
+                 for c in sorted_cols]
+        rows = [[j, *row] for j, row in enumerate(zip(*cells))]
         stat_header = ["order", "mean", "sd", "max_dev_from_reference"]
         stat_rows = [(s.order, s.mean, s.sd, s.max_dev_from_reference) for s in stats]
         suffix = "" if single else f"_heads{k}"
@@ -448,6 +447,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.seed = _resolve_seed(args.seed)
+        if args.threads < 1:
+            raise ConfigInvalid(f"--threads: need n_jobs >= 1, got {args.threads}")
         return args.func(args)
     except CredalError as exc:
         print(f"error: {exc}", file=sys.stderr)

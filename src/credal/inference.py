@@ -274,6 +274,11 @@ class BinomialTestReport:
         }
 
 
+# Largest (grid points) x (head counts) likelihood grid binomial_test builds:
+# 2**25 doubles is 256 MiB per matrix.
+MAX_GRID_CELLS = 2**25
+
+
 def binomial_test(
     n: int,
     k: int,
@@ -300,7 +305,13 @@ def binomial_test(
     family = measure.family
     space = family.space
     reference = tuple(measure.event_prob(space.event([i])) for i in range(n + 1))
-    steps = int(round(1.0 / grid_step))
+    inverse = 1.0 / grid_step  # inf for the smallest subnormal steps
+    steps = int(round(inverse)) if inverse < MAX_GRID_CELLS else MAX_GRID_CELLS
+    if (steps + 1) * (n + 1) > MAX_GRID_CELLS:
+        raise ConfigInvalid(
+            f"grid step {grid_step!r} with n={n} needs more than "
+            f"{MAX_GRID_CELLS} likelihood grid cells"
+        )
     grid = np.linspace(0.0, 1.0, steps + 1)
     event = space.event([k])
     likes = family.event_probs(grid[:, None], event)

@@ -32,9 +32,11 @@ def format_float(x: float) -> str:
 
 def format_value(x) -> str:
     """Render a cell value: rationals exactly, floats losslessly."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, bool) or isinstance(x, (int, str)):
+    if isinstance(x, int):
         return str(x)
     return format_float(x)
 

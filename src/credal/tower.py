@@ -2,23 +2,43 @@
 
 Level 1 of a tower is a stack of base distributions (sampled from the
 uniform measure over a parametrized family, or enumerated from a grid
-or an explicit credal set).  Every higher level is a stack of weight
-vectors drawn uniformly (flat Dirichlet, the TV-uniform law on the
-simplex) over the level below — "complete agnosticism" iterated
-upward.  The probability a level-``i`` particle implies for an event is
-the weighted average of the implied probabilities one level down:
+or an explicit credal set).  Every higher level is a stack of mixtures
+whose weights are drawn uniformly (flat Dirichlet, the TV-uniform law
+on the simplex) over the level below — "complete agnosticism" iterated
+upward.  A mixture of distributions is itself a distribution over the
+outcomes, so the tower stores each level as a particles × outcomes
+matrix:
 
-    v1[j] = base_j(E),      vi = W_i @ v(i-1),
+    V_1 = base probabilities,      V_i = W_i @ V_(i-1),
 
-so implied probabilities are matrix-vector chains through the tower.
-As the order grows the per-particle values concentrate; the package's
-convergence statistics quantify that contraction (the conjecture that
-it always converges is examined empirically, not assumed).
+and the probability an order-``i`` particle implies for an event is a
+column sum of its row, ``V_i[:, E].sum(1)``.  As the order grows the
+per-particle values concentrate; the package's convergence statistics
+quantify that contraction (the conjecture that it always converges is
+examined empirically, not assumed).
 
-Determinism: every level draws from generators spawned off one seed, a
-separate stream per particle row, so results are byte-identical for a
-given configuration regardless of how many worker threads fill the
-rows.
+The weight matrices ``W_i`` are never held.  A level is built in blocks
+of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
+rows as standard exponentials, multiplies them onto ``V_(i-1)`` and
+divides by their row sums.  Building level ``i`` costs
+S_i · S_(i-1) · |outcomes| multiply-adds and holds one block of draws at
+a time; every later event query is a column sum.  The trade-off is in
+the outcome count: a tower over many outcomes queried for one event does
+more work than one matrix-vector chain per event would.  Medians of 3
+in-process runs, one thread, 2-core shared host, per-event chains →
+this layout: ``credal converge`` at its defaults (11 outcomes, one
+event, 1601 particles per order) 0.41 → 0.16 s, ``credal dilation``
+(4 outcomes) 0.19 → 0.06 s; ``converge --n 100`` (101 outcomes, one
+event) 0.35 → about 0.6 s, and ``converge --n 400`` at 800 particles
+per order 0.17 → about 0.7 s, with peak memory 122 → 52 MB and
+82 → 81 MB.
+
+Determinism: ``rng.spawn(max_order)`` gives one stream per order; order
+1 samples the base from the first, and order ``i`` spawns one child
+stream per block from the ``i``-th (see ``STREAMS``).  A block's values
+depend only on its stream, and ``einsum`` fixes their summation order,
+so results are byte-identical for a given configuration whatever the
+number of worker threads or BLAS threads.
 """
 
 from __future__ import annotations
@@ -49,6 +69,17 @@ __all__ = [
     "DilationOrder",
     "DilationProfile",
 ]
+
+# Rows per sampling block; the block layout (not the thread count) fixes
+# which stream draws which row.
+BLOCK_ROWS = 256
+
+STREAMS = (
+    "rng.spawn(max_order): stream 1 samples order 1; order i spawns "
+    f"ceil(S_i / {BLOCK_ROWS}) block streams from stream i, and block b draws "
+    f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) as one (rows x S_(i-1)) "
+    "standard_exponential array"
+)
 
 
 @dataclass(frozen=True)
@@ -94,68 +125,63 @@ class TowerConfig:
 
 
 class Tower:
-    """A built tower: base probability rows plus per-level weight matrices."""
+    """A built tower: one stack of particle distributions per order.
 
-    __slots__ = ("config", "space", "base_probs", "base_params", "weights", "_chains")
+    ``levels[i - 1]`` is the (particles × outcomes) matrix whose rows are
+    the order-``i`` particles as distributions over the outcome space;
+    ``levels[0]`` is ``base_probs``.  ``meta`` records the layout:
+    ``level_sizes``, ``bytes_held`` (the levels' bytes), ``block_rows``
+    and ``streams`` (how each level's random stream is derived).
+    """
 
-    def __init__(self, config, space, base_probs, base_params, weights):
-        base_probs = np.asarray(base_probs, dtype=np.float64)
-        base_probs.setflags(write=False)
-        for w in weights:
-            w.setflags(write=False)
+    __slots__ = ("config", "space", "levels", "base_params", "meta")
+
+    def __init__(self, config, space, levels, base_params):
+        levels = tuple(np.asarray(v, dtype=np.float64) for v in levels)
+        for v in levels:
+            v.setflags(write=False)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "base_probs", base_probs)
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "base_params", base_params)
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "meta", {
+            "level_sizes": [v.shape[0] for v in levels],
+            "bytes_held": sum(v.nbytes for v in levels),
+            "block_rows": BLOCK_ROWS,
+            "streams": STREAMS,
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("Tower is immutable")
 
     def __repr__(self) -> str:
-        sizes = [self.base_probs.shape[0]] + [w.shape[0] for w in self.weights]
-        return f"Tower(orders={len(sizes)}, sizes={sizes})"
+        return f"Tower(orders={self.max_order}, sizes={self.meta['level_sizes']})"
+
+    @property
+    def base_probs(self) -> np.ndarray:
+        return self.levels[0]
 
     @property
     def max_order(self) -> int:
-        return len(self.weights) + 1
+        return len(self.levels)
 
     def n_particles(self, order: int) -> int:
         self._check_order(order)
-        if order == 1:
-            return self.base_probs.shape[0]
-        return self.weights[order - 2].shape[0]
+        return self.levels[order - 1].shape[0]
 
     def _check_order(self, order: int) -> None:
         if not 1 <= order <= self.max_order:
             raise IndexOutOfRange(f"order {order} outside 1..{self.max_order}")
 
-    def base_event_probs(self, event: Event) -> np.ndarray:
-        _require_same_space(self.space, event.space)
-        if not event.indices:
-            return np.zeros(self.base_probs.shape[0])
-        return self.base_probs[:, list(event.indices)].sum(axis=1)
-
     def implied_vectors(self, event: Event) -> tuple[np.ndarray, ...]:
         """Per-order vectors of implied probabilities for the event.
 
         ``result[i-1][j]`` is the probability particle ``j`` of order
-        ``i`` implies for the event.  Chains are cached per event.
+        ``i`` implies for the event: the event's column sum of its row.
         """
-        key = ("event", event.indices)
-        if key not in self._chains:
-            self._chains[key] = self._chain(self.base_event_probs(event))
-        return self._chains[key]
-
-    def _chain(self, v1: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = [v1]
-        for w in self.weights:
-            # einsum keeps a fixed reduction order -> bit-reproducible
-            out.append(np.einsum("ij,j->i", w, out[-1]))
-        for v in out:
-            v.setflags(write=False)
-        return tuple(out)
+        _require_same_space(self.space, event.space)
+        cols = list(event.indices)
+        return tuple(v[:, cols].sum(axis=1) for v in self.levels)
 
     def implied_probability(self, order: int, index: int, event: Event) -> float:
         """Probability that particle ``index`` at ``order`` implies for the event."""
@@ -173,25 +199,28 @@ def _grid_params(family: ParamFamily, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
-def _fill_weight_matrix(gen_parent, rows: int, cols: int, n_jobs: int) -> np.ndarray:
-    """Flat-Dirichlet weight rows, one spawned stream per row.
+def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
+    """``rows`` flat-Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
 
-    Row ``j`` depends only on the ``j``-th spawned generator, so the
-    result is independent of ``n_jobs`` and of how rows are chunked.
+    Block ``b`` fills rows ``[b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)`` from
+    the ``b``-th stream spawned off ``gen_parent``: a (block × S)
+    array of standard exponentials ``x`` gives ``(x @ prev) / x.sum(1)``.
+    Each block writes only its own rows, so the result is independent
+    of the pool's thread count.  ``einsum`` (never BLAS, whose sums
+    depend on its thread count) fixes each product's summation order.
     """
-    gens = gen_parent.spawn(rows)
-    out = np.empty((rows, cols), dtype=np.float64)
+    gens = gen_parent.spawn(-(-rows // BLOCK_ROWS))
+    prev_t = np.ascontiguousarray(prev.T)
+    out = np.empty((rows, prev.shape[1]), dtype=np.float64)
 
-    def fill(j: int) -> None:
-        x = gens[j].standard_exponential(cols)
-        out[j] = x / x.sum()
+    def fill(b: int) -> None:
+        lo = b * BLOCK_ROWS
+        block = out[lo:lo + BLOCK_ROWS]
+        x = gens[b].standard_exponential((block.shape[0], prev.shape[0]))
+        np.einsum("ij,kj->ik", x, prev_t, out=block)
+        block /= x.sum(axis=1)[:, None]
 
-    if n_jobs <= 1:
-        for j in range(rows):
-            fill(j)
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(fill, range(rows)))
+    list(pool.map(fill, range(len(gens))))
     return out
 
 
@@ -200,8 +229,8 @@ def build_tower(cfg: TowerConfig, rng: np.random.Generator | None = None, n_jobs
 
     ``rng`` defaults to a fresh generator seeded with ``cfg.seed``; pass
     one explicitly to place the tower inside a larger reproducible
-    experiment.  ``n_jobs`` parallelizes weight-row sampling without
-    changing any sampled value.
+    experiment.  ``n_jobs`` threads fill a level's blocks without
+    changing any value.
     """
     if n_jobs < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
@@ -237,14 +266,11 @@ def build_tower(cfg: TowerConfig, rng: np.random.Generator | None = None, n_jobs
             )
         base_probs = family.probs_matrix(np.asarray(params)[:, None])
 
-    weights = []
-    prev = base_probs.shape[0]
-    for level in range(2, cfg.max_order + 1):
-        w = _fill_weight_matrix(level_gens[level - 2], cfg.order_samples, prev, n_jobs)
-        weights.append(w)
-        prev = cfg.order_samples
-
-    return Tower(cfg, space, base_probs, params, weights)
+    levels = [base_probs]
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        for gen in level_gens:
+            levels.append(_mix_level(gen, cfg.order_samples, levels[-1], pool))
+    return Tower(cfg, space, levels, params)
 
 
 @dataclass(frozen=True)
@@ -348,20 +374,15 @@ def dilation_profile(tower: Tower, pre_event: Event, query_event: Event) -> Dila
     each particle's conditional is the ratio of its implied joint
     probability to its implied conditioning probability.
     """
-    joint = query_event.intersect(pre_event)
-    b1 = tower.base_event_probs(pre_event)
-    a1 = tower.base_event_probs(joint)
-    alive = b1 > 0.0
-    n_dropped = int((~alive).sum())
-    if not alive.any():
+    a_chain = tower.implied_vectors(query_event.intersect(pre_event))
+    b_chain = tower.implied_vectors(pre_event)
+    n_dropped = int((b_chain[0] <= 0.0).sum())
+    if n_dropped == b_chain[0].size:
         raise AllDropped("every base particle assigns zero mass to the conditioning event")
-
-    a_chain = tower._chain(a1)
-    b_chain = tower._chain(b1)
 
     orders = []
     for order, (a, b) in enumerate(zip(a_chain, b_chain), start=1):
-        ok = (b > 0.0) if order > 1 else alive
+        ok = b > 0.0
         values = a[ok] / b[ok]
         num, den = stable_sum(a[ok]), stable_sum(b[ok])
         weighted = num / den

@@ -99,11 +99,16 @@ class TestBinomialTestCommand:
         assert payload["n"] == 4
         assert not (tmp_path / "reference.csv").exists()
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "1.5", "nan", "inf"])
+    @pytest.mark.parametrize("step", ["0", "-0.1", "1.5", "nan", "inf", "1e-300", "1e-9", "5e-324"])
     def test_bad_grid_step_exits_2(self, tmp_path, capsys, step):
         assert main(["binomial-test", "--n", "4", "--k", "2", "--grid-step", step,
                      "--out", str(tmp_path)]) == 2
         assert "grid step" in capsys.readouterr().err
+
+    def test_fine_grid_step_runs(self, tmp_path):
+        assert main(["binomial-test", "--n", "10", "--grid-step", "1e-5",
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "hocs.csv")) == 100_001
 
 
 class TestConvergeCommand:
@@ -145,7 +150,8 @@ class TestConvergeCommand:
         assert main(["converge", "--events", "0,99",
                      "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("command", ["converge", "dilation"])
+    @pytest.mark.parametrize(
+        "command", ["converge", "dilation", "binomial-test", "urn", "tvu-density"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_bad_threads_exit_2(self, tmp_path, capsys, command, threads):
         assert main([command, "--threads", threads, "--out", str(tmp_path)]) == 2

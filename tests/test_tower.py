@@ -1,5 +1,10 @@
 """Tower construction, determinism, chains, and dilation statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,17 +57,17 @@ class TestDeterminism:
         fam = bernoulli_family()
         cfg = TowerConfig(base=fam, base_samples=64, order_samples=64, max_order=3, seed=9)
         t1, t2 = build_tower(cfg), build_tower(cfg)
-        assert t1.base_probs.tobytes() == t2.base_probs.tobytes()
-        for w1, w2 in zip(t1.weights, t2.weights):
-            assert w1.tobytes() == w2.tobytes()
+        assert len(t1.levels) == 3
+        for v1, v2 in zip(t1.levels, t2.levels):
+            assert v1.tobytes() == v2.tobytes()
 
     def test_thread_count_never_changes_values(self):
         fam = binomial_family(6)
-        cfg = TowerConfig(base=fam, base_samples=128, order_samples=128, max_order=3, seed=2)
+        cfg = TowerConfig(base=fam, base_samples=128, order_samples=600, max_order=3, seed=2)
         t1 = build_tower(cfg, n_jobs=1)
         t4 = build_tower(cfg, n_jobs=4)
-        for w1, w4 in zip(t1.weights, t4.weights):
-            assert w1.tobytes() == w4.tobytes()
+        for v1, v4 in zip(t1.levels, t4.levels):
+            assert v1.tobytes() == v4.tobytes()
         e = fam.space.event([1])
         for v1, v4 in zip(t1.implied_vectors(e), t4.implied_vectors(e)):
             assert v1.tobytes() == v4.tobytes()
@@ -73,15 +78,57 @@ class TestDeterminism:
                                      max_order=2, seed=0))
         t2 = build_tower(TowerConfig(base=fam, base_samples=32, order_samples=32,
                                      max_order=2, seed=1))
-        assert t1.weights[0].tobytes() != t2.weights[0].tobytes()
+        assert t1.levels[1].tobytes() != t2.levels[1].tobytes()
+
+    def test_levels_follow_the_block_stream_layout(self):
+        # 300 rows per order: one full 256-row block and a partial one.
+        fam = binomial_family(3)
+        cfg = TowerConfig(base=fam, base_samples=5, order_samples=300, max_order=3,
+                          base_mode="grid", seed=4)
+        tower = build_tower(cfg)
+        rows = tower.meta["block_rows"]
+        _, *level_gens = np.random.default_rng(cfg.seed).spawn(cfg.max_order)
+        for gen, prev, level in zip(level_gens, tower.levels, tower.levels[1:]):
+            blocks = gen.spawn(-(-level.shape[0] // rows))
+            x = np.vstack([
+                g.standard_exponential((min(rows, level.shape[0] - b * rows), prev.shape[0]))
+                for b, g in enumerate(blocks)
+            ])
+            w = x / x.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(level, w @ prev, rtol=0, atol=1e-14)
+
+    def test_openblas_threads_never_change_cli_bytes(self, tmp_path):
+        # At 600 particles a BLAS matmul in place of einsum already gives
+        # different bytes under 1 and 2 OpenBLAS threads.
+        argv = [sys.executable, "-m", "credal.cli", "converge", "--events", "0,1,5",
+                "--base-samples", "600", "--order-samples", "600", "--max-order", "3"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / blas_threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(argv + ["--out", str(out)], env=env, check=True,
+                           capture_output=True, timeout=120)
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestStructure:
-    def test_weight_rows_are_distributions(self, small_tower):
+    def test_level_rows_are_distributions(self, small_tower):
         _, tower = small_tower
-        for w in tower.weights:
-            assert np.all(w >= 0.0)
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        for v in tower.levels:
+            assert np.all(v >= 0.0)
+            np.testing.assert_allclose(v.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_meta_records_the_layout(self, small_tower):
+        _, tower = small_tower
+        assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows", "streams"}
+        assert tower.meta["level_sizes"] == [400, 400, 400, 400]
+        assert tower.meta["bytes_held"] == sum(v.nbytes for v in tower.levels)
+        assert tower.meta["block_rows"] == 256
+        assert "spawn" in tower.meta["streams"]
 
     def test_full_event_chain_stays_at_one(self, small_tower):
         fam, tower = small_tower
