@@ -11,8 +11,10 @@ Subcommands::
 Every subcommand accepts ``--seed`` (falling back to the ``CREDAL_SEED``
 environment variable, then 0), ``--threads``, ``--out`` and ``--format
 {csv,json}``, and finishes by writing a ``manifest.json`` recording the
-command, flags, seed, package version, duration, and a SHA-256 digest
-of every file it wrote.  With a fixed seed and fixed flags all data
+command, flags, seed, package version, duration, a SHA-256 digest of
+every file it wrote, and ``diagnostics``: the ``meta`` of the uniform
+measure (quadrature diagnostics and layout) and of the tower, for the
+subcommands that build them.  With a fixed seed and fixed flags all data
 outputs are byte-identical across runs and thread counts.
 
 Exit codes: 0 success; 2 usage or validation error; 3 internal error.
@@ -21,6 +23,7 @@ Exit codes: 0 success; 2 usage or validation error; 3 internal error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -62,6 +65,7 @@ class RunManifest:
     version: str
     duration_s: float
     outputs: dict
+    diagnostics: dict
 
 
 class _Run:
@@ -73,6 +77,7 @@ class _Run:
         self.out = Path(args.out)
         self.t0 = time.perf_counter()
         self.files: list[Path] = []
+        self.diagnostics: dict = {}
 
     def record(self, path: Path) -> Path:
         self.files.append(Path(path))
@@ -99,8 +104,35 @@ class _Run:
             version=__version__,
             duration_s=time.perf_counter() - self.t0,
             outputs={p.name: sha256_file(p) for p in sorted(self.files)},
+            diagnostics=self.diagnostics,
         )
         write_json(self.out / "manifest.json", asdict(manifest))
+
+
+# glibc's malloc hands freed memory back to the kernel once the free top of
+# the heap passes a trim threshold, which starts at 128 KiB and slides up to
+# twice the largest mmapped block freed so far.  The measure's blocked passes
+# allocate and free a few block-sized matrices per block (1.6 MB each at
+# n = 400), so under the sliding rule most blocks fault their pages in afresh:
+# about 10,000 minor faults per binomial-test --n 400, whose cost varies with
+# the host from run to run.  The CLI fixes both thresholds at the ceiling the
+# sliding rule can reach (32 MiB for mmap), so freed blocks are reused.  On
+# other C libraries mallopt is missing or a no-op, and nothing changes.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds for this process; idempotent."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no process-wide libc symbols
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
 def _resolve_seed(value) -> int:
@@ -137,6 +169,7 @@ def _cmd_binomial_test(args) -> int:
     report = binomial_test(
         args.n, args.k, resolution=args.resolution, grid_step=args.grid_step
     )
+    run.diagnostics["measure"] = report.meta
     if args.format == "json":
         run.json("report.json", report.to_payload())
     else:
@@ -193,6 +226,7 @@ def _cmd_converge(args) -> int:
         base_atoms=args.base_atoms,
     )
     tower = build_tower(cfg, n_jobs=args.threads)
+    run.diagnostics.update(measure=measure.meta, tower=tower.meta)
 
     single = len(events) == 1
     payload = {"n": args.n, "events": {}}
@@ -289,6 +323,7 @@ def _cmd_dilation(args) -> int:
         base_mode=args.base_mode,
     )
     tower = build_tower(cfg, n_jobs=args.threads)
+    run.diagnostics["tower"] = tower.meta
     profile = dilation_profile(tower, pre, match)
 
     lo, hi = _BAND
@@ -348,8 +383,11 @@ def _cmd_dilation(args) -> int:
 
 def _cmd_tvu_density(args) -> int:
     run = _Run(args, "tvu-density")
+    if args.points < 1:
+        raise ConfigInvalid(f"--points must be >= 1, got {args.points}")
     family = binomial_family(args.n)
     measure = build_measure(family, resolution=args.resolution)
+    run.diagnostics["measure"] = measure.meta
     grid = np.linspace(0.0, 1.0, args.points)
     density = _density_rows(family, grid[:, None])
     if args.format == "json":
@@ -449,6 +487,7 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args.seed)
         if args.threads < 1:
             raise ConfigInvalid(f"--threads: need n_jobs >= 1, got {args.threads}")
+        _keep_freed_memory()
         return args.func(args)
     except CredalError as exc:
         print(f"error: {exc}", file=sys.stderr)

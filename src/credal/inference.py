@@ -230,8 +230,34 @@ def hocs_ratio(measure, null, event: Event) -> HocsResult:
 
 
 def hocs_curve(measure, event: Event, params) -> list[HocsResult]:
-    """The ratio as a function of the null point over a parameter grid."""
-    return [hocs_ratio(measure, p, event) for p in np.asarray(params, dtype=float)]
+    """The ratio as a function of the null point over a parameter grid.
+
+    For a :class:`TvuMeasure` the likelihoods come from one blocked
+    ``family.event_probs`` call and the reference from one
+    ``event_prob``; each result equals :func:`hocs_ratio` at its point.
+    """
+    params = np.asarray(params, dtype=float)
+    if not isinstance(measure, TvuMeasure):
+        return [hocs_ratio(measure, p, event) for p in params]
+    family = measure.family
+    xs = params[:, None] if params.ndim == 1 else params
+    if not all(family.box.contains(x) for x in xs):
+        raise IndexOutOfRange("parameter grid reaches outside the box")
+    likes = family.event_probs(xs, event)
+    ref = measure.event_prob(event)
+    if ref <= 0.0:
+        raise ZeroEvidence("event has reference probability zero")
+    return [
+        HocsResult(
+            null_point=p if np.isscalar(p) else tuple(p),
+            event_labels=event.labels,
+            null_likelihood=float(like),
+            reference_prob=ref,
+            ratio=float(like) / ref,
+            mode="continuum",
+        )
+        for p, like in zip(params, likes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +273,7 @@ class BinomialTestReport:
     probability of every head count (``reference``), the evidence-ratio
     curve for point nulls over a bias grid, and the unnormalized density
     along the same grid (``z`` is its integral, the normalizer).
+    ``meta`` is the measure's ``meta``: quadrature diagnostics and layout.
     """
 
     n: int
@@ -257,6 +284,7 @@ class BinomialTestReport:
     ratios: np.ndarray = field(repr=False)
     density: np.ndarray = field(repr=False)
     conjecture_conditional: bool = True
+    meta: dict = field(default_factory=dict, repr=False)
 
     def observed_reference(self) -> float:
         return self.reference[self.k]
@@ -274,8 +302,10 @@ class BinomialTestReport:
         }
 
 
-# Largest (grid points) x (head counts) likelihood grid binomial_test builds:
-# 2**25 doubles is 256 MiB per matrix.
+# Largest (grid points) x (head counts) likelihood grid binomial_test
+# evaluates.  The grid is evaluated in blocks of rows, so the cap bounds
+# the work (2**25 pmf cells) and the length of the grid, ratio and density
+# arrays, not the size of any one matrix.
 MAX_GRID_CELLS = 2**25
 
 
@@ -315,7 +345,7 @@ def binomial_test(
     grid = np.linspace(0.0, 1.0, steps + 1)
     event = space.event([k])
     likes = family.event_probs(grid[:, None], event)
-    ratios = likes / measure.event_prob(event)
+    ratios = likes / reference[k]
     density = _density_rows(family, grid[:, None])
     return BinomialTestReport(
         n=n,
@@ -325,4 +355,5 @@ def binomial_test(
         grid=grid,
         ratios=ratios,
         density=density,
+        meta=measure.meta,
     )

@@ -20,10 +20,19 @@ Two regimes are supported:
   locations of the thickness.  A tolerance the quadrature cannot reach
   raises :class:`~credal.errors.QuadratureNotConverged`.
 
-Every quadrature term ``weight * density * f(x)(E)`` is non-negative, so
-numpy's pairwise sum is accurate to a few ulps of the total (Higham
-1993, "The accuracy of floating point summation"); the measure routes
-all its weighted sums through that one fixed-order reduction.
+The measure is a mixture of the family's distributions, so one vector
+over the outcomes answers every event: at construction it sums the
+unnormalized per-outcome masses ``m_o = sum_i weight_i * density_i *
+f(x_i)_o`` in one pass over the nodes, and an event's probability is
+``m[E].sum() / Z``.  The pass evaluates ``BLOCK_ROWS`` nodes at a time,
+sums each block pairwise, then sums the block partials pairwise; no
+nodes x outcomes matrix is ever held.  Building costs one evaluation of
+every node's distribution and holds one block of them (about 1.6 MB at
+``n = 400``); each event then costs ``|E|`` additions.  Every term is
+non-negative, so each sum is accurate to a few ulps of the total
+(Higham 1993, "The accuracy of floating point summation"), and the
+block size is a constant, so the reduction order and every result are
+the same on every run.
 
 The binomial head-count family is the fully worked example.  Half the
 L1 norm of the pmf's derivative has a closed form (de Moivre's mean
@@ -88,6 +97,15 @@ __all__ = [
 DEFAULT_ATOMS = 1601
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# Parameter rows whose distributions are evaluated at a time when a node
+# set or a grid is reduced over the outcomes.  A constant, so that the
+# summation order, and with it every result, never varies.
+BLOCK_ROWS = 512
+
+
+def _row_blocks(rows: int):
+    return (slice(lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
 
 
 class ParamBox:
@@ -243,11 +261,14 @@ class ParamFamily:
     __call__ = eval
 
     def event_probs(self, xs: np.ndarray, event: Event) -> np.ndarray:
+        """The event's probability at each row of ``xs``, ``BLOCK_ROWS`` rows at a time."""
         _require_same_space(self.space, event.space)
-        mat = self.probs_matrix(xs)
-        if not event.indices:
-            return np.zeros(mat.shape[0])
-        return mat[:, list(event.indices)].sum(axis=1)
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        cols = list(event.indices)
+        out = np.empty(xs.shape[0])
+        for rows in _row_blocks(xs.shape[0]):
+            out[rows] = self.probs_matrix(xs[rows])[:, cols].sum(axis=1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +496,26 @@ class TvuMeasure:
 
     Stores the final node set ``nodes`` (shape ``(N, ndim)``), the
     quadrature ``weights``, the unnormalized density values ``density``
-    at the nodes, and the normalizer ``Z = sum(weights * density)``.
-    Event probabilities and posterior predictive values are weighted
-    sums over this fixed node set, so they are deterministic for a given
-    construction.  ``meta`` records the construction's settings and
+    at the nodes, the normalizer ``Z = sum(weights * density)`` and the
+    unnormalized per-outcome masses ``sum_i weight_i * density_i *
+    f(x_i)``, summed once at construction in blocks of ``BLOCK_ROWS``
+    nodes (pairwise within a block, then across the block partials).
+    It holds O(nodes + outcomes) numbers, never a nodes x outcomes
+    matrix.  An event's probability is its outcomes' mass over ``Z``,
+    so it costs ``|E|`` additions and is deterministic for a given
+    construction.  ``meta`` records the construction's settings, the
     quadrature diagnostics (``err_estimate`` relative to ``Z``,
-    ``converged``, ``panels``, ``evaluations``).
+    ``converged``, ``panels``, ``evaluations``) and the layout
+    (``block_rows`` and ``bytes_held``, the bytes of the arrays held).
     """
 
-    __slots__ = ("family", "nodes", "weights", "density", "z", "_mass", "_probs", "meta")
+    __slots__ = ("family", "nodes", "weights", "density", "z", "_mass", "_outcome_mass", "meta")
 
     def __init__(self, family: ParamFamily, nodes, weights, density, meta=None):
         nodes = np.atleast_2d(np.asarray(nodes, dtype=np.float64))
         weights = np.asarray(weights, dtype=np.float64)
         density = np.asarray(density, dtype=np.float64)
         mass = weights * density
-        for arr in (nodes, weights, density, mass):
-            arr.setflags(write=False)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -500,9 +524,17 @@ class TvuMeasure:
         z = self._integrate(1.0)
         if not math.isfinite(z) or z <= 0.0:
             raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
+        outcome_mass = self._outcome_mass_of(family)
+        held = (nodes, weights, density, mass, outcome_mass)
+        for arr in held:
+            arr.setflags(write=False)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_probs", family.probs_matrix(nodes))
-        object.__setattr__(self, "meta", dict(meta or {}))
+        object.__setattr__(self, "_outcome_mass", outcome_mass)
+        object.__setattr__(self, "meta", {
+            **(meta or {}),
+            "block_rows": BLOCK_ROWS,
+            "bytes_held": sum(arr.nbytes for arr in held),
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("TvuMeasure is immutable")
@@ -531,10 +563,25 @@ class TvuMeasure:
         """
         return float(np.sum(self._mass * values))
 
+    def _outcome_mass_of(self, family: ParamFamily) -> np.ndarray:
+        """``sum_i weight_i * density_i * family(x_i)``, one value per outcome.
+
+        Nodes are evaluated ``BLOCK_ROWS`` at a time; each block is summed
+        pairwise over its nodes, then the block partials pairwise.
+        """
+        partials = [
+            # Outcomes x nodes, so that each outcome's terms are contiguous
+            # and numpy sums them pairwise.
+            np.multiply(family.probs_matrix(self.nodes[rows]).T, self._mass[rows], order="C")
+            .sum(axis=1)
+            for rows in _row_blocks(self.nodes.shape[0])
+        ]
+        return np.stack(partials, axis=1).sum(axis=1)
+
     def event_prob(self, event: Event) -> float:
         """Probability of an event on the family's outcome space."""
         _require_same_space(self.family.space, event.space)
-        return self._integrate(self._probs[:, list(event.indices)].sum(axis=1)) / self.z
+        return float(self._outcome_mass[list(event.indices)].sum()) / self.z
 
     def expectation(self, values: np.ndarray) -> float:
         """Measure-weighted mean of per-node values (e.g. a statistic of x)."""
@@ -552,19 +599,21 @@ class TvuMeasure:
         the measure's own family), which must share this measure's
         parameter box — e.g. the i.i.d. multi-draw extension of a
         single-draw family.  Computes the ratio of the measure-weighted
-        likelihoods ``P(query & observed) / P(observed)``.
+        likelihoods ``P(query & observed) / P(observed)``, both read from
+        one per-outcome mass vector: the measure's own, or one blocked
+        pass over the nodes for another family.
         """
         fam = family if family is not None else self.family
         if fam.ndim != self.family.ndim:
             raise SpaceMismatch("evaluation family has a different parameter box")
         _require_same_space(fam.space, observed.space)
         _require_same_space(fam.space, query.space)
-        mat = self._probs if fam is self.family else fam.probs_matrix(self.nodes)
+        mass = self._outcome_mass if fam is self.family else self._outcome_mass_of(fam)
         joint = query.intersect(observed)
-        den = self._integrate(mat[:, list(observed.indices)].sum(axis=1))
+        den = float(mass[list(observed.indices)].sum())
         if den <= 0.0:
             raise ZeroEvidence("observed event has measure-weighted likelihood zero")
-        return self._integrate(mat[:, list(joint.indices)].sum(axis=1)) / den
+        return float(mass[list(joint.indices)].sum()) / den
 
     def sample_params(
         self, rng: np.random.Generator, size: int, atoms: int = DEFAULT_ATOMS

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import platform
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,54 @@ class TestTvuDensityCommand:
         z_line = capsys.readouterr().out.strip()
         z = float(z_line.split("Z=")[1])
         assert z == pytest.approx(3.66021568, rel=1e-9)
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_bad_points_exit_2(self, tmp_path, capsys, points):
+        code = main(["tvu-density", "--points", points, "--svg", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--points" in capsys.readouterr().err
+
+
+# Small flags for each subcommand, and the meta objects its manifest must carry.
+DIAGNOSTICS = {
+    "binomial-test": (["--n", "6", "--grid-step", "0.1"], {"measure"}),
+    "converge": (["--n", "4", "--base-samples", "30", "--order-samples", "30",
+                  "--max-order", "2"], {"measure", "tower"}),
+    "dilation": (["--grid", "11", "--samples", "30", "--orders", "2"], {"tower"}),
+    "tvu-density": (["--n", "4", "--points", "11"], {"measure"}),
+    "urn": (["--balls", "6", "--history", "red"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIAGNOSTICS))
+def test_manifest_records_diagnostics(tmp_path, capsys, command):
+    flags, keys = DIAGNOSTICS[command]
+    assert main([command, *flags, "--out", str(tmp_path)]) == 0
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert set(diagnostics) == keys
+    if "measure" in diagnostics:
+        measure = diagnostics["measure"]
+        assert measure["converged"] is True
+        assert measure["block_rows"] > 0 and measure["bytes_held"] > 0
+        assert {"err_estimate", "panels", "evaluations", "resolution", "tol"} <= set(measure)
+    if "tower" in diagnostics:
+        assert diagnostics["tower"]["bytes_held"] > 0
+        assert len(diagnostics["tower"]["level_sizes"]) == 2
+
+
+def test_repeated_op_reuses_freed_memory(tmp_path, capsys):
+    # The measure's blocked passes free a few 1.6 MB matrices per block.  Were
+    # glibc to hand them back to the kernel after each block, as its sliding
+    # trim threshold does, every op would fault in about 10,000 fresh pages.
+    resource = pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the CLI pins glibc's malloc thresholds only")
+    argv = ["binomial-test", "--n", "400", "--k", "123"]
+    for warm in range(2):
+        assert main([*argv, "--out", str(tmp_path / f"warm{warm}")]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main([*argv, "--out", str(tmp_path / "op")]) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2_000
 
 
 class TestSeedResolution:

@@ -232,6 +232,25 @@ class TestHocsRatio:
         # The likelihood for 1 of 10 heads peaks at p = 0.1.
         assert grid[np.argmax(ratios)] == pytest.approx(0.1, abs=0.011)
 
+    @pytest.mark.parametrize("heads", [[1], [0, 4, 10]])
+    def test_curve_matches_pointwise_ratio(self, family, measure, heads):
+        e = family.space.event(heads)
+        grid = np.linspace(0.0, 1.0, 101)
+        curve = hocs_curve(measure, e, grid)
+        assert len(curve) == grid.size
+        for p, got in zip(grid, curve):
+            want = hocs_ratio(measure, p, e)
+            assert got.null_point == want.null_point
+            assert got.mode == want.mode and got.event_labels == want.event_labels
+            for name in ("null_likelihood", "reference_prob", "ratio"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0)
+        if heads == [1]:
+            assert curve[0].ratio == 0.0 and curve[-1].ratio == 0.0
+
+    def test_curve_rejects_points_outside_the_box(self, family, measure):
+        with pytest.raises(IndexOutOfRange):
+            hocs_curve(measure, family.space.event([1]), [0.5, 1.5])
+
 
 class TestBinomialTestReport:
     def test_report_contents(self):

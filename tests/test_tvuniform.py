@@ -13,6 +13,7 @@ Every load-bearing number is checked through two routes:
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +217,22 @@ class TestMeasure:
         )
         got = m.posterior_predictive(space.event(observed), space.event(query))
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_memory_stays_linear_in_nodes_and_outcomes(self):
+        n = 400
+        tracemalloc.start()
+        try:
+            m = build_measure(binomial_family(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+        cells = m.nodes.shape[0] * (n + 1)
+        held = [getattr(m, name) for name in TvuMeasure.__slots__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays and all(a.size < cells for a in arrays)
+        assert m.meta["bytes_held"] == sum(a.nbytes for a in arrays)
+        assert m.meta["block_rows"] < m.nodes.shape[0]
 
     def test_meta_records_quadrature_diagnostics(self, measure):
         meta = measure.meta
