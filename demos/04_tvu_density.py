@@ -16,7 +16,14 @@ Run:  python3 demos/04_tvu_density.py
 
 import numpy as np
 
-from credal import ParamBox, ParamFamily, binomial_family, build_measure, thickness
+from credal import (
+    ParamBox,
+    ParamFamily,
+    binomial_family,
+    build_measure,
+    thickness,
+    tvu_density,
+)
 
 family = binomial_family(10)
 measure = build_measure(family)
@@ -28,7 +35,7 @@ print()
 
 print("  p      thickness   density")
 for p in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0):
-    t = family.thickness_fns[0]((p,))
+    t = tvu_density(family, p)
     print(f" {p:4.2f}   {t:9.5f}   {measure.pdf(p):8.5f}")
 print()
 print("The density is largest at the endpoints (thickness -> n) and")
@@ -40,7 +47,7 @@ print()
 
 for p in (0.13, 0.37, 0.81):
     fd = thickness(family, p, 0)
-    closed = family.thickness_fns[0]((p,))
+    closed = tvu_density(family, p)
     print(f"thickness at p={p}: finite-difference {fd:.10f}  closed {closed:.10f}")
 print()
 
@@ -71,9 +78,8 @@ def thick_batch(xs):
 fam_s = ParamFamily(
     ParamBox([(0.0, 1.0)]),
     family.space,
-    lambda x: family.probs_fn((x[0] ** (1 / 3),)),
+    probs_batch,
     kinks=[tuple((k / 10) ** 3 for k in range(1, 10))],
-    probs_batch=probs_batch,
     thickness_batch=[thick_batch],
 )
 m_s = build_measure(fam_s)

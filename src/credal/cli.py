@@ -223,7 +223,6 @@ def _cmd_converge(args) -> int:
         max_order=args.max_order,
         seed=args.seed,
         base_mode=args.base_mode,
-        base_atoms=args.base_atoms,
     )
     tower = build_tower(cfg, n_jobs=args.threads)
     run.diagnostics.update(measure=measure.meta, tower=tower.meta)
@@ -441,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=5)
     p.add_argument("--base-mode", choices=("tvu", "grid"), default="tvu",
                    help="level-1 source: density sampling or uniform grid")
-    p.add_argument("--base-atoms", type=int, default=None,
-                   help="atoms for density sampling (default 1601)")
     p.add_argument("--resolution", type=int, default=24)
     _common_flags(p)
     p.set_defaults(func=_cmd_converge)

@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .errors import LengthMismatch
+
 __all__ = ["write_line_chart"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -42,9 +44,15 @@ def write_line_chart(
     xlabel: str = "",
     ylabel: str = "",
 ) -> Path:
-    """Plot one or more y-series against shared x values and save as SVG."""
+    """Plot one or more y-series against shared x values and save as SVG.
+
+    Raises :class:`~credal.errors.LengthMismatch` when there are no x
+    values or no y values to plot.
+    """
     xs = [float(x) for x in xs]
     ys_all = [float(v) for ys in series.values() for v in ys]
+    if not xs or not ys_all:
+        raise LengthMismatch("a line chart needs at least one x value and one y value")
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys_all), max(ys_all)
     if yhi <= ylo:

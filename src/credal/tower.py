@@ -2,12 +2,16 @@
 
 Level 1 of a tower is a stack of base distributions (sampled from the
 uniform measure over a parametrized family, or enumerated from a grid
-or an explicit credal set).  Every higher level is a stack of mixtures
-whose weights are drawn uniformly (flat Dirichlet, the TV-uniform law
-on the simplex) over the level below — "complete agnosticism" iterated
-upward.  A mixture of distributions is itself a distribution over the
-outcomes, so the tower stores each level as a particles × outcomes
-matrix:
+or an explicit credal set).  A sampled base is drawn from the measure
+itself: its particles are the measure's own quadrature nodes (or the
+credal set's members), taken by stratified inverse-CDF sampling over
+their masses, so the base's mean implied probability of any event
+matches the measure's ``event_prob`` up to the stratification error.
+Every higher level is a stack of mixtures whose weights are drawn
+uniformly (flat Dirichlet, the TV-uniform law on the simplex) over the
+level below — "complete agnosticism" iterated upward.  A mixture of
+distributions is itself a distribution over the outcomes, so the tower
+stores each level as a particles × outcomes matrix:
 
     V_1 = base probabilities,      V_i = W_i @ V_(i-1),
 
@@ -15,7 +19,12 @@ and the probability an order-``i`` particle implies for an event is a
 column sum of its row, ``V_i[:, E].sum(1)``.  As the order grows the
 per-particle values concentrate; the package's convergence statistics
 quantify that contraction (the conjecture that it always converges is
-examined empirically, not assumed).
+examined empirically, not assumed).  Given level ``i - 1`` with ``S``
+particles whose implied values have mean ``m`` and population variance
+``s^2``, an order-``i`` particle's value has mean ``m`` and variance
+``s^2 / (S + 1)`` (a Bayesian-bootstrap replicate of the level's mean;
+Rubin 1981).  The top order therefore settles on the base sample's
+mean, which is why the base is drawn from the measure.
 
 The weight matrices ``W_i`` are never held.  A level is built in blocks
 of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
@@ -34,11 +43,12 @@ per order 0.17 → about 0.7 s, with peak memory 122 → 52 MB and
 82 → 81 MB.
 
 Determinism: ``rng.spawn(max_order)`` gives one stream per order; order
-1 samples the base from the first, and order ``i`` spawns one child
-stream per block from the ``i``-th (see ``STREAMS``).  A block's values
-depend only on its stream, and ``einsum`` fixes their summation order,
-so results are byte-identical for a given configuration whatever the
-number of worker threads or BLAS threads.
+1 takes the base's stratification offsets from the first, and order
+``i`` spawns one child stream per block from the ``i``-th (see
+``STREAMS``).  A block's values depend only on its stream, and
+``einsum`` fixes their summation order, so results are byte-identical
+for a given configuration whatever the number of worker threads or BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -51,13 +61,7 @@ import numpy as np
 from .core import Event, _require_same_space, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
-from .tvuniform import (
-    DEFAULT_ATOMS,
-    CountingMeasure,
-    ParamFamily,
-    TvuMeasure,
-    build_measure,
-)
+from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, build_measure
 
 __all__ = [
     "TowerConfig",
@@ -75,7 +79,9 @@ __all__ = [
 BLOCK_ROWS = 256
 
 STREAMS = (
-    "rng.spawn(max_order): stream 1 samples order 1; order i spawns "
+    "rng.spawn(max_order): stream 1 draws one uniform offset per order-1 particle "
+    "(stratified inverse CDF over the measure's node masses or the set's weights; "
+    "unused by a grid base); order i spawns "
     f"ceil(S_i / {BLOCK_ROWS}) block streams from stream i, and block b draws "
     f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) as one (rows x S_(i-1)) "
     "standard_exponential array"
@@ -88,9 +94,10 @@ class TowerConfig:
 
     ``base`` is what level 1 ranges over: a parametrized family (or its
     prebuilt measure), or an explicit credal set.  ``base_mode`` selects
-    how level 1 is populated: ``"tvu"`` samples ``base_samples``
-    parameters from the uniform measure's density (discretized on
-    ``base_atoms`` grid atoms, drawn with replacement), ``"grid"``
+    how level 1 is populated: ``"tvu"`` draws ``base_samples``
+    particles from the uniform measure (its quadrature nodes, or the
+    credal set's members, by stratified inverse-CDF sampling over their
+    masses, so a heavy node is drawn more than once), ``"grid"``
     enumerates a uniform inclusive parameter grid of ``base_samples``
     points (or the credal set's members verbatim).  Levels 2 and above
     each hold ``order_samples`` uniformly drawn weight vectors.
@@ -102,7 +109,6 @@ class TowerConfig:
     max_order: int = 5
     seed: int = 0
     base_mode: str = "tvu"
-    base_atoms: int | None = None
     use_multiplicities: bool = False
 
     def __post_init__(self):
@@ -120,8 +126,6 @@ class TowerConfig:
             raise ConfigInvalid(f"unknown base_mode {self.base_mode!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
-        if self.base_atoms is not None and self.base_atoms < 2:
-            raise ConfigInvalid("base_atoms must be >= 2")
 
 
 class Tower:
@@ -261,9 +265,7 @@ def build_tower(cfg: TowerConfig, rng: np.random.Generator | None = None, n_jobs
             params = _grid_params(family, cfg.base_samples)
         else:
             measure = base if isinstance(base, TvuMeasure) else build_measure(family)
-            params = measure.sample_params(
-                base_gen, cfg.base_samples, atoms=cfg.base_atoms or DEFAULT_ATOMS
-            )
+            params = measure.sample_params(base_gen, cfg.base_samples)
         base_probs = family.probs_matrix(np.asarray(params)[:, None])
 
     levels = [base_probs]

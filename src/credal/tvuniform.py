@@ -87,14 +87,7 @@ __all__ = [
     "product_space",
     "component_event",
     "iid_extension",
-    "DEFAULT_ATOMS",
 ]
-
-# Number of grid atoms used when a continuous family is discretized for
-# sampling (inverse-CDF over a uniform inclusive grid weighted by the
-# density).  1601 atoms over [0, 1] puts atoms at every multiple of
-# 1/1600.
-DEFAULT_ATOMS = 1601
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -106,6 +99,25 @@ BLOCK_ROWS = 512
 
 def _row_blocks(rows: int):
     return (slice(lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
+
+
+def _stratified_indices(mass: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` indices drawn from the non-negative weights ``mass``.
+
+    Stratified inverse-CDF sampling (Owen 2013, ch. 10): draw ``i`` is
+    the index whose cumulative mass interval holds the point
+    ``(i + u_i) / size`` of the total, with ``u_i`` uniform from ``rng``.
+    Each index ``j`` is drawn ``size * mass_j / sum(mass)`` times give
+    or take less than two, and the draws come out in index order.  A point that
+    rounding puts at or past the total falls back to the last index of
+    positive mass, so no draw lands past the end or on a zero weight.
+    """
+    if size < 1:
+        raise ConfigInvalid("need size >= 1")
+    cdf = np.cumsum(mass)
+    points = (np.arange(size) + rng.random(size)) * (cdf[-1] / size)
+    idx = np.searchsorted(cdf, points, side="right")
+    return np.minimum(idx, np.flatnonzero(mass)[-1])
 
 
 class ParamBox:
@@ -154,41 +166,31 @@ def _as_point(x, ndim: int) -> tuple:
 class ParamFamily:
     """A parametrized family of distributions over a fixed outcome space.
 
-    ``probs_fn`` maps a parameter tuple to a normalized probability
-    vector.  Optional registrations speed up and sharpen the geometry:
+    ``probs_batch`` maps an ``(N, ndim)`` array of parameter points to
+    the ``(N, |outcomes|)`` matrix of their normalized probability
+    vectors; it is the family's one evaluation path, and :meth:`probs`
+    reads a single point as a one-row batch.  Optional registrations
+    sharpen the geometry:
 
     * ``kinks[k]``: interior parameter values where the thickness in
       slot ``k`` is not smooth (quadrature panels never straddle them,
       finite differences never step across them);
-    * ``thickness_fns[k]``: closed-form thickness for slot ``k``;
-    * ``probs_batch`` / ``thickness_batch``: vectorized versions taking
-      an ``(N, ndim)`` array of parameter points.
+    * ``thickness_batch[k]``: closed-form thickness for slot ``k``,
+      taking the same ``(N, ndim)`` array and returning ``N`` values.
 
-    Families without registered thickness fall back to the
-    finite-difference estimator :func:`thickness`.
+    A slot without a registered thickness falls back to the
+    finite-difference estimator :func:`thickness`, point by point.
     """
 
-    __slots__ = (
-        "box",
-        "space",
-        "probs_fn",
-        "kinks",
-        "thickness_fns",
-        "probs_batch_fn",
-        "thickness_batch_fns",
-        "name",
-        "meta",
-    )
+    __slots__ = ("box", "space", "probs_batch_fn", "kinks", "thickness_batch_fns", "name", "meta")
 
     def __init__(
         self,
         box: ParamBox,
         space: OutcomeSpace,
-        probs_fn: Callable,
+        probs_batch: Callable,
         *,
         kinks: Sequence[Sequence[float]] | None = None,
-        thickness_fns: Sequence[Callable | None] | None = None,
-        probs_batch: Callable | None = None,
         thickness_batch: Sequence[Callable | None] | None = None,
         name: str = "",
         meta: dict | None = None,
@@ -203,20 +205,14 @@ class ParamFamily:
             for (a, b), ks in zip(box.intervals, kinks):
                 if any(not a < v < b for v in ks):
                     raise ConfigInvalid("kinks must lie strictly inside the box")
-        if thickness_fns is None:
-            thickness_fns = (None,) * d
-        elif len(thickness_fns) != d:
-            raise ConfigInvalid("one thickness function per parameter slot required")
         if thickness_batch is None:
             thickness_batch = (None,) * d
         elif len(thickness_batch) != d:
             raise ConfigInvalid("one batch thickness per parameter slot required")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs_fn", probs_fn)
-        object.__setattr__(self, "kinks", kinks)
-        object.__setattr__(self, "thickness_fns", tuple(thickness_fns))
         object.__setattr__(self, "probs_batch_fn", probs_batch)
+        object.__setattr__(self, "kinks", kinks)
         object.__setattr__(self, "thickness_batch_fns", tuple(thickness_batch))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "meta", dict(meta or {}))
@@ -237,22 +233,18 @@ class ParamFamily:
         x = _as_point(x, self.ndim)
         if not self.box.contains(x):
             raise IndexOutOfRange(f"parameter {x} outside the box")
-        p = np.asarray(self.probs_fn(x), dtype=np.float64)
-        if p.shape != (len(self.space),):
-            raise LengthMismatch(
-                f"family returned shape {p.shape}, expected ({len(self.space)},)"
-            )
-        return p
+        return self.probs_matrix(np.array([x]))[0]
 
     def probs_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Probability vectors at each row of ``xs`` (shape (N, ndim))."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         if xs.shape[1] != self.ndim:
             raise LengthMismatch(f"expected (N, {self.ndim}) parameter rows")
-        if self.probs_batch_fn is not None:
-            out = np.asarray(self.probs_batch_fn(xs), dtype=np.float64)
-        else:
-            out = np.stack([self.probs_fn(tuple(row)) for row in xs]).astype(np.float64)
+        out = np.asarray(self.probs_batch_fn(xs), dtype=np.float64)
+        if out.shape != (xs.shape[0], len(self.space)):
+            raise LengthMismatch(
+                f"family returned shape {out.shape}, expected ({xs.shape[0]}, {len(self.space)})"
+            )
         return out
 
     def eval(self, x) -> FiniteDistribution:
@@ -344,9 +336,6 @@ def _thickness_column(family: ParamFamily, xs: np.ndarray, k: int) -> np.ndarray
     batch = family.thickness_batch_fns[k]
     if batch is not None:
         return np.asarray(batch(xs), dtype=np.float64)
-    fn = family.thickness_fns[k]
-    if fn is not None:
-        return np.asarray([fn(tuple(row)) for row in xs], dtype=np.float64)
     return np.asarray([thickness(family, tuple(row), k) for row in xs])
 
 
@@ -615,27 +604,18 @@ class TvuMeasure:
             raise ZeroEvidence("observed event has measure-weighted likelihood zero")
         return float(mass[list(joint.indices)].sum()) / den
 
-    def sample_params(
-        self, rng: np.random.Generator, size: int, atoms: int = DEFAULT_ATOMS
-    ) -> np.ndarray:
-        """Draw parameters from the normalized density (1-D families).
+    def sample_params(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw parameters from the measure (1-D families).
 
-        The density is discretized on an inclusive uniform grid of
-        ``atoms`` points and parameters are drawn from those atoms with
-        replacement, so repeated values are expected.  This is the
-        sampling scheme the tower's default base level uses.
+        The draws are quadrature nodes, taken by stratified inverse-CDF
+        sampling over the node masses ``weights * density`` that define
+        the measure, so each node appears in proportion to its mass and
+        the draws come out in node order.  This is the sampling scheme
+        the tower's default base level uses.
         """
         if self.family.ndim != 1:
             raise ConfigInvalid("parameter sampling is defined for 1-D families")
-        if size < 1 or atoms < 2:
-            raise ConfigInvalid("need size >= 1 and atoms >= 2")
-        a, b = self.family.box.intervals[0]
-        grid = np.linspace(a, b, atoms)
-        w = _density_rows(self.family, grid[:, None])
-        total = stable_sum(w)
-        if total <= 0.0:
-            raise DegenerateFamily("density vanishes on the sampling grid")
-        return rng.choice(grid, size=size, replace=True, p=w / total)
+        return self.nodes[_stratified_indices(self._mass, rng, size), 0]
 
 
 class CountingMeasure:
@@ -724,9 +704,8 @@ class CountingMeasure:
         return num / den
 
     def sample_members(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Indices of members drawn according to the counting weights."""
-        p = np.asarray([float(w) for w in self.weights])
-        return rng.choice(len(self.credal_set), size=size, replace=True, p=p)
+        """Indices of members drawn according to the counting weights (stratified)."""
+        return _stratified_indices(np.asarray([float(w) for w in self.weights]), rng, size)
 
 
 def build_measure(
@@ -873,10 +852,8 @@ def binomial_family(n: int) -> ParamFamily:
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
         OutcomeSpace([int(k) for k in ks]),
-        lambda x: probs_batch(np.array([[x[0]]]))[0],
+        probs_batch,
         kinks=[tuple(k / n for k in range(1, n))],
-        thickness_fns=[lambda x: float(thickness_batch(np.array([[x[0]]]))[0])],
-        probs_batch=probs_batch,
         thickness_batch=[thickness_batch],
         name=f"binomial(n={n})",
         meta={"n": n},
@@ -896,9 +873,7 @@ def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
         OutcomeSpace(labels),
-        lambda x: np.array([x[0], 1.0 - x[0]]),
-        thickness_fns=[lambda x: 1.0],
-        probs_batch=probs_batch,
+        probs_batch,
         thickness_batch=[lambda xs: np.ones(xs.shape[0])],
         name="bernoulli",
     )
@@ -921,11 +896,7 @@ def coin_match_family() -> ParamFamily:
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
         OutcomeSpace(["H1H2", "H1T2", "T1H2", "T1T2"]),
-        lambda x: np.array(
-            [0.5 * x[0], 0.5 * (1.0 - x[0]), 0.5 * x[0], 0.5 * (1.0 - x[0])]
-        ),
-        thickness_fns=[lambda x: 1.0],
-        probs_batch=probs_batch,
+        probs_batch,
         thickness_batch=[lambda xs: np.ones(xs.shape[0])],
         name="coin-match",
     )
@@ -971,13 +942,6 @@ def product_family(base: ParamFamily, draws: int, sep: str = ",") -> ParamFamily
         raise ConfigInvalid("need draws >= 1")
     space = product_space(base.space, draws, sep=sep)
 
-    def probs_fn(x) -> np.ndarray:
-        row = np.asarray(base.probs(x))
-        out = row
-        for _ in range(draws - 1):
-            out = np.kron(out, row)
-        return out
-
     def probs_batch(xs: np.ndarray) -> np.ndarray:
         rows = base.probs_matrix(xs)
         out = rows
@@ -988,9 +952,8 @@ def product_family(base: ParamFamily, draws: int, sep: str = ",") -> ParamFamily
     return ParamFamily(
         base.box,
         space,
-        probs_fn,
+        probs_batch,
         kinks=base.kinks,
-        probs_batch=probs_batch,
         name=f"{base.name or 'family'}^{draws}",
         meta={"base_space": base.space, "draws": draws, "sep": sep},
     )

@@ -227,9 +227,8 @@ def test_criterion_6_property_batteries():
     fam_s = ParamFamily(
         ParamBox([(0.0, 1.0)]),
         family.space,
-        lambda x: family.probs_fn((x[0] ** (1 / 3),)),
+        lambda xs: family.probs_batch_fn(xs ** (1 / 3)),
         kinks=[tuple((k / 10) ** 3 for k in range(1, 10))],
-        probs_batch=lambda xs: family.probs_batch_fn(xs ** (1 / 3)),
         thickness_batch=[thick_batch],
     )
     m_s = build_measure(fam_s)
@@ -242,7 +241,7 @@ def test_criterion_6_property_batteries():
     # away from kinks.
     for p0 in (0.05, 0.26, 0.49, 0.83):
         fd = thickness(family, p0, 0)
-        closed = family.thickness_fns[0]((p0,))
+        closed = float(family.thickness_batch_fns[0](np.array([[p0]]))[0])
         assert abs(fd - closed) < 1e-6, f"p={p0}: {fd} vs {closed}"
 
 

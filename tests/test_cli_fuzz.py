@@ -54,7 +54,7 @@ FLAGS = {
         "--n": ints(1, 6), "--events": value(csv_of(st.integers(-1, 7).map(str))),
         "--base-samples": ints(1, 20), "--order-samples": ints(1, 20),
         "--max-order": ints(1, 3), "--base-mode": choice("tvu", "grid"),
-        "--base-atoms": ints(2, 40), "--resolution": ints(1, 8), "--svg": None,
+        "--resolution": ints(1, 8), "--svg": None,
     },
     "urn": {
         "--history": value(csv_of(st.sampled_from(COLORS))),

@@ -48,8 +48,6 @@ class TestConfig:
             TowerConfig(base=fam, seed=-1)
         with pytest.raises(ConfigInvalid):
             TowerConfig(base="not a family")
-        with pytest.raises(ConfigInvalid):
-            TowerConfig(base=fam, base_atoms=1)
 
 
 class TestDeterminism:
@@ -169,14 +167,29 @@ class TestBaseModes:
         np.testing.assert_allclose(tower.base_params, np.linspace(0, 1, 11))
         np.testing.assert_allclose(tower.base_probs[:, 0], np.linspace(0, 1, 11))
 
-    def test_tvu_mode_samples_atom_grid_with_replacement(self):
+    def test_tvu_mode_draws_measure_nodes_by_mass(self):
         fam = binomial_family(10)
-        cfg = TowerConfig(base=fam, base_samples=1601, max_order=1,
+        m = build_measure(fam)
+        cfg = TowerConfig(base=m, base_samples=1601, max_order=1,
                           base_mode="tvu", seed=3)
-        tower = build_tower(cfg)
-        grid = np.linspace(0.0, 1.0, 1601)
-        assert np.isin(tower.base_params, grid).all()
-        assert len(np.unique(tower.base_params)) < 1601
+        params = build_tower(cfg).base_params
+        nodes = m.nodes[:, 0]
+        assert np.isin(params, nodes).all()
+        counts = (params[:, None] == nodes).sum(axis=0)
+        mass = m.weights * m.density
+        assert np.all(np.abs(counts - 1601 * mass / mass.sum()) < 2)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_tvu_base_mean_matches_event_prob(self, n, half):
+        # The base is drawn from the measure, so its mean implied
+        # probability is the measure's, up to the stratification error.
+        m = build_measure(binomial_family(n))
+        event = m.family.space.event([n // 2 if half else 1])
+        cfg = TowerConfig(base=m, base_samples=1601, max_order=1, seed=0)
+        base_mean = build_tower(cfg).implied_vectors(event)[0].mean()
+        ref = m.event_prob(event)
+        assert abs(base_mean - ref) / ref < 5e-3
 
     def test_credal_set_grid_base_uses_members(self):
         sp = OutcomeSpace(["a", "b"])
@@ -216,6 +229,27 @@ class TestConvergence:
         assert stats[-1].sd / stats[-1].mean < 1e-3
         assert abs(stats[-1].mean - ref) / ref < 0.05
         assert stats[0].max_dev_from_reference > stats[-1].max_dev_from_reference
+
+    def test_order_sd_ratio_follows_the_mixing_law(self):
+        # Given level i - 1 (S values, population variance s^2), an order-i
+        # value is a flat-Dirichlet mixture of them: variance s^2 / (S + 1),
+        # and excess kurtosis 6 b / S for a level below of kurtosis b (the
+        # cumulants of a sum of exponential-weighted terms).  The population
+        # variance of the S order-i values then has mean (S - 1) / S times
+        # that and relative sd sqrt((2 + 6 b / S) / S) to first order, half
+        # of which carries over to the sd.  Each ratio must lie within four
+        # of those sds.
+        S = 1601
+        fam = binomial_family(10)
+        cfg = TowerConfig(base=fam, base_samples=S, order_samples=S, max_order=5, seed=0)
+        stats = convergence_stats(build_tower(cfg), fam.space.event([1]))
+        law = np.sqrt((S + 1) * S / (S - 1))
+        for below, above in zip(stats, stats[1:]):
+            c = below.values - below.values.mean()
+            b = np.mean(c**4) / np.mean(c**2) ** 2
+            rel_sd = 0.5 * np.sqrt((2.0 + 6.0 * b / S) / S)
+            ratio = below.sd / above.sd
+            assert abs(ratio / law - 1.0) < 4.0 * rel_sd, (below.order, ratio, law)
 
     def test_stats_without_reference(self, small_tower):
         fam, tower = small_tower

@@ -163,7 +163,7 @@ class TestThickness:
         fam_s = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             family.space,
-            lambda x: family.probs_fn((x[0] ** (1 / 3),)),
+            lambda xs: family.probs_batch_fn(xs ** (1 / 3)),
             kinks=[tuple(k**3 for k in KINKS)],
         )
         for s in (0.2, 0.5, 0.9):
@@ -291,9 +291,8 @@ class TestMeasure:
         fam_s = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             family.space,
-            lambda x: family.probs_fn((x[0] ** (1 / 3),)),
+            probs_batch,
             kinks=[tuple(k**3 for k in KINKS)],
-            probs_batch=probs_batch,
             thickness_batch=[thick_batch],
         )
         m_s = build_measure(fam_s, resolution=24)
@@ -312,8 +311,7 @@ class TestMeasure:
         flat = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             OutcomeSpace([0, 1]),
-            lambda x: np.array([0.5, 0.5]),
-            thickness_fns=[lambda x: 0.0],
+            lambda xs: np.full((xs.shape[0], 2), 0.5),
             thickness_batch=[lambda xs: np.zeros(xs.shape[0])],
         )
         with pytest.raises(DegenerateFamily):
@@ -347,15 +345,14 @@ class TestSimpleFamilies:
     def test_two_dimensional_box(self):
         # Two coins with independent biases: thickness 1 in each slot,
         # so Z = 1 and P(both heads) = 1/4.
-        def probs(x):
-            p, q = x
-            return np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
+        def probs(xs):
+            p, q = xs[:, 0], xs[:, 1]
+            return np.stack([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)], axis=1)
 
         fam = ParamFamily(
             ParamBox([(0.0, 1.0), (0.0, 1.0)]),
             OutcomeSpace(["HH", "HT", "TH", "TT"]),
             probs,
-            thickness_fns=[lambda x: 1.0, lambda x: 1.0],
             thickness_batch=[
                 lambda xs: np.ones(xs.shape[0]),
                 lambda xs: np.ones(xs.shape[0]),
@@ -449,12 +446,48 @@ class TestPosteriorPredictive:
 
 
 class TestSampling:
-    def test_samples_land_on_atom_grid_and_repeat(self, measure):
-        rng = np.random.default_rng(1)
-        xs = measure.sample_params(rng, 1601, atoms=1601)
-        grid = np.linspace(0.0, 1.0, 1601)
-        assert np.isin(xs, grid).all()
-        assert len(np.unique(xs)) < xs.size  # drawn with replacement
+    def test_samples_are_nodes_in_proportion_to_their_mass(self, measure):
+        size = 1601
+        xs = measure.sample_params(np.random.default_rng(1), size)
+        nodes = measure.nodes[:, 0]
+        assert np.isin(xs, nodes).all()
+        assert len(np.unique(xs)) < xs.size  # heavy nodes are drawn again
+        counts = (xs[:, None] == nodes).sum(axis=0)
+        mass = measure.weights * measure.density
+        # Stratified draws: a node whose mass spans L strata is drawn
+        # more than L - 2 and fewer than L + 2 times.
+        assert np.all(np.abs(counts - size * mass / mass.sum()) < 2)
+
+    def test_counting_measure_draws_follow_the_weights(self):
+        sp = OutcomeSpace(["a", "b"])
+        members = [make_rational_distribution(sp, [i, 4 - i]) for i in range(4)]
+        m = CountingMeasure(CredalSet(members, multiplicities=[5, 1, 3, 2]),
+                            use_multiplicities=True)
+        idx = m.sample_members(np.random.default_rng(3), 400)
+        counts = np.bincount(idx, minlength=4)
+        assert np.all(np.abs(counts - 400 * np.array([5, 1, 3, 2]) / 11) < 2)
+
+    def test_draws_never_pass_the_end_or_land_on_zero_mass(self):
+        # Density zero on the upper half of the box, so the last nodes
+        # carry no mass; offsets just below 1 put the last stratum's point
+        # at the total mass after rounding.
+        fam = ParamFamily(
+            ParamBox([(0.0, 1.0)]),
+            OutcomeSpace(["H", "T"]),
+            lambda xs: np.concatenate([xs, 1 - xs], axis=1),
+            kinks=[(0.5,)],
+            thickness_batch=[lambda xs: np.where(xs[:, 0] < 0.5, 1.0, 0.0)],
+        )
+        m = build_measure(fam)
+
+        class TopOffsets:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        for rng in (TopOffsets(), np.random.default_rng(0)):
+            xs = m.sample_params(rng, 64)
+            assert np.isin(xs, m.nodes[:, 0]).all()
+            assert np.all(xs < 0.5)
 
     def test_sampling_is_deterministic_given_seed(self, measure):
         a = measure.sample_params(np.random.default_rng(9), 500)
@@ -518,6 +551,6 @@ class TestParamBox:
             ParamFamily(
                 ParamBox([(0.0, 1.0)]),
                 OutcomeSpace([0, 1]),
-                lambda x: np.array([x[0], 1 - x[0]]),
+                lambda xs: np.concatenate([xs, 1 - xs], axis=1),
                 kinks=[(0.0,)],
             )
