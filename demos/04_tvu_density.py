@@ -65,8 +65,8 @@ print()
 
 # Trace the same family by s = p^3.  The thickness transforms by the
 # Jacobian dp/ds, so the measure of every event is unchanged.
-def probs_batch(xs):
-    return family.probs_batch_fn(xs ** (1 / 3))
+def probs_batch(xs, out):
+    return family.probs_batch_fn(xs ** (1 / 3), out)
 
 
 def thick_batch(xs):

@@ -23,7 +23,6 @@ Exit codes: 0 success; 2 usage or validation error; 3 internal error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -107,32 +106,6 @@ class _Run:
             diagnostics=self.diagnostics,
         )
         write_json(self.out / "manifest.json", asdict(manifest))
-
-
-# glibc's malloc hands freed memory back to the kernel once the free top of
-# the heap passes a trim threshold, which starts at 128 KiB and slides up to
-# twice the largest mmapped block freed so far.  The measure's blocked passes
-# allocate and free a few block-sized matrices per block (1.6 MB each at
-# n = 400), so under the sliding rule most blocks fault their pages in afresh:
-# about 10,000 minor faults per binomial-test --n 400, whose cost varies with
-# the host from run to run.  The CLI fixes both thresholds at the ceiling the
-# sliding rule can reach (32 MiB for mmap), so freed blocks are reused.  On
-# other C libraries mallopt is missing or a no-op, and nothing changes.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-
-
-def _keep_freed_memory() -> None:
-    """Pin glibc's mmap and trim thresholds for this process; idempotent."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no process-wide libc symbols
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
 def _resolve_seed(value) -> int:
@@ -484,7 +457,6 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args.seed)
         if args.threads < 1:
             raise ConfigInvalid(f"--threads: need n_jobs >= 1, got {args.threads}")
-        _keep_freed_memory()
         return args.func(args)
     except CredalError as exc:
         print(f"error: {exc}", file=sys.stderr)

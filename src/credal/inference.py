@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -198,34 +198,25 @@ def hocs_ratio(measure, null, event: Event) -> HocsResult:
     renormalized (a singleton has positive counting measure).
     """
     if isinstance(measure, TvuMeasure):
-        like = float(
-            np.asarray(measure.family.probs(null))[list(event.indices)].sum()
-            if event.indices
-            else 0.0
-        )
-        ref = measure.event_prob(event)
-        mode = "continuum"
-        null_point = null if np.isscalar(null) else tuple(null)
-    elif isinstance(measure, CountingMeasure):
-        idx = int(null)
-        members = measure.credal_set.members
-        if not 0 <= idx < len(members):
-            raise IndexOutOfRange(f"member index {idx} out of range")
-        like = float(members[idx].prob(event))
-        ref = float(measure.event_prob(event, exclude=idx))
-        mode = "finite-excluded"
-        null_point = idx
-    else:
+        result = hocs_curve(measure, event, [null])[0]
+        return replace(result, null_point=null if np.isscalar(null) else tuple(null))
+    if not isinstance(measure, CountingMeasure):
         raise ConfigInvalid(f"unsupported measure type {type(measure).__name__}")
+    idx = int(null)
+    members = measure.credal_set.members
+    if not 0 <= idx < len(members):
+        raise IndexOutOfRange(f"member index {idx} out of range")
+    like = float(members[idx].prob(event))
+    ref = float(measure.event_prob(event, exclude=idx))
     if ref <= 0.0:
         raise ZeroEvidence("event has reference probability zero")
     return HocsResult(
-        null_point=null_point,
+        null_point=idx,
         event_labels=event.labels,
         null_likelihood=like,
-        reference_prob=float(ref),
-        ratio=like / float(ref),
-        mode=mode,
+        reference_prob=ref,
+        ratio=like / ref,
+        mode="finite-excluded",
     )
 
 
@@ -234,7 +225,7 @@ def hocs_curve(measure, event: Event, params) -> list[HocsResult]:
 
     For a :class:`TvuMeasure` the likelihoods come from one blocked
     ``family.event_probs`` call and the reference from one
-    ``event_prob``; each result equals :func:`hocs_ratio` at its point.
+    ``event_prob``; :func:`hocs_ratio` is this curve at one point.
     """
     params = np.asarray(params, dtype=float)
     if not isinstance(measure, TvuMeasure):

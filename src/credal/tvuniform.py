@@ -27,10 +27,10 @@ f(x_i)_o`` in one pass over the nodes, and an event's probability is
 ``m[E].sum() / Z``.  The pass evaluates ``BLOCK_ROWS`` nodes at a time,
 sums each block pairwise, then sums the block partials pairwise; no
 nodes x outcomes matrix is ever held.  Building costs one evaluation of
-every node's distribution and holds one block of them (about 1.6 MB at
-``n = 400``); each event then costs ``|E|`` additions.  Every term is
-non-negative, so each sum is accurate to a few ulps of the total
-(Higham 1993, "The accuracy of floating point summation"), and the
+every node's distribution, each block written into one reused workspace
+(about 1.6 MB at ``n = 400``); each event then costs ``|E|`` additions.
+Every term is non-negative, so each sum is accurate to a few ulps of the
+total (Higham 1993, "The accuracy of floating point summation"), and the
 block size is a constant, so the reduction order and every result are
 the same on every run.
 
@@ -97,8 +97,20 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 BLOCK_ROWS = 512
 
 
-def _row_blocks(rows: int):
-    return (slice(lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
+def _prob_blocks(family: ParamFamily, xs: np.ndarray):
+    """Yield ``(rows, block, probs)`` for each ``BLOCK_ROWS`` slice of ``xs``.
+
+    Every block is evaluated into one outcome-major workspace, so a pass
+    allocates one block's worth of memory however many blocks it has.
+    ``block`` is the slice's ``(|outcomes|, rows)`` view of it, and
+    ``probs`` is ``block.T`` unless the family returned a fresh array.
+    """
+    n = xs.shape[0]
+    work = np.empty((len(family.space), min(BLOCK_ROWS, n)))
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, min(lo + BLOCK_ROWS, n))
+        block = work[:, : rows.stop - lo]
+        yield rows, block, family.probs_matrix(xs[rows], out=block.T)
 
 
 def _stratified_indices(mass: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -166,11 +178,14 @@ def _as_point(x, ndim: int) -> tuple:
 class ParamFamily:
     """A parametrized family of distributions over a fixed outcome space.
 
-    ``probs_batch`` maps an ``(N, ndim)`` array of parameter points to
-    the ``(N, |outcomes|)`` matrix of their normalized probability
+    ``probs_batch(xs, out)`` maps an ``(N, ndim)`` array of parameter
+    points to the ``(N, |outcomes|)`` matrix of their probability
     vectors; it is the family's one evaluation path, and :meth:`probs`
-    reads a single point as a one-row batch.  Optional registrations
-    sharpen the geometry:
+    reads a single point as a one-row batch.  ``out`` is a writable,
+    possibly strided ``(N, |outcomes|)`` float array that the stock
+    families fill and return; a family may return a fresh array instead.
+    Only the shape is checked: normalization is the family's contract.
+    Optional registrations sharpen the geometry:
 
     * ``kinks[k]``: interior parameter values where the thickness in
       slot ``k`` is not smooth (quadrature panels never straddle them,
@@ -229,18 +244,24 @@ class ParamFamily:
         return self.box.ndim
 
     def probs(self, x) -> np.ndarray:
-        """Probability vector at parameter ``x`` (validated, normalized)."""
+        """Probability vector at parameter ``x`` in the box.
+
+        Only its shape is checked; normalization is the family's contract.
+        """
         x = _as_point(x, self.ndim)
         if not self.box.contains(x):
             raise IndexOutOfRange(f"parameter {x} outside the box")
         return self.probs_matrix(np.array([x]))[0]
 
-    def probs_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Probability vectors at each row of ``xs`` (shape (N, ndim))."""
+    def probs_matrix(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Probability vectors at each row of ``xs`` (shape (N, ndim)),
+        filled into ``out`` when the family supports it (allocated if omitted)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         if xs.shape[1] != self.ndim:
             raise LengthMismatch(f"expected (N, {self.ndim}) parameter rows")
-        out = np.asarray(self.probs_batch_fn(xs), dtype=np.float64)
+        if out is None:
+            out = np.empty((xs.shape[0], len(self.space)))
+        out = np.asarray(self.probs_batch_fn(xs, out), dtype=np.float64)
         if out.shape != (xs.shape[0], len(self.space)):
             raise LengthMismatch(
                 f"family returned shape {out.shape}, expected ({xs.shape[0]}, {len(self.space)})"
@@ -258,8 +279,8 @@ class ParamFamily:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         cols = list(event.indices)
         out = np.empty(xs.shape[0])
-        for rows in _row_blocks(xs.shape[0]):
-            out[rows] = self.probs_matrix(xs[rows])[:, cols].sum(axis=1)
+        for rows, _, probs in _prob_blocks(self, xs):
+            out[rows] = probs[:, cols].sum(axis=1)
         return out
 
 
@@ -433,27 +454,25 @@ def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
     lo, hi = _panel_edges(breakpoints, resolution)
     xs, ws = _gl_nodes(lo, hi)
     whole = (ws * dens(xs.ravel()).reshape(xs.shape)).sum(axis=1)
-    panels = dict(enumerate(_split_rules(dens, lo, hi, whole)))
+    panels = _split_rules(dens, lo, hi, whole)
     evaluations = 24 * lo.size
-    heap = [(-p.err, key) for key, p in panels.items()]
+    value = float(np.sum([p.value for p in panels]))
+    err = float(np.sum([p.err for p in panels]))
+    # One entry per live panel, worst first; the unique key breaks ties.
+    heap = [(-p.err, key, p) for key, p in enumerate(panels)]
     heapq.heapify(heap)
-    value = float(np.sum([p.value for p in panels.values()]))
-    err = float(np.sum([p.err for p in panels.values()]))
-    counter = itertools.count(len(panels))
+    counter = itertools.count(len(heap))
 
-    while err > tol * max(abs(value), 1e-300) and len(panels) < max_panels:
-        key = heapq.heappop(heap)[1]
-        worst = panels[key]
+    while err > tol * max(abs(value), 1e-300) and len(heap) < max_panels:
+        worst = heap[0][2]
         if worst.err == 0.0:  # every panel is exact; the running total only holds rounding
             err = 0.0
             break
-        del panels[key]
+        heapq.heappop(heap)
         mid = 0.5 * (worst.lo + worst.hi)
         children = np.array([worst.lo, mid]), np.array([mid, worst.hi])
         for child in _split_rules(dens, *children, worst.halves):
-            key = next(counter)
-            panels[key] = child
-            heapq.heappush(heap, (-child.err, key))
+            heapq.heappush(heap, (-child.err, next(counter), child))
             value += child.value
             err += child.err
         value -= worst.value
@@ -463,9 +482,9 @@ def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
     scale = max(abs(value), 1e-300)
     if err > tol * scale:
         raise QuadratureNotConverged(
-            f"error estimate {err / scale:.3g} above tol {tol:g} at {len(panels)} panels"
+            f"error estimate {err / scale:.3g} above tol {tol:g} at {len(heap)} panels"
         )
-    ordered = sorted(panels.values(), key=lambda p: p.lo)
+    ordered = sorted((p for _, _, p in heap), key=lambda p: p.lo)
     diagnostics = {
         "err_estimate": err / scale,
         "converged": True,
@@ -558,13 +577,12 @@ class TvuMeasure:
         Nodes are evaluated ``BLOCK_ROWS`` at a time; each block is summed
         pairwise over its nodes, then the block partials pairwise.
         """
-        partials = [
+        partials = []
+        for rows, block, probs in _prob_blocks(family, self.nodes):
             # Outcomes x nodes, so that each outcome's terms are contiguous
             # and numpy sums them pairwise.
-            np.multiply(family.probs_matrix(self.nodes[rows]).T, self._mass[rows], order="C")
-            .sum(axis=1)
-            for rows in _row_blocks(self.nodes.shape[0])
-        ]
+            np.multiply(probs.T, self._mass[rows], out=block)
+            partials.append(block.sum(axis=1))
         return np.stack(partials, axis=1).sum(axis=1)
 
     def event_prob(self, event: Event) -> float:
@@ -826,12 +844,19 @@ def binomial_family(n: int) -> ParamFamily:
     # log(n * C(n-1, j)) for the thickness on panel j.
     log_thick = np.array([math.log(n * math.comb(n - 1, j)) for j in range(n)])
 
-    def probs_batch(xs: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         p = xs[:, 0]
+        # log pmf = (k - c) log(p / (1-p)) + c log(p) + (n - c) log(1-p) + log C(n, k),
+        # pivoted at c = n for p > 1/2 so that large terms never cancel; every
+        # step works in place in ``out``, with no temporary of its size.
+        upper = p > 0.5
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.multiply.outer(np.log(p), ks)
-            out += np.multiply.outer(np.log1p(-p), n - ks)
-        out += log_comb
+            log_p, log_q = np.log(p), np.log1p(-p)
+            out[...] = ks
+            out -= (n * upper)[:, None]
+            out *= (log_p - log_q)[:, None]
+            out += (n * np.where(upper, log_p, log_q))[:, None]
+            out += log_comb
         np.exp(out, out=out)
         # 0 * log(0) is nan above; the endpoint pmfs are point masses.
         out[p == 0.0] = ks == 0
@@ -866,9 +891,10 @@ def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
     if len(labels) != 2:
         raise ConfigInvalid("a two-outcome family needs exactly two labels")
 
-    def probs_batch(xs: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         p = xs[:, 0]
-        return np.stack([p, 1.0 - p], axis=1)
+        out[:, 0], out[:, 1] = p, 1.0 - p
+        return out
 
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
@@ -889,9 +915,10 @@ def coin_match_family() -> ParamFamily:
     "match" event — see the dilation demo.  Thickness is identically 1.
     """
 
-    def probs_batch(xs: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         p = xs[:, 0]
-        return np.stack([0.5 * p, 0.5 * (1.0 - p), 0.5 * p, 0.5 * (1.0 - p)], axis=1)
+        out[:, ::2], out[:, 1::2] = (0.5 * p)[:, None], (0.5 * (1.0 - p))[:, None]
+        return out
 
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
@@ -942,12 +969,12 @@ def product_family(base: ParamFamily, draws: int, sep: str = ",") -> ParamFamily
         raise ConfigInvalid("need draws >= 1")
     space = product_space(base.space, draws, sep=sep)
 
-    def probs_batch(xs: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         rows = base.probs_matrix(xs)
-        out = rows
+        chain = rows
         for _ in range(draws - 1):
-            out = np.einsum("ni,nj->nij", out, rows).reshape(xs.shape[0], -1)
-        return out
+            chain = np.einsum("ni,nj->nij", chain, rows).reshape(xs.shape[0], -1)
+        return chain
 
     return ParamFamily(
         base.box,

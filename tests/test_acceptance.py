@@ -227,7 +227,7 @@ def test_criterion_6_property_batteries():
     fam_s = ParamFamily(
         ParamBox([(0.0, 1.0)]),
         family.space,
-        lambda xs: family.probs_batch_fn(xs ** (1 / 3)),
+        lambda xs, out: family.probs_batch_fn(xs ** (1 / 3), out),
         kinks=[tuple((k / 10) ** 3 for k in range(1, 10))],
         thickness_batch=[thick_batch],
     )

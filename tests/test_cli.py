@@ -235,12 +235,13 @@ def test_manifest_records_diagnostics(tmp_path, capsys, command):
 
 
 def test_repeated_op_reuses_freed_memory(tmp_path, capsys):
-    # The measure's blocked passes free a few 1.6 MB matrices per block.  Were
-    # glibc to hand them back to the kernel after each block, as its sliding
-    # trim threshold does, every op would fault in about 10,000 fresh pages.
+    # The measure's blocked passes evaluate every block into one reused
+    # 1.6 MB workspace.  Were they to allocate and free block-sized matrices
+    # instead, glibc's sliding trim threshold would hand them back to the
+    # kernel, and every op would fault in about 10,000 fresh pages.
     resource = pytest.importorskip("resource")
     if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the CLI pins glibc's malloc thresholds only")
+        pytest.skip("the fault bound is measured against glibc's malloc")
     argv = ["binomial-test", "--n", "400", "--k", "123"]
     for warm in range(2):
         assert main([*argv, "--out", str(tmp_path / f"warm{warm}")]) == 0

@@ -8,12 +8,18 @@ from the urn implementation on purpose).
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import credal
 from credal import (
     ConfigInvalid,
     CountingMeasure,
@@ -276,3 +282,29 @@ class TestBinomialTestReport:
     def test_k_bounds(self):
         with pytest.raises(ConfigInvalid):
             binomial_test(10, 11)
+
+    def test_direct_call_reuses_its_workspace(self):
+        # A library caller gets no process-wide allocator settings.  Were the
+        # blocked passes to allocate and free block-sized matrices, glibc's
+        # sliding trim threshold would hand them back to the kernel, and each
+        # call would fault in about 10,000 fresh pages.  A fresh interpreter
+        # keeps the heap state of earlier tests out.
+        pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the fault bound is measured against glibc's malloc")
+        script = (
+            "import resource\n"
+            "from credal import binomial_test\n"
+            "for _ in range(2):\n"
+            "    binomial_test(400, 123)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "binomial_test(400, 123)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(credal.__file__).resolve().parents[1])
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(run.stdout) < 2_000

@@ -163,7 +163,7 @@ class TestThickness:
         fam_s = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             family.space,
-            lambda xs: family.probs_batch_fn(xs ** (1 / 3)),
+            lambda xs, out: family.probs_batch_fn(xs ** (1 / 3), out),
             kinks=[tuple(k**3 for k in KINKS)],
         )
         for s in (0.2, 0.5, 0.9):
@@ -248,7 +248,7 @@ class TestMeasure:
         fam = ParamFamily(
             ParamBox([(0.0, 1.0)] * ndim),
             OutcomeSpace([0, 1]),
-            lambda x: np.array([x[0], 1.0 - x[0]]),
+            lambda x, out: np.array([x[0], 1.0 - x[0]]),
             thickness_batch=[lambda xs: np.sqrt(xs[:, 0])] + [
                 lambda xs: np.ones(xs.shape[0])] * (ndim - 1),
         )
@@ -271,6 +271,25 @@ class TestMeasure:
         assert math.isfinite(m.z) and m.z > 0.0
         assert m.meta["converged"] is True
 
+    @pytest.mark.parametrize("n", [10, 400, 1100])
+    def test_binomial_pmf_matches_exact_rationals(self, n):
+        # For the float p = a / b (b a power of two) the pmf is the integer
+        # C(n, k) a^k (b - a)^(n-k) over b^n.  Stepping k to k + 1 multiplies
+        # by (n - k) a / ((k + 1) (b - a)), and the division is exact; int / int
+        # rounds the exact ratio correctly.
+        ps = [1e-9, 0.013, 0.3, 0.5, 0.77, 0.999, 1 - 1e-9]
+        got = binomial_family(n).probs_matrix(np.array(ps)[:, None])
+        for row, p in zip(got, ps):
+            a, b = Fraction(p).as_integer_ratio()
+            num, den = (b - a) ** n, b**n
+            exact = []
+            for k in range(n + 1):
+                exact.append(num / den)
+                num = num * (n - k) * a // ((k + 1) * (b - a))
+            exact = np.array(exact)
+            keep = exact > 1e-250
+            np.testing.assert_allclose(row[keep], exact[keep], rtol=1e-11, atol=0)
+
     def test_resolution_doubling_moves_z_below_tolerance(self, family, measure):
         z2 = build_measure(family, resolution=48).z
         assert abs(z2 - measure.z) <= 1e-5 * measure.z
@@ -279,8 +298,8 @@ class TestMeasure:
         # p = s^(1/3): same family traced at a different speed.  The
         # density is singular at s -> 0 yet integrable; both the
         # normalizer and every event probability must be unchanged.
-        def probs_batch(xs):
-            return family.probs_batch_fn(xs ** (1 / 3))
+        def probs_batch(xs, out):
+            return family.probs_batch_fn(xs ** (1 / 3), out)
 
         def thick_batch(xs):
             s = xs[:, 0]
@@ -311,7 +330,7 @@ class TestMeasure:
         flat = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             OutcomeSpace([0, 1]),
-            lambda xs: np.full((xs.shape[0], 2), 0.5),
+            lambda xs, out: np.full((xs.shape[0], 2), 0.5),
             thickness_batch=[lambda xs: np.zeros(xs.shape[0])],
         )
         with pytest.raises(DegenerateFamily):
@@ -345,7 +364,7 @@ class TestSimpleFamilies:
     def test_two_dimensional_box(self):
         # Two coins with independent biases: thickness 1 in each slot,
         # so Z = 1 and P(both heads) = 1/4.
-        def probs(xs):
+        def probs(xs, out):
             p, q = xs[:, 0], xs[:, 1]
             return np.stack([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)], axis=1)
 
@@ -474,7 +493,7 @@ class TestSampling:
         fam = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             OutcomeSpace(["H", "T"]),
-            lambda xs: np.concatenate([xs, 1 - xs], axis=1),
+            lambda xs, out: np.concatenate([xs, 1 - xs], axis=1),
             kinks=[(0.5,)],
             thickness_batch=[lambda xs: np.where(xs[:, 0] < 0.5, 1.0, 0.0)],
         )
@@ -551,6 +570,6 @@ class TestParamBox:
             ParamFamily(
                 ParamBox([(0.0, 1.0)]),
                 OutcomeSpace([0, 1]),
-                lambda xs: np.concatenate([xs, 1 - xs], axis=1),
+                lambda xs, out: np.concatenate([xs, 1 - xs], axis=1),
                 kinks=[(0.0,)],
             )
