@@ -29,7 +29,6 @@ from .core import (
     OutcomeSpace,
     RationalDistribution,
     _require_same_space,
-    event_probability,
     stable_sum,
 )
 from .errors import AllMembersZero, IndexOutOfRange, LengthMismatch, SpaceMismatch
@@ -200,11 +199,7 @@ def credal_condition(c: CredalSet, event: Event) -> tuple[CredalSet, EventMap]:
     mults: list[int] = []
     have_labels = c.labels is not None
     for i, m in enumerate(c.members):
-        if isinstance(m, RationalDistribution):
-            mass = m.prob(event)
-        else:
-            mass = event_probability(m, event)
-        if mass <= 0:
+        if m.prob(event) <= 0:
             continue
         conditioned = emap.map_distribution(m)
         key = _merge_key(conditioned)

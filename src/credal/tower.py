@@ -31,20 +31,13 @@ of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
 rows as standard exponentials, multiplies them onto ``V_(i-1)`` and
 divides by their row sums.  Building level ``i`` costs
 S_i · S_(i-1) · |outcomes| multiply-adds and holds one block of draws at
-a time; every later event query is a column sum.  The trade-off is in
-the outcome count: a tower over many outcomes queried for one event does
-more work than one matrix-vector chain per event would.  Medians of 3
-in-process runs, one thread, 2-core shared host, per-event chains →
-this layout: ``credal converge`` at its defaults (11 outcomes, one
-event, 1601 particles per order) 0.41 → 0.16 s, ``credal dilation``
-(4 outcomes) 0.19 → 0.06 s; ``converge --n 100`` (101 outcomes, one
-event) 0.35 → about 0.6 s, and ``converge --n 400`` at 800 particles
-per order 0.17 → about 0.7 s, with peak memory 122 → 52 MB and
-82 → 81 MB.
+a time, and every later event query is a column sum, so a tower over
+many outcomes queried for one event does more work than one
+matrix-vector chain per event would.
 
-Determinism: ``rng.spawn(max_order)`` gives one stream per order; order
-1 takes the base's stratification offsets from the first, and order
-``i`` spawns one child stream per block from the ``i``-th (see
+Determinism: ``default_rng(seed).spawn(max_order)`` gives one stream per
+order; order 1 takes the base's stratification offsets from the first,
+and order ``i`` spawns one child stream per block from the ``i``-th (see
 ``STREAMS``).  A block's values depend only on its stream, and
 ``einsum`` fixes their summation order, so results are byte-identical
 for a given configuration whatever the number of worker threads or BLAS
@@ -93,26 +86,30 @@ class TowerConfig:
     """Recipe for a tower.
 
     ``base`` is what level 1 ranges over: a parametrized family (or its
-    prebuilt measure), or an explicit credal set.  ``base_mode`` selects
-    how level 1 is populated: ``"tvu"`` draws ``base_samples``
-    particles from the uniform measure (its quadrature nodes, or the
-    credal set's members, by stratified inverse-CDF sampling over their
-    masses, so a heavy node is drawn more than once), ``"grid"``
-    enumerates a uniform inclusive parameter grid of ``base_samples``
-    points (or the credal set's members verbatim).  Levels 2 and above
-    each hold ``order_samples`` uniformly drawn weight vectors.
+    prebuilt measure), or a finite credal set as a
+    :class:`~credal.tvuniform.CountingMeasure`.  A bare
+    :class:`~credal.sets.CredalSet` means ``CountingMeasure(base)``, one
+    count per member; to weight members by their merge multiplicities,
+    pass a ``CountingMeasure`` built to count them.
+    ``base_mode`` selects how level 1 is populated: ``"tvu"`` draws
+    ``base_samples`` particles from the uniform measure (its quadrature
+    nodes, or the credal set's members, by stratified inverse-CDF
+    sampling over their masses, so a heavy node is drawn more than
+    once), ``"grid"`` enumerates a uniform inclusive parameter grid of
+    ``base_samples`` points (or the credal set's members, each repeated
+    by its count).  Levels 2 and above each hold ``order_samples``
+    uniformly drawn weight vectors.  ``seed`` seeds every random stream.
     """
 
-    base: ParamFamily | TvuMeasure | CredalSet
+    base: ParamFamily | TvuMeasure | CountingMeasure | CredalSet
     base_samples: int = 1601
     order_samples: int = 1601
     max_order: int = 5
     seed: int = 0
     base_mode: str = "tvu"
-    use_multiplicities: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.base, (ParamFamily, TvuMeasure, CredalSet)):
+        if not isinstance(self.base, (ParamFamily, TvuMeasure, CountingMeasure, CredalSet)):
             raise ConfigInvalid(
                 f"base must be a family, measure, or credal set, got {type(self.base).__name__}"
             )
@@ -228,34 +225,28 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
     return out
 
 
-def build_tower(cfg: TowerConfig, rng: np.random.Generator | None = None, n_jobs: int = 1) -> Tower:
+def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     """Sample a tower per the config.
 
-    ``rng`` defaults to a fresh generator seeded with ``cfg.seed``; pass
-    one explicitly to place the tower inside a larger reproducible
-    experiment.  ``n_jobs`` threads fill a level's blocks without
-    changing any value.
+    Every random stream derives from ``cfg.seed`` (see ``STREAMS``), so
+    a config fixes the tower's bytes.  ``n_jobs`` threads fill a level's
+    blocks without changing any value.
     """
     if n_jobs < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    base_gen, *level_gens = rng.spawn(cfg.max_order)
+    base_gen, *level_gens = np.random.default_rng(cfg.seed).spawn(cfg.max_order)
 
-    base = cfg.base
-    params = None
-    if isinstance(base, CredalSet):
-        members = base.members
-        mults = base.multiplicities if cfg.use_multiplicities else (1,) * len(members)
+    base = CountingMeasure(cfg.base) if isinstance(cfg.base, CredalSet) else cfg.base
+    if isinstance(base, CountingMeasure):
+        members = base.credal_set.members
         rows = np.stack(
             [np.asarray([float(p) for p in m.probs], dtype=np.float64) for m in members]
         )
-        space = base.space
+        space = base.credal_set.space
         if cfg.base_mode == "grid":
-            idx = np.repeat(np.arange(len(members)), mults)
+            idx = np.repeat(np.arange(len(members)), base.counts)
         else:
-            measure = CountingMeasure(base, use_multiplicities=cfg.use_multiplicities)
-            idx = measure.sample_members(base_gen, cfg.base_samples)
+            idx = base.sample_members(base_gen, cfg.base_samples)
         base_probs = rows[idx]
         params = idx.astype(np.float64)
     else:
@@ -388,8 +379,7 @@ def dilation_profile(tower: Tower, pre_event: Event, query_event: Event) -> Dila
         values = a[ok] / b[ok]
         num, den = stable_sum(a[ok]), stable_sum(b[ok])
         weighted = num / den
-        mean = stable_sum(values) / values.size
-        sd = float(np.sqrt(stable_sum((values - mean) ** 2) / values.size))
+        mean, sd, _ = _summary(values)
         values = values.copy()
         values.setflags(write=False)
         orders.append(

@@ -636,17 +636,40 @@ class TvuMeasure:
         return self.nodes[_stratified_indices(self._mass, rng, size), 0]
 
 
+def _counted_mass(space: OutcomeSpace, members, counts) -> tuple[list[Fraction], type]:
+    """``sum_i counts_i * members_i``, one exact ``Fraction`` per outcome.
+
+    A float member converts exactly through ``Fraction(p)``.  Also
+    returns the type of every result drawn from the masses: ``Fraction``
+    when every member is exact, else ``float``, which rounds the exact
+    value once.  Every member must live on ``space``.
+    """
+    mass = [Fraction(0)] * len(space)
+    for count, member in zip(counts, members):
+        _require_same_space(space, member.space)
+        for o, p in enumerate(member.probs):
+            mass[o] += count * Fraction(p)
+    exact = all(isinstance(m, RationalDistribution) for m in members)
+    return mass, Fraction if exact else float
+
+
 class CountingMeasure:
     """Uniform counting measure over the members of a finite credal set.
 
     This is what TV-uniformity degenerates to when the credal set is
     finite: every (distinct) member carries weight ``1/m`` exactly, kept
-    as :class:`fractions.Fraction` so that event probabilities over
-    rational members are exact.  ``use_multiplicities=True`` weights
-    members by their recorded merge multiplicity instead.
+    as :class:`fractions.Fraction` in ``weights``.  ``use_multiplicities=True``
+    weights members by their recorded merge multiplicity instead; the
+    integer weights are ``counts``.  Like :class:`TvuMeasure`, the measure
+    is a mixture of its members, so it holds one unnormalized mass per
+    outcome, ``m_o = sum_i counts_i * member_i(o)``, and their total
+    ``sum(counts)``, summed once at construction in exact arithmetic.  An
+    event's probability is ``m[E] / sum(counts)``: a ``Fraction`` when
+    every member is exact, otherwise that exact value rounded once to a
+    float.
     """
 
-    __slots__ = ("credal_set", "weights")
+    __slots__ = ("credal_set", "weights", "counts", "_total", "_mass", "_result")
 
     def __init__(self, credal_set: CredalSet, use_multiplicities: bool = False):
         if use_multiplicities:
@@ -654,9 +677,13 @@ class CountingMeasure:
         else:
             counts = (1,) * len(credal_set)
         total = sum(counts)
-        weights = tuple(Fraction(c, total) for c in counts)
+        mass, result = _counted_mass(credal_set.space, credal_set.members, counts)
         object.__setattr__(self, "credal_set", credal_set)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", tuple(Fraction(c, total) for c in counts))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_total", total)
+        object.__setattr__(self, "_mass", tuple(mass))
+        object.__setattr__(self, "_result", result)
 
     def __setattr__(self, name, value):
         raise AttributeError("CountingMeasure is immutable")
@@ -669,27 +696,21 @@ class CountingMeasure:
 
         ``exclude`` removes one member and renormalizes the remaining
         weights — the finite-set analogue of deleting a singleton whose
-        counting measure, unlike a continuum point, is positive.
-        Returns a ``Fraction`` when every member is exact.
+        counting measure, unlike a continuum point, is positive.  It
+        subtracts that member's share from the held masses, so either
+        form costs ``|E|`` additions.
         """
-        members = self.credal_set.members
+        _require_same_space(self.credal_set.space, event.space)
+        num = sum((self._mass[o] for o in event.indices), Fraction(0))
+        den = self._total
         if exclude is not None:
-            if not 0 <= exclude < len(members):
-                raise IndexOutOfRange(f"member index {exclude} out of range")
-            if len(members) == 1:
+            probs = self.credal_set.member(exclude).probs
+            count = self.counts[exclude]
+            num -= count * sum((Fraction(probs[o]) for o in event.indices), Fraction(0))
+            den -= count
+            if den == 0:
                 raise ZeroEvidence("cannot exclude the only member")
-        pairs = [
-            (w, m)
-            for i, (w, m) in enumerate(zip(self.weights, members))
-            if i != exclude
-        ]
-        wsum = sum((w for w, _ in pairs), Fraction(0))
-        exact = all(isinstance(m, RationalDistribution) for _, m in pairs)
-        if exact:
-            total = sum((w * m.prob(event) for w, m in pairs), Fraction(0))
-            return total / wsum
-        total = math.fsum(float(w) * float(m.prob(event)) for w, m in pairs)
-        return total / float(wsum)
+        return self._result(num / den)
 
     def posterior_predictive(
         self, observed: Event, query: Event, lift: Callable | None = None
@@ -698,28 +719,20 @@ class CountingMeasure:
 
         ``lift`` maps each member to the distribution used for
         evaluation (e.g. :func:`iid_extension` to score multi-draw
-        events); by default members are evaluated as they are.  Exact
-        (``Fraction``) when all lifted members are exact.
+        events); by default members are evaluated as they are.  Both
+        events are read from one mass vector over the lifted members.
+        Exact (``Fraction``) when all lifted members are exact.
         """
-        members = [lift(m) if lift is not None else m for m in self.credal_set.members]
+        members = self.credal_set.members
+        if lift is not None:
+            members = [lift(m) for m in members]
+        mass, result = _counted_mass(observed.space, members, self.counts)
         joint = query.intersect(observed)
-        exact = all(isinstance(m, RationalDistribution) for m in members)
-        if exact:
-            den = sum(
-                (w * m.prob(observed) for w, m in zip(self.weights, members)),
-                Fraction(0),
-            )
-            if den == 0:
-                raise ZeroEvidence("observed event has probability zero in every member")
-            num = sum(
-                (w * m.prob(joint) for w, m in zip(self.weights, members)), Fraction(0)
-            )
-            return num / den
-        den = math.fsum(float(w) * float(m.prob(observed)) for w, m in zip(self.weights, members))
-        if den <= 0.0:
+        den = sum((mass[o] for o in observed.indices), Fraction(0))
+        if den == 0:
             raise ZeroEvidence("observed event has probability zero in every member")
-        num = math.fsum(float(w) * float(m.prob(joint)) for w, m in zip(self.weights, members))
-        return num / den
+        num = sum((mass[o] for o in joint.indices), Fraction(0))
+        return result(num / den)
 
     def sample_members(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Indices of members drawn according to the counting weights (stratified)."""
@@ -970,11 +983,16 @@ def product_family(base: ParamFamily, draws: int, sep: str = ",") -> ParamFamily
     space = product_space(base.space, draws, sep=sep)
 
     def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        n = xs.shape[0]
         rows = base.probs_matrix(xs)
-        chain = rows
+        chain = np.ones((n, 1))
         for _ in range(draws - 1):
-            chain = np.einsum("ni,nj->nij", chain, rows).reshape(xs.shape[0], -1)
-        return chain
+            chain = np.einsum("ni,nj->nij", chain, rows).reshape(n, -1)
+        # The last factor is written into ``out``: splitting its outcome
+        # axis is a view, even of a strided block, so a blocked pass reuses
+        # its workspace.
+        last = out.reshape(n, -1, len(base.space))
+        return np.einsum("ni,nj->nij", chain, rows, out=last).reshape(n, -1)
 
     return ParamFamily(
         base.box,
@@ -995,14 +1013,6 @@ def iid_extension(member, draws: int, sep: str = ","):
     if draws < 1:
         raise ConfigInvalid("need draws >= 1")
     space = product_space(member.space, draws, sep=sep)
-    if isinstance(member, RationalDistribution):
-        probs = [
-            math.prod(combo, start=Fraction(1))
-            for combo in itertools.product(member.probs, repeat=draws)
-        ]
-        return RationalDistribution(space, probs)
-    row = np.asarray(member.probs)
-    out = row
-    for _ in range(draws - 1):
-        out = np.kron(out, row)
-    return FiniteDistribution(space, out)
+    return type(member)(
+        space, [math.prod(c) for c in itertools.product(member.probs, repeat=draws)]
+    )

@@ -11,6 +11,7 @@ import pytest
 from credal import (
     AllDropped,
     ConfigInvalid,
+    CountingMeasure,
     CredalSet,
     IndexOutOfRange,
     OutcomeSpace,
@@ -203,8 +204,8 @@ class TestBaseModes:
         sp = OutcomeSpace(["a", "b"])
         members = [make_distribution(sp, [w, 1 - w]) for w in (0.2, 0.9)]
         c = CredalSet(members, multiplicities=[3, 1])
-        tower = build_tower(TowerConfig(base=c, max_order=1, base_mode="grid",
-                                        use_multiplicities=True))
+        tower = build_tower(TowerConfig(base=CountingMeasure(c, use_multiplicities=True),
+                                        max_order=1, base_mode="grid"))
         np.testing.assert_allclose(tower.base_probs[:, 0], [0.2, 0.2, 0.2, 0.9])
 
     def test_prebuilt_measure_base(self):

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from credal import (
@@ -30,6 +32,7 @@ from credal import (
     ParamBox,
     ParamFamily,
     QuadratureNotConverged,
+    SpaceMismatch,
     StepTooLarge,
     TvuMeasure,
     ZeroEvidence,
@@ -39,6 +42,7 @@ from credal import (
     coin_match_family,
     component_event,
     iid_extension,
+    make_distribution,
     make_rational_distribution,
     product_family,
     product_space,
@@ -424,6 +428,70 @@ class TestCountingMeasure:
             e
         ) == Fraction(3, 4)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mass_vector_matches_brute_force_over_members(self, data):
+        # Oracle: each probability summed member by member in exact
+        # arithmetic, over the remaining members for ``exclude``; the
+        # measure must return it exactly, or rounded once to a float
+        # when any member is a float.  Sets mix exact and float members.
+        k = data.draw(st.integers(2, 4), label="outcomes")
+        sp = OutcomeSpace([f"o{i}" for i in range(k)])
+        n = data.draw(st.integers(1, 5), label="members")
+        kinds = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="exact")
+        exact = all(kinds)
+        weights = st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)
+        members = [
+            (make_rational_distribution if kind else make_distribution)(sp, data.draw(weights))
+            for kind in kinds
+        ]
+        mults = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        use_mults = data.draw(st.booleans(), label="use_multiplicities")
+        m = CountingMeasure(CredalSet(members, multiplicities=mults),
+                            use_multiplicities=use_mults)
+        counts = mults if use_mults else [1] * n
+
+        def subset():
+            return sp.event_from_indices(data.draw(st.sets(st.integers(0, k - 1))))
+
+        def oracle(num, den):
+            return num / den if exact else float(num / den)
+
+        def mass(member, event):
+            return sum((Fraction(member.probs[o]) for o in event.indices), Fraction(0))
+
+        e = subset()
+        keep = list(zip(counts, members))
+        got = m.event_prob(e)
+        assert type(got) is (Fraction if exact else float)
+        assert got == oracle(sum(c * mass(d, e) for c, d in keep), sum(counts))
+        if n > 1:
+            j = data.draw(st.integers(0, n - 1), label="exclude")
+            rest = keep[:j] + keep[j + 1:]
+            want = oracle(sum(c * mass(d, e) for c, d in rest), sum(c for c, _ in rest))
+            assert m.event_prob(e, exclude=j) == want
+
+        observed, query = subset(), subset()
+        den = sum(c * mass(d, observed) for c, d in keep)
+        if den == 0:
+            with pytest.raises(ZeroEvidence):
+                m.posterior_predictive(observed, query)
+        else:
+            num = sum(c * mass(d, query & observed) for c, d in keep)
+            assert m.posterior_predictive(observed, query) == oracle(num, den)
+
+    def test_events_of_another_space_are_rejected(self):
+        sp = OutcomeSpace(["H", "T"])
+        m = CountingMeasure(CredalSet([make_rational_distribution(sp, [1, 3])]))
+        pair = product_space(sp, 2)
+        with pytest.raises(SpaceMismatch):
+            m.event_prob(pair.event(["H,H"]))
+        # Lifted members live on the pair space, so single-draw events
+        # no longer fit them.
+        with pytest.raises(SpaceMismatch):
+            m.posterior_predictive(sp.event(["H"]), sp.event(["H"]),
+                                   lift=lambda d: iid_extension(d, 2))
+
 
 class TestPosteriorPredictive:
     def test_laplace_rule_of_succession(self):
@@ -530,6 +598,21 @@ class TestProductFamilies:
         np.testing.assert_allclose(got, want, atol=1e-15)
         batch = pair.probs_matrix(np.array([[0.3], [0.6]]))
         np.testing.assert_allclose(batch[1], np.kron([0.6, 0.4], [0.6, 0.4]))
+
+    @pytest.mark.parametrize("base, draws", [
+        (bernoulli_family(), 3), (coin_match_family(), 2), (binomial_family(3), 1),
+    ])
+    def test_product_rows_fill_out_and_match_iid_extension(self, base, draws):
+        fam = product_family(base, draws)
+        xs = np.linspace(0.0, 1.0, 7)[:, None]
+        width = len(fam.space)
+        # A contiguous buffer and the strided view a blocked pass hands over.
+        for buf in (np.empty((7, width)), np.empty((width, 7)).T):
+            got = fam.probs_matrix(xs, out=buf)
+            assert np.shares_memory(got, buf)
+            for x, row in zip(xs[:, 0], got):
+                want = iid_extension(base.eval(x), draws).probs
+                assert row.tobytes() == np.asarray(want).tobytes()
 
     def test_component_event_indexing(self):
         sp = OutcomeSpace(["r", "y", "b"])
