@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import MAX_GRID_CELLS
 from .errors import ConfigInvalid, CredalError
 from .inference import UrnState, binomial_test, urn_update
 from .io import format_float, format_value, sha256_file, write_csv, write_json
@@ -355,8 +356,8 @@ def _cmd_dilation(args) -> int:
 
 def _cmd_tvu_density(args) -> int:
     run = _Run(args, "tvu-density")
-    if args.points < 1:
-        raise ConfigInvalid(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_GRID_CELLS:
+        raise ConfigInvalid(f"--points must lie in 1..{MAX_GRID_CELLS}, got {args.points}")
     family = binomial_family(args.n)
     measure = build_measure(family, resolution=args.resolution)
     run.diagnostics["measure"] = measure.meta

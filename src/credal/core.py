@@ -46,6 +46,12 @@ __all__ = [
     "stable_sum",
 ]
 
+# Most float cells one request may evaluate or hold: a likelihood grid, a
+# density table, the quadrature's starting density evaluations, a tower's
+# levels or one block of its weight draws.  Larger requests raise
+# ConfigInvalid before anything is allocated or spawned.
+MAX_GRID_CELLS = 2**25
+
 # Above this length, plain pairwise summation is swapped for compensated
 # summation so that long reductions stay reproducible to the last bit.
 _FSUM_CUTOFF = 10_000

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Event, OutcomeSpace, RationalDistribution
+from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution
 from .errors import ConfigInvalid, ImpossibleHistory, IndexOutOfRange, ZeroEvidence
 from .sets import CredalSet
 from .tvuniform import (
@@ -291,13 +291,6 @@ class BinomialTestReport:
             "ratios": [float(r) for r in self.ratios],
             "density": [float(d) for d in self.density],
         }
-
-
-# Largest (grid points) x (head counts) likelihood grid binomial_test
-# evaluates.  The grid is evaluated in blocks of rows, so the cap bounds
-# the work (2**25 pmf cells) and the length of the grid, ratio and density
-# arrays, not the size of any one matrix.
-MAX_GRID_CELLS = 2**25
 
 
 def binomial_test(

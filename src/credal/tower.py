@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Event, _require_same_space, stable_sum
+from .core import MAX_GRID_CELLS, Event, _require_same_space, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
 from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, build_measure
@@ -225,6 +225,16 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
     return out
 
 
+def _check_size(cfg: TowerConfig, base_rows: int, outcomes: int) -> None:
+    """Refuse a tower whose levels, or one block of its weight draws (a row
+    per particle of the level mixed over), pass ``MAX_GRID_CELLS`` cells."""
+    held = (base_rows + (cfg.max_order - 1) * cfg.order_samples) * outcomes
+    mixed = [base_rows, cfg.order_samples][: cfg.max_order - 1]
+    draws = min(BLOCK_ROWS, cfg.order_samples) * max(mixed, default=0)
+    if max(held, draws) > MAX_GRID_CELLS:
+        raise ConfigInvalid(f"the tower needs {max(held, draws)} cells, above {MAX_GRID_CELLS}")
+
+
 def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     """Sample a tower per the config.
 
@@ -234,15 +244,19 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     """
     if n_jobs < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
+    base = CountingMeasure(cfg.base) if isinstance(cfg.base, CredalSet) else cfg.base
+    counting = isinstance(base, CountingMeasure)
+    family = base.family if isinstance(base, TvuMeasure) else base
+    space = base.credal_set.space if counting else family.space
+    base_rows = sum(base.counts) if counting and cfg.base_mode == "grid" else cfg.base_samples
+    _check_size(cfg, base_rows, len(space))
     base_gen, *level_gens = np.random.default_rng(cfg.seed).spawn(cfg.max_order)
 
-    base = CountingMeasure(cfg.base) if isinstance(cfg.base, CredalSet) else cfg.base
-    if isinstance(base, CountingMeasure):
+    if counting:
         members = base.credal_set.members
         rows = np.stack(
             [np.asarray([float(p) for p in m.probs], dtype=np.float64) for m in members]
         )
-        space = base.credal_set.space
         if cfg.base_mode == "grid":
             idx = np.repeat(np.arange(len(members)), base.counts)
         else:
@@ -250,8 +264,6 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
         base_probs = rows[idx]
         params = idx.astype(np.float64)
     else:
-        family = base.family if isinstance(base, TvuMeasure) else base
-        space = family.space
         if cfg.base_mode == "grid":
             params = _grid_params(family, cfg.base_samples)
         else:

@@ -16,9 +16,15 @@ Two regimes are supported:
   counting measure over the (distinct) members; and
 * a continuously parametrized family, where event probabilities are
   integrals ``(1/Z) * int rho(x) * f(x)(E) dx`` evaluated by adaptive
-  Gauss-Legendre quadrature with panels split at the registered kink
-  locations of the thickness.  A tolerance the quadrature cannot reach
-  raises :class:`~credal.errors.QuadratureNotConverged`.
+  tensor Gauss-Legendre quadrature over boxes, for any number of slots.
+  The starting boxes are the product of each slot's panels, which break
+  at the slot's registered kinks.  Every box is halved along each slot
+  in turn, and the distance of the halves' sum from the whole-box rule
+  is that slot's error; one loop splits the box with the largest summed
+  error along its worst slot (QUADPACK's greedy policy, Piessens et al.
+  1983; for boxes, Genz & Malik 1980).  A tolerance the quadrature
+  cannot reach within ``max_panels`` boxes raises
+  :class:`~credal.errors.QuadratureNotConverged`.
 
 The measure is a mixture of the family's distributions, so one vector
 over the outcomes answers every event: at construction it sums the
@@ -53,6 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    MAX_GRID_CELLS,
     Event,
     FiniteDistribution,
     OutcomeSpace,
@@ -387,32 +394,47 @@ def _density_rows(family: ParamFamily, xs: np.ndarray) -> np.ndarray:
 
 def _panel_edges(breakpoints: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting panels ``[lo_i, hi_i]``: each breakpoint segment cut into
-    equal parts in proportion to its length, about ``resolution`` in all."""
+    equal parts in proportion to its length, about ``resolution`` in all.
+
+    A segment ``[a, b]`` cut into ``parts`` gets the edges of
+    ``np.linspace(a, b, parts + 1)``, computed for every segment at once
+    with linspace's arithmetic: ``j * ((b - a) / parts) + a``, with ``b``
+    itself as the last edge.
+    """
+    a, b = breakpoints[:-1], breakpoints[1:]
+    a, b = a[b > a], b[b > a]
     total_len = breakpoints[-1] - breakpoints[0]
-    edges = []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b <= a:
-            continue
-        parts = max(1, math.ceil(resolution * (b - a) / total_len))
-        edges.append(np.linspace(a, b, parts + 1))
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    return lo, hi
+    parts = np.maximum(1, np.ceil(resolution * (b - a) / total_len)).astype(np.intp)
+    seg = np.repeat(np.arange(a.size), parts)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    step, a, b, last = ((b - a) / parts)[seg], a[seg], b[seg], parts[seg]
+    return j * step + a, np.where(j + 1 == last, b, (j + 1) * step + a)
 
 
-def _gl_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre 8 nodes and weights on each panel, shape ``(P, 8)``."""
+def _box_rules(family: ParamFamily, lo: np.ndarray, hi: np.ndarray):
+    """Tensor-product Gauss-Legendre 8 rule on each box ``[lo_b, hi_b]``
+    (rows of shape ``(B, d)``), in one density call.
+
+    Returns the nodes ``(B, 8**d, d)`` with slot 0's index varying
+    slowest, their weights and density values ``(B, 8**d)``, and each
+    box's integral.
+    """
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return c[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+    x, w = c[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
+    d = lo.shape[1]
+    slots, idx = np.arange(d)[:, None], np.indices((8,) * d).reshape(d, -1)
+    xs, ws = x[:, slots, idx].transpose(0, 2, 1), w[:, slots, idx].prod(axis=1)
+    rho = _density_rows(family, xs.reshape(-1, d)).reshape(ws.shape)
+    return xs, ws, rho, (ws * rho).sum(axis=1)
 
 
-class _Panel(NamedTuple):
-    """One quadrature panel: its 16 half-rule nodes, weights and density
-    values, the two half integrals, their sum, and that sum's distance
-    from the whole-panel rule as the local error estimate."""
+class _Box(NamedTuple):
+    """One quadrature box, halved along its worst slot: the halves'
+    corners ``(2, d)``, nodes, weights, density values and integrals,
+    the integrals' sum, and the box's error estimate."""
 
-    lo: float
-    hi: float
+    lo: np.ndarray
+    hi: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     rho: np.ndarray
@@ -421,70 +443,89 @@ class _Panel(NamedTuple):
     err: float
 
 
-def _split_rules(dens, lo: np.ndarray, hi: np.ndarray, whole: np.ndarray) -> list[_Panel]:
-    """Half-panel GL-8 rules for panels ``[lo_i, hi_i]``, in one density call.
+def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> list[_Box]:
+    """Every slot's halving of boxes ``[lo_b, hi_b]``, in one density call.
 
-    ``whole`` holds each panel's single-rule integral.
+    Halving a box along slot ``k`` applies the tensor rule to its two
+    halves along ``k``; that slot's error is the distance of their sum
+    from ``whole``, the box's single-rule integral.  A box's error is the
+    sum over its slots, and it keeps the halving of its worst slot.
     """
-    mid = 0.5 * (lo + hi)
-    xs, ws = _gl_nodes(np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel())
-    rho = dens(xs.ravel()).reshape(-1, 16)
-    halves = (ws * rho.reshape(xs.shape)).sum(axis=1).reshape(-1, 2)
-    values = halves.sum(axis=1)
-    xs, ws = xs.reshape(-1, 16), ws.reshape(-1, 16)
+    n, d = lo.shape
+    mid = (0.5 * (lo + hi))[:, None, None]
+    # (box, slot halved, half, d): the first half's upper face is mid.
+    cut = np.eye(d, dtype=bool)[:, None] & np.array([[True], [False]])
+    sub = np.where(cut[:, ::-1], mid, lo[:, None, None]), np.where(cut, mid, hi[:, None, None])
+    xs, ws, rho, halves = _box_rules(family, *(a.reshape(-1, d) for a in sub))
+    halves = halves.reshape(n, d, 2)
+    values = halves.sum(axis=2)
+    errs = np.abs(whole[:, None] - values)
+    err = errs.sum(axis=1)
+    keep = (np.arange(n), errs.argmax(axis=1))
+    sub_lo, sub_hi, halves, values = (a[keep] for a in (*sub, halves, values))
+    xs = xs.reshape(n, d, -1, d)[keep]
+    ws, rho = (a.reshape(n, d, -1)[keep] for a in (ws, rho))
     return [
-        _Panel(lo[i], hi[i], xs[i], ws[i], rho[i], halves[i], values[i], abs(whole[i] - values[i]))
-        for i in range(lo.size)
+        _Box(sub_lo[i], sub_hi[i], xs[i], ws[i], rho[i], halves[i], values[i], err[i])
+        for i in range(n)
     ]
 
 
-def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
-    """Adaptively refined Gauss-Legendre grid for a 1-D density.
+def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panels: int):
+    """Adaptively refined Gauss-Legendre boxes for the family's density.
 
-    Panels start from the breakpoint segments (kinks are always panel
-    edges) subdivided to roughly ``resolution`` panels in proportion to
-    length.  Each panel's integral is estimated by its two half-panel
-    GL-8 rules; the difference from the whole-panel rule is the local
-    error.  The worst panel is split until the summed error estimate,
-    kept as a running total, drops below ``tol`` relative to the
-    integral; missing it within ``max_panels`` panels raises
-    :class:`QuadratureNotConverged`.  Returns the nodes, weights and
-    density values in panel order, plus the diagnostics for ``meta``.
+    The starting boxes are the product of each slot's panels: its
+    breakpoint segments (kinks are always box faces) subdivided to
+    roughly ``resolution`` panels in proportion to length.  Every box
+    carries the error estimate of :func:`_halve_boxes` and the halving
+    of its worst slot.  The worst box is split along that slot, each
+    child taking its half integral as its single-rule value, until the
+    summed error estimate, kept as a running total, drops below ``tol``
+    relative to the integral; missing it within ``max_panels`` boxes
+    raises :class:`QuadratureNotConverged`.  Returns the nodes, weights
+    and density values in box order, plus the diagnostics for ``meta``.
     """
-    lo, hi = _panel_edges(breakpoints, resolution)
-    xs, ws = _gl_nodes(lo, hi)
-    whole = (ws * dens(xs.ravel()).reshape(xs.shape)).sum(axis=1)
-    panels = _split_rules(dens, lo, hi, whole)
-    evaluations = 24 * lo.size
-    value = float(np.sum([p.value for p in panels]))
-    err = float(np.sum([p.err for p in panels]))
-    # One entry per live panel, worst first; the unique key breaks ties.
-    heap = [(-p.err, key, p) for key, p in enumerate(panels)]
+    d = family.ndim
+    edges = [_panel_edges(_breakpoints(family, k), resolution) for k in range(d)]
+    sizes = [lo.size for lo, _ in edges]
+    halving = 2 * d * 8**d  # density evaluations to halve one box along every slot
+    evaluations = math.prod(sizes) * (8**d + halving)
+    if evaluations > MAX_GRID_CELLS:
+        raise ConfigInvalid(
+            f"{sizes} starting panels per slot need {evaluations} density"
+            f" evaluations, above {MAX_GRID_CELLS}; lower the resolution"
+        )
+    grid = np.indices(sizes).reshape(d, -1)
+    lo = np.stack([e[0][g] for e, g in zip(edges, grid)], axis=1)
+    hi = np.stack([e[1][g] for e, g in zip(edges, grid)], axis=1)
+    boxes = _halve_boxes(family, lo, hi, _box_rules(family, lo, hi)[3])
+    value = float(np.sum([b.value for b in boxes]))
+    err = float(np.sum([b.err for b in boxes]))
+    # One entry per live box, worst first; the unique key breaks ties.
+    heap = [(-b.err, key, b) for key, b in enumerate(boxes)]
     heapq.heapify(heap)
     counter = itertools.count(len(heap))
 
     while err > tol * max(abs(value), 1e-300) and len(heap) < max_panels:
         worst = heap[0][2]
-        if worst.err == 0.0:  # every panel is exact; the running total only holds rounding
+        if worst.err == 0.0:  # every box is exact; the running total only holds rounding
             err = 0.0
             break
         heapq.heappop(heap)
-        mid = 0.5 * (worst.lo + worst.hi)
-        children = np.array([worst.lo, mid]), np.array([mid, worst.hi])
-        for child in _split_rules(dens, *children, worst.halves):
+        for child in _halve_boxes(family, worst.lo, worst.hi, worst.halves):
             heapq.heappush(heap, (-child.err, next(counter), child))
             value += child.value
             err += child.err
         value -= worst.value
         err -= worst.err
-        evaluations += 32
+        evaluations += 2 * halving
 
     scale = max(abs(value), 1e-300)
     if err > tol * scale:
         raise QuadratureNotConverged(
             f"error estimate {err / scale:.3g} above tol {tol:g} at {len(heap)} panels"
         )
-    ordered = sorted((p for _, _, p in heap), key=lambda p: p.lo)
+    ordered = sorted((b for _, _, b in heap), key=lambda b: b.lo[0].tolist())
     diagnostics = {
         "err_estimate": err / scale,
         "converged": True,
@@ -492,9 +533,9 @@ def _adaptive_panels_1d(dens, breakpoints, resolution, tol, max_panels):
         "evaluations": evaluations,
     }
     return (
-        np.concatenate([p.nodes for p in ordered]),
-        np.concatenate([p.weights for p in ordered]),
-        np.concatenate([p.rho for p in ordered]),
+        np.concatenate([b.nodes for b in ordered]),
+        np.concatenate([b.weights for b in ordered]),
+        np.concatenate([b.rho for b in ordered]),
         diagnostics,
     )
 
@@ -750,13 +791,19 @@ def build_measure(
     """Construct the uniform measure over a credal set.
 
     A finite :class:`CredalSet` yields the exact :class:`CountingMeasure`.
-    A :class:`ParamFamily` yields a :class:`TvuMeasure` via adaptive
-    Gauss-Legendre quadrature of the thickness-product density:
-    ``resolution`` sets the starting panel count per dimension (panels
-    always break at registered kinks) and panels are then split where
-    the local error estimate is largest until the total estimate is
-    below ``tol`` relative to the normalizer.  Doubling ``resolution``
-    moves ``Z`` by less than ``tol`` by construction.
+    A :class:`ParamFamily` of any dimension yields a :class:`TvuMeasure`
+    via adaptive Gauss-Legendre quadrature of the thickness-product
+    density over boxes: ``resolution`` sets the starting panel count per
+    slot (panels always break at registered kinks), the starting boxes
+    are their product, and the box with the largest error estimate is
+    split along its worst slot until the total estimate is below ``tol``
+    relative to the normalizer.  ``max_panels`` caps the boxes the
+    splitting may reach; missing ``tol`` within it raises
+    :class:`QuadratureNotConverged`, and starting boxes needing more than
+    ``MAX_GRID_CELLS`` density evaluations raise :class:`ConfigInvalid`.
+    ``meta["panels"]`` counts the final boxes and ``meta["evaluations"]``
+    the density evaluations.  Doubling ``resolution`` moves ``Z`` by less
+    than ``tol`` by construction.
     """
     if isinstance(source, CredalSet):
         return CountingMeasure(source, use_multiplicities=use_multiplicities)
@@ -765,73 +812,10 @@ def build_measure(
     if resolution < 1 or tol <= 0.0 or max_panels < resolution:
         raise ConfigInvalid("need resolution >= 1, tol > 0, max_panels >= resolution")
 
-    if source.ndim == 1:
-        dens = lambda xs: _density_rows(source, xs[:, None])  # noqa: E731
-        bps = _breakpoints(source, 0)
-        nodes, weights, rho, diagnostics = _adaptive_panels_1d(
-            dens, bps, resolution, tol, max_panels
-        )
-        return TvuMeasure(
-            source,
-            nodes[:, None],
-            weights,
-            rho,
-            meta={"resolution": resolution, "tol": tol, **diagnostics},
-        )
-    return _tensor_measure(source, resolution, tol)
-
-
-# Refinement levels (resolution, then five doublings) _tensor_measure tries.
-_TENSOR_LEVELS = 6
-
-
-def _tensor_measure(family: ParamFamily, resolution: int, tol: float) -> TvuMeasure:
-    """Tensor-product quadrature for multi-dimensional boxes.
-
-    Refines by doubling every dimension's panel count until the
-    normalizer is stable to ``tol`` (relative), raising
-    :class:`QuadratureNotConverged` if it is not after six levels.
-    Intended for small ``ndim``; the node count grows as
-    ``(8 * panels)^ndim``.
-    """
-    per_dim = resolution
-    z_prev = None
-    evaluations = 0
-    for _ in range(_TENSOR_LEVELS):
-        axes = []
-        for k in range(family.ndim):
-            xs, ws = _gl_nodes(*_panel_edges(_breakpoints(family, k), per_dim))
-            axes.append((xs.ravel(), ws.ravel()))
-        mesh = np.stack(
-            [g.ravel() for g in np.meshgrid(*[ax[0] for ax in axes], indexing="ij")],
-            axis=1,
-        )
-        wmesh = np.stack(
-            [g.ravel() for g in np.meshgrid(*[ax[1] for ax in axes], indexing="ij")],
-            axis=1,
-        ).prod(axis=1)
-        rho = _density_rows(family, mesh)
-        evaluations += rho.size
-        z = float(np.sum(wmesh * rho))
-        gap = math.inf if z_prev is None else abs(z - z_prev) / max(abs(z), 1e-300)
-        if gap <= tol:
-            break
-        z_prev = z
-        per_dim *= 2
-    else:
-        raise QuadratureNotConverged(
-            f"normalizer still moves by {gap:.3g} (tol {tol:g})"
-            f" after {_TENSOR_LEVELS} refinement levels"
-        )
-    meta = {
-        "resolution": per_dim,
-        "tol": tol,
-        "err_estimate": gap,
-        "converged": True,
-        "panels": rho.size // 8**family.ndim,
-        "evaluations": evaluations,
-    }
-    return TvuMeasure(family, mesh, wmesh, rho, meta=meta)
+    nodes, weights, rho, diagnostics = _adaptive_panels(source, resolution, tol, max_panels)
+    return TvuMeasure(
+        source, nodes, weights, rho, meta={"resolution": resolution, "tol": tol, **diagnostics}
+    )
 
 
 # ---------------------------------------------------------------------------

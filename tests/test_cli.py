@@ -3,6 +3,7 @@
 import csv
 import json
 import platform
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,27 @@ class TestTvuDensityCommand:
         code = main(["tvu-density", "--points", points, "--svg", "--out", str(tmp_path)])
         assert code == 2
         assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tvu-density", "--points"],
+    ["converge", "--base-samples"],
+    ["converge", "--order-samples"],
+    ["converge", "--max-order"],
+    ["dilation", "--grid"],
+    ["dilation", "--samples"],
+    ["dilation", "--orders"],
+])
+def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main([*argv, str(2**40), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "33554432" in capsys.readouterr().err
+    assert peak < 10e6
 
 
 # Small flags for each subcommand, and the meta objects its manifest must carry.

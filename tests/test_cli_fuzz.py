@@ -2,8 +2,9 @@
 
 Each subcommand is driven in process through ``cli.main`` with small,
 bounded sizes mixed with bad values (zero, negatives, ``nan``, ``inf``,
-non-numeric tokens).  Exit 3 means a raw Python error escaped instead of
-a typed ``CredalError``.  No example may start a process.
+non-numeric tokens) and, for the size flags, ``2**40``, which the
+package must refuse before it allocates or spawns anything.  Exit 3
+means a raw Python error escaped instead of a typed ``CredalError``.  No example may start a process.
 """
 
 import contextlib
@@ -33,6 +34,11 @@ def ints(lo: int, hi: int) -> st.SearchStrategy:
     return value(st.integers(lo, hi))
 
 
+def sizes(lo: int, hi: int) -> st.SearchStrategy:
+    """A size flag: also 2**40, far past the package's cell cap."""
+    return value(st.one_of(st.integers(lo, hi), st.just(2**40)))
+
+
 def choice(*options: str) -> st.SearchStrategy:
     return value(st.sampled_from(options))
 
@@ -52,8 +58,8 @@ FLAGS = {
     },
     "converge": {
         "--n": ints(1, 6), "--events": value(csv_of(st.integers(-1, 7).map(str))),
-        "--base-samples": ints(1, 20), "--order-samples": ints(1, 20),
-        "--max-order": ints(1, 3), "--base-mode": choice("tvu", "grid"),
+        "--base-samples": sizes(1, 20), "--order-samples": sizes(1, 20),
+        "--max-order": sizes(1, 3), "--base-mode": choice("tvu", "grid"),
         "--resolution": ints(1, 8), "--svg": None,
     },
     "urn": {
@@ -62,11 +68,11 @@ FLAGS = {
         "--balls": ints(1, 12), "--mode": choice("exact", "float"),
     },
     "dilation": {
-        "--grid": ints(1, 20), "--samples": ints(1, 20), "--orders": ints(1, 3),
+        "--grid": sizes(1, 20), "--samples": sizes(1, 20), "--orders": sizes(1, 3),
         "--base-mode": choice("grid", "tvu"), "--svg": None,
     },
     "tvu-density": {
-        "--n": ints(1, 8), "--points": ints(0, 40), "--resolution": ints(1, 8),
+        "--n": ints(1, 8), "--points": sizes(0, 40), "--resolution": ints(1, 8),
         "--svg": None,
     },
 }

@@ -50,6 +50,19 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             TowerConfig(base="not a family")
 
+    @pytest.mark.parametrize("sizes", [
+        # levels held: (100 + 39 * 2**16) particles x 16 outcomes
+        dict(base=binomial_family(15), base_samples=100, order_samples=2**16, max_order=40),
+        # one block of draws: 256 rows x 2**18 base particles
+        dict(base=bernoulli_family(), base_samples=2**18, order_samples=256, max_order=2),
+        # no stream spawned per order
+        dict(base=bernoulli_family(), max_order=2**40),
+    ])
+    def test_oversized_tower_raises_before_drawing(self, sizes):
+        cfg = TowerConfig(base_mode="grid", **sizes)
+        with pytest.raises(ConfigInvalid, match="cells"):
+            build_tower(cfg)
+
 
 class TestDeterminism:
     def test_same_seed_same_tower(self):

@@ -49,6 +49,7 @@ from credal import (
     thickness,
     tvu_density,
 )
+from credal.tvuniform import _breakpoints, _panel_edges
 
 N = 10
 KINKS = [k / N for k in range(1, N)]
@@ -105,6 +106,28 @@ def quad_with_kinks(f) -> float:
     val, err = integrate.quad(f, 0.0, 1.0, points=KINKS, limit=400)
     assert err < 1e-10
     return val
+
+
+def sqrt_family(ndim: int, calls: list | None = None) -> ParamFamily:
+    """Slot 0 has thickness sqrt(x), every other slot 1, over [0, 1]^ndim:
+    Z = 2/3, and outcome 0 (probability x_0) has measure 3/5.  Appends the
+    rows of each density call to ``calls`` when given."""
+
+    def probs(xs, out):
+        out[:, 0], out[:, 1] = xs[:, 0], 1.0 - xs[:, 0]
+        return out
+
+    def slot0(xs):
+        if calls is not None:
+            calls.append(xs.shape[0])
+        return np.sqrt(xs[:, 0])
+
+    return ParamFamily(
+        ParamBox([(0.0, 1.0)] * ndim),
+        OutcomeSpace([0, 1]),
+        probs,
+        thickness_batch=[slot0] + [lambda xs: np.ones(xs.shape[0])] * (ndim - 1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -238,17 +261,59 @@ class TestMeasure:
         assert m.meta["bytes_held"] == sum(a.nbytes for a in arrays)
         assert m.meta["block_rows"] < m.nodes.shape[0]
 
-    def test_meta_records_quadrature_diagnostics(self, measure):
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_meta_records_quadrature_diagnostics(self, ndim):
+        max_panels = 512
+        measure = build_measure(sqrt_family(ndim), resolution=4, max_panels=max_panels)
         meta = measure.meta
         assert meta["converged"] is True
         assert 0.0 <= meta["err_estimate"] <= meta["tol"]
-        assert meta["panels"] * 16 == measure.nodes.shape[0]
-        assert meta["evaluations"] >= meta["panels"] * 24
+        assert meta["resolution"] == 4
+        assert meta["panels"] <= max_panels
+        assert meta["panels"] * 16 * 8 ** (ndim - 1) == measure.nodes.shape[0]
+        assert meta["evaluations"] >= meta["panels"] * (1 + 2 * ndim) * 8**ndim
+
+    def test_two_dimensional_singular_density_converges(self):
+        m = build_measure(sqrt_family(2), resolution=8, tol=1e-9)
+        assert m.z == pytest.approx(2 / 3, rel=1e-8)
+        assert m.event_prob(m.family.space.event([0])) == pytest.approx(0.6, abs=1e-8)
+
+    def test_panel_cap_raises_after_the_starting_boxes(self):
+        # 8 x 8 starting boxes, each costing one whole-box rule and two
+        # halves per slot of 8^2 nodes, against a cap of 8 boxes.
+        calls = []
+        with pytest.raises(QuadratureNotConverged):
+            build_measure(sqrt_family(2, calls), resolution=8, tol=1e-9, max_panels=8)
+        assert sum(calls) <= 64 * (1 + 2 * 2) * 8**2
+
+    def test_two_dimensional_memory_stays_bounded(self):
+        # A tensor grid refined by doubling every axis held 589,824 nodes
+        # here, with a tracemalloc peak of about 31 MB.
+        tracemalloc.start()
+        try:
+            m = build_measure(sqrt_family(2), resolution=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.nodes.shape[0] < 589_824
+        assert peak <= 16e6
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 13, 400, 1100])
+    @pytest.mark.parametrize("resolution", [5, 24, 100, 1000, 4096])
+    def test_panel_edges_match_per_segment_linspace(self, n, resolution):
+        bps = _breakpoints(binomial_family(n), 0)
+        edges = []
+        for a, b in zip(bps[:-1], bps[1:]):
+            parts = max(1, math.ceil(resolution * (b - a) / (bps[-1] - bps[0])))
+            edges.append(np.linspace(a, b, parts + 1))
+        lo, hi = _panel_edges(bps, resolution)
+        np.testing.assert_array_equal(lo, np.concatenate([e[:-1] for e in edges]))
+        np.testing.assert_array_equal(hi, np.concatenate([e[1:] for e in edges]))
 
     @pytest.mark.parametrize("ndim", [1, 2])
     def test_missed_tolerance_raises(self, ndim):
         # sqrt has an unbounded derivative at 0, so no GL rule integrates
-        # it to 1e-14 with this few panels or refinement levels.
+        # it to 1e-14 within a cap of two boxes.
         fam = ParamFamily(
             ParamBox([(0.0, 1.0)] * ndim),
             OutcomeSpace([0, 1]),
@@ -347,6 +412,8 @@ class TestMeasure:
             build_measure(family, tol=0.0)
         with pytest.raises(ConfigInvalid):
             build_measure(42)
+        with pytest.raises(ConfigInvalid):  # 24^3 starting boxes of 7 * 8^3 evaluations
+            build_measure(sqrt_family(3))
 
 
 class TestSimpleFamilies:
