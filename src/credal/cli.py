@@ -14,8 +14,10 @@ environment variable, then 0), ``--threads``, ``--out`` and ``--format
 command, flags, seed, package version, duration, a SHA-256 digest of
 every file it wrote, and ``diagnostics``: the ``meta`` of the uniform
 measure (quadrature diagnostics and layout) and of the tower, for the
-subcommands that build them.  With a fixed seed and fixed flags all data
-outputs are byte-identical across runs and thread counts.
+subcommands that build them, and ``stages``, the wall seconds spent in
+each named stage of the run (for example ``measure``, ``tower``,
+``stats``, ``write`` and ``hash``).  With a fixed seed and fixed flags
+all data outputs are byte-identical across runs and thread counts.
 
 Exit codes: 0 success; 2 usage or validation error; 3 internal error.
 """
@@ -27,7 +29,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +57,6 @@ def _order_name(i: int) -> str:
     return f"{_ORDINALS[i - 1]}order" if i <= len(_ORDINALS) else f"order{i}"
 
 
-@dataclass
-class RunManifest:
-    command: str
-    flags: dict
-    seed: int
-    threads: int
-    version: str
-    duration_s: float
-    outputs: dict
-    diagnostics: dict
-
-
 class _Run:
     """Collects output files and writes the manifest at the end."""
 
@@ -78,16 +67,19 @@ class _Run:
         self.t0 = time.perf_counter()
         self.files: list[Path] = []
         self.diagnostics: dict = {}
+        self.stages: dict[str, float] = {}
 
-    def record(self, path: Path) -> Path:
-        self.files.append(Path(path))
-        return path
+    def timed(self, stage: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, with its wall time added to ``stage``."""
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.stages[stage] = self.stages.get(stage, 0.0) + time.perf_counter() - start
 
-    def csv(self, name: str, header, rows) -> Path:
-        return self.record(write_csv(self.out / name, header, rows))
-
-    def json(self, name: str, payload) -> Path:
-        return self.record(write_json(self.out / name, payload))
+    def write(self, writer, name: str, *args, **kwargs) -> None:
+        """Write output file ``name`` with ``writer`` and record it."""
+        self.files.append(self.timed("write", writer, self.out / name, *args, **kwargs))
 
     def finish(self) -> None:
         skip = {"func", "out", "command"}
@@ -96,17 +88,17 @@ class _Run:
             for k, v in vars(self.args).items()
             if k not in skip and not callable(v)
         }
-        manifest = RunManifest(
-            command=self.command,
-            flags=flags,
-            seed=self.args.seed,
-            threads=self.args.threads,
-            version=__version__,
-            duration_s=time.perf_counter() - self.t0,
-            outputs={p.name: sha256_file(p) for p in sorted(self.files)},
-            diagnostics=self.diagnostics,
-        )
-        write_json(self.out / "manifest.json", asdict(manifest))
+        outputs = self.timed("hash", lambda: {p.name: sha256_file(p) for p in sorted(self.files)})
+        write_json(self.out / "manifest.json", {
+            "command": self.command,
+            "flags": flags,
+            "seed": self.args.seed,
+            "threads": self.args.threads,
+            "version": __version__,
+            "duration_s": time.perf_counter() - self.t0,
+            "outputs": outputs,
+            "diagnostics": {**self.diagnostics, "stages": self.stages},
+        })
 
 
 def _resolve_seed(value) -> int:
@@ -140,28 +132,23 @@ def _common_flags(sub: argparse.ArgumentParser, svg: bool = True) -> None:
 
 def _cmd_binomial_test(args) -> int:
     run = _Run(args, "binomial-test")
-    report = binomial_test(
-        args.n, args.k, resolution=args.resolution, grid_step=args.grid_step
-    )
+    report = run.timed("test", binomial_test, args.n, args.k,
+                       resolution=args.resolution, grid_step=args.grid_step)
     run.diagnostics["measure"] = report.meta
     if args.format == "json":
-        run.json("report.json", report.to_payload())
+        run.write(write_json, "report.json", report.to_payload())
     else:
-        run.csv("reference.csv", ["heads", "prob"],
-                [(i, v) for i, v in enumerate(report.reference)])
-        run.csv("hocs.csv", ["param", "ratio"],
-                zip(report.grid, report.ratios))
-        run.csv("density.csv", ["param", "density"],
-                zip(report.grid, report.density))
+        run.write(write_csv, "reference.csv", ["heads", "prob"],
+                  [range(len(report.reference)), report.reference])
+        run.write(write_csv, "hocs.csv", ["param", "ratio"], [report.grid, report.ratios])
+        run.write(write_csv, "density.csv", ["param", "density"], [report.grid, report.density])
     if getattr(args, "svg", False):
-        run.record(write_line_chart(
-            run.out / "hocs.svg", report.grid, {"ratio": report.ratios},
-            title=f"evidence ratio, {args.k} of {args.n} heads",
-            xlabel="null bias p", ylabel="ratio"))
-        run.record(write_line_chart(
-            run.out / "density.svg", report.grid, {"density": report.density},
-            title=f"uniformity density, n={args.n}",
-            xlabel="bias p", ylabel="density"))
+        run.write(write_line_chart, "hocs.svg", report.grid, {"ratio": report.ratios},
+                  title=f"evidence ratio, {args.k} of {args.n} heads",
+                  xlabel="null bias p", ylabel="ratio")
+        run.write(write_line_chart, "density.svg", report.grid, {"density": report.density},
+                  title=f"uniformity density, n={args.n}",
+                  xlabel="bias p", ylabel="density")
     run.finish()
     print(f"n={args.n} k={args.k} Z={format_float(report.z)}")
     print(f"reference[{args.k}]={format_float(report.observed_reference())}")
@@ -189,7 +176,7 @@ def _cmd_converge(args) -> int:
     run = _Run(args, "converge")
     events = _parse_events(args.events, args.n)
     family = binomial_family(args.n)
-    measure = build_measure(family, resolution=args.resolution)
+    measure = run.timed("measure", build_measure, family, resolution=args.resolution)
     cfg = TowerConfig(
         base=measure,
         base_samples=args.base_samples,
@@ -198,7 +185,7 @@ def _cmd_converge(args) -> int:
         seed=args.seed,
         base_mode=args.base_mode,
     )
-    tower = build_tower(cfg, n_jobs=args.threads)
+    tower = run.timed("tower", build_tower, cfg, n_jobs=args.threads)
     run.diagnostics.update(measure=measure.meta, tower=tower.meta)
 
     single = len(events) == 1
@@ -206,15 +193,12 @@ def _cmd_converge(args) -> int:
     for k in events:
         event = family.space.event([k])
         reference = measure.event_prob(event)
-        stats = convergence_stats(tower, event, reference=reference)
+        stats = run.timed("stats", convergence_stats, tower, event, reference=reference)
         sorted_cols = [np.sort(s.values) for s in stats]
         depth = max(c.size for c in sorted_cols)
         header = ["functionidx"] + [_order_name(s.order) for s in stats]
-        cells = [[format_float(x) for x in c.tolist()] + [""] * (depth - c.size)
-                 for c in sorted_cols]
-        rows = [[j, *row] for j, row in enumerate(zip(*cells))]
         stat_header = ["order", "mean", "sd", "max_dev_from_reference"]
-        stat_rows = [(s.order, s.mean, s.sd, s.max_dev_from_reference) for s in stats]
+        stat_columns = [[getattr(s, name) for s in stats] for name in stat_header]
         suffix = "" if single else f"_heads{k}"
         if args.format == "json":
             payload["events"][str(k)] = {
@@ -228,24 +212,24 @@ def _cmd_converge(args) -> int:
                                   for s, c in zip(stats, sorted_cols)},
             }
         else:
-            run.csv(f"table{suffix}.csv", header, rows)
-            run.csv(f"stats{suffix}.csv", stat_header, stat_rows)
+            run.write(write_csv, f"table{suffix}.csv", header, [range(depth), *sorted_cols])
+            run.write(write_csv, f"stats{suffix}.csv", stat_header, stat_columns)
         if getattr(args, "svg", False):
-            run.record(write_line_chart(
-                run.out / f"table{suffix}.svg",
+            run.write(
+                write_line_chart, f"table{suffix}.svg",
                 np.arange(depth),
                 {_order_name(s.order): np.pad(c, (0, depth - c.size),
                                               constant_values=np.nan)
                  for s, c in zip(stats, sorted_cols)},
                 title=f"implied probability of {k} heads by order",
-                xlabel="sorted particle index", ylabel="implied probability"))
+                xlabel="sorted particle index", ylabel="implied probability")
         print(f"event: {k} heads of {args.n}  reference={format_float(reference)}")
         for s in stats:
             print(f"  order {s.order}: n={s.n} mean={format_float(s.mean)} "
                   f"sd={format_float(s.sd)} "
                   f"max_dev={format_float(s.max_dev_from_reference)}")
     if args.format == "json":
-        run.json("converge.json", payload)
+        run.write(write_json, "converge.json", payload)
     run.finish()
     return 0
 
@@ -260,17 +244,17 @@ def _cmd_urn(args) -> int:
     colors = tuple(c for c in args.colors.split(",") if c)
     history = tuple(c for c in args.history.split(",") if c)
     state = UrnState(colors=colors, ball_total=args.balls, history=history)
-    predictive = urn_update(state, mode=args.mode)
+    predictive = run.timed("update", urn_update, state, mode=args.mode)
     printable = {c: format_value(v) for c, v in predictive.items()}
     if args.format == "json":
-        run.json("urn.json", {
+        run.write(write_json, "urn.json", {
             "colors": list(colors), "ball_total": args.balls,
             "history": list(history), "mode": args.mode,
             "predictive": printable,
         })
     else:
-        run.csv("urn.csv", ["color", "prob"],
-                [(c, v) for c, v in predictive.items()])
+        run.write(write_csv, "urn.csv", ["color", "prob"],
+                  [list(predictive), list(predictive.values())])
     run.finish()
     print(json.dumps(printable, indent=2, sort_keys=False))
     return 0
@@ -295,49 +279,44 @@ def _cmd_dilation(args) -> int:
         seed=args.seed,
         base_mode=args.base_mode,
     )
-    tower = build_tower(cfg, n_jobs=args.threads)
+    tower = run.timed("tower", build_tower, cfg, n_jobs=args.threads)
     run.diagnostics["tower"] = tower.meta
-    profile = dilation_profile(tower, pre, match)
+    profile = run.timed("stats", dilation_profile, tower, pre, match)
 
     lo, hi = _BAND
-    summary_header = ["order", "n", "n_excluded", "mean", "sd", "weighted_mean",
-                      "vmin", "vmax", "band_fraction"]
-    summary_rows = [
-        (o.order, o.n, o.n_excluded, o.mean, o.sd, o.weighted_mean,
-         o.vmin, o.vmax, o.band_fraction(lo, hi))
-        for o in profile.orders
-    ]
+    summary = [{"order": o.order, "n": o.n, "n_excluded": o.n_excluded, "mean": o.mean,
+                "sd": o.sd, "weighted_mean": o.weighted_mean, "vmin": o.vmin,
+                "vmax": o.vmax, "band_fraction": o.band_fraction(lo, hi)}
+               for o in profile.orders]
     if args.format == "json":
-        run.json("dilation.json", {
+        run.write(write_json, "dilation.json", {
             "pre_event": list(profile.pre_event.labels),
             "query_event": list(profile.query_event.labels),
             "n_dropped": profile.n_dropped,
             "band": [lo, hi],
-            "orders": [
-                {"order": o.order, "n": o.n, "n_excluded": o.n_excluded,
-                 "mean": o.mean, "sd": o.sd, "weighted_mean": o.weighted_mean,
-                 "vmin": o.vmin, "vmax": o.vmax,
-                 "band_fraction": o.band_fraction(lo, hi),
-                 "values": o.values.tolist()}
-                for o in profile.orders
-            ],
+            "orders": [{**row, "values": o.values.tolist()}
+                       for row, o in zip(summary, profile.orders)],
         })
     else:
-        run.csv("profile.csv", ["order", "particle", "value"],
-                ((o.order, j, v) for o in profile.orders
-                 for j, v in enumerate(o.values)))
-        run.csv("summary.csv", summary_header, summary_rows)
+        sizes = [o.values.size for o in profile.orders]
+        run.write(write_csv, "profile.csv", ["order", "particle", "value"], [
+            np.repeat([o.order for o in profile.orders], sizes),
+            np.concatenate([np.arange(size) for size in sizes]),
+            np.concatenate([o.values for o in profile.orders]),
+        ])
+        run.write(write_csv, "summary.csv", list(summary[0]),
+                  [[row[h] for row in summary] for h in summary[0]])
     if getattr(args, "svg", False):
         depth = max(o.n for o in profile.orders)
-        run.record(write_line_chart(
-            run.out / "dilation.svg",
+        run.write(
+            write_line_chart, "dilation.svg",
             np.arange(depth),
             {_order_name(o.order): np.pad(np.sort(o.values),
                                           (0, depth - o.n),
                                           constant_values=np.nan)
              for o in profile.orders},
             title="conditional match probability by order",
-            xlabel="sorted particle index", ylabel="P(match | coin 1 heads)"))
+            xlabel="sorted particle index", ylabel="P(match | coin 1 heads)")
     run.finish()
     o1 = profile.order(1)
     print(f"order 1 range: [{format_float(o1.vmin)}, {format_float(o1.vmax)}] "
@@ -359,22 +338,21 @@ def _cmd_tvu_density(args) -> int:
     if not 1 <= args.points <= MAX_GRID_CELLS:
         raise ConfigInvalid(f"--points must lie in 1..{MAX_GRID_CELLS}, got {args.points}")
     family = binomial_family(args.n)
-    measure = build_measure(family, resolution=args.resolution)
+    measure = run.timed("measure", build_measure, family, resolution=args.resolution)
     run.diagnostics["measure"] = measure.meta
     grid = np.linspace(0.0, 1.0, args.points)
-    density = _density_rows(family, grid[:, None])
+    density = run.timed("density", _density_rows, family, grid[:, None])
     if args.format == "json":
-        run.json("density.json", {
+        run.write(write_json, "density.json", {
             "n": args.n, "z": measure.z,
             "param": grid.tolist(), "density": density.tolist(),
         })
     else:
-        run.csv("density.csv", ["param", "density"], zip(grid, density))
+        run.write(write_csv, "density.csv", ["param", "density"], [grid, density])
     if getattr(args, "svg", False):
-        run.record(write_line_chart(
-            run.out / "density.svg", grid, {"density": density},
-            title=f"uniformity density, n={args.n}",
-            xlabel="bias p", ylabel="density"))
+        run.write(write_line_chart, "density.svg", grid, {"density": density},
+                  title=f"uniformity density, n={args.n}",
+                  xlabel="bias p", ylabel="density")
     run.finish()
     print(f"n={args.n} Z={format_float(measure.z)}")
     return 0

@@ -498,7 +498,13 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     grid = np.indices(sizes).reshape(d, -1)
     lo = np.stack([e[0][g] for e, g in zip(edges, grid)], axis=1)
     hi = np.stack([e[1][g] for e, g in zip(edges, grid)], axis=1)
-    boxes = _halve_boxes(family, lo, hi, _box_rules(family, lo, hi)[3])
+    # The start runs in chunks of at most BLOCK_ROWS**2 density evaluations,
+    # so its temporaries stay one chunk's size however many boxes there are.
+    chunk = max(1, BLOCK_ROWS**2 // (8**d + halving))
+    boxes = []
+    for c in range(0, lo.shape[0], chunk):
+        part_lo, part_hi = lo[c : c + chunk], hi[c : c + chunk]
+        boxes += _halve_boxes(family, part_lo, part_hi, _box_rules(family, part_lo, part_hi)[3])
     value = float(np.sum([b.value for b in boxes]))
     err = float(np.sum([b.err for b in boxes]))
     # One entry per live box, worst first; the unique key breaks ties.
@@ -704,13 +710,14 @@ class CountingMeasure:
     integer weights are ``counts``.  Like :class:`TvuMeasure`, the measure
     is a mixture of its members, so it holds one unnormalized mass per
     outcome, ``m_o = sum_i counts_i * member_i(o)``, and their total
-    ``sum(counts)``, summed once at construction in exact arithmetic.  An
+    ``sum(counts)``, summed in exact arithmetic on the first query (a
+    tower over the set reads only ``counts`` and ``weights``).  An
     event's probability is ``m[E] / sum(counts)``: a ``Fraction`` when
     every member is exact, otherwise that exact value rounded once to a
     float.
     """
 
-    __slots__ = ("credal_set", "weights", "counts", "_total", "_mass", "_result")
+    __slots__ = ("credal_set", "weights", "counts", "_total", "_summed")
 
     def __init__(self, credal_set: CredalSet, use_multiplicities: bool = False):
         if use_multiplicities:
@@ -718,19 +725,24 @@ class CountingMeasure:
         else:
             counts = (1,) * len(credal_set)
         total = sum(counts)
-        mass, result = _counted_mass(credal_set.space, credal_set.members, counts)
         object.__setattr__(self, "credal_set", credal_set)
         object.__setattr__(self, "weights", tuple(Fraction(c, total) for c in counts))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_mass", tuple(mass))
-        object.__setattr__(self, "_result", result)
+        object.__setattr__(self, "_summed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CountingMeasure is immutable")
 
     def __repr__(self) -> str:
         return f"CountingMeasure({len(self.credal_set)} members)"
+
+    def _held_mass(self) -> tuple[list[Fraction], type]:
+        """The members' :func:`_counted_mass`, summed on the first query."""
+        if self._summed is None:
+            c = self.credal_set
+            object.__setattr__(self, "_summed", _counted_mass(c.space, c.members, self.counts))
+        return self._summed
 
     def event_prob(self, event: Event, exclude: int | None = None):
         """Weighted-average probability of the event across members.
@@ -742,7 +754,8 @@ class CountingMeasure:
         form costs ``|E|`` additions.
         """
         _require_same_space(self.credal_set.space, event.space)
-        num = sum((self._mass[o] for o in event.indices), Fraction(0))
+        mass, result = self._held_mass()
+        num = sum((mass[o] for o in event.indices), Fraction(0))
         den = self._total
         if exclude is not None:
             probs = self.credal_set.member(exclude).probs
@@ -751,7 +764,7 @@ class CountingMeasure:
             den -= count
             if den == 0:
                 raise ZeroEvidence("cannot exclude the only member")
-        return self._result(num / den)
+        return result(num / den)
 
     def posterior_predictive(
         self, observed: Event, query: Event, lift: Callable | None = None
@@ -761,13 +774,16 @@ class CountingMeasure:
         ``lift`` maps each member to the distribution used for
         evaluation (e.g. :func:`iid_extension` to score multi-draw
         events); by default members are evaluated as they are.  Both
-        events are read from one mass vector over the lifted members.
-        Exact (``Fraction``) when all lifted members are exact.
+        events are read from one mass vector over the lifted members (the
+        held one when there is no ``lift``).  Exact (``Fraction``) when all
+        lifted members are exact.
         """
-        members = self.credal_set.members
-        if lift is not None:
-            members = [lift(m) for m in members]
-        mass, result = _counted_mass(observed.space, members, self.counts)
+        if lift is None:
+            _require_same_space(self.credal_set.space, observed.space)
+            mass, result = self._held_mass()
+        else:
+            members = [lift(m) for m in self.credal_set.members]
+            mass, result = _counted_mass(observed.space, members, self.counts)
         joint = query.intersect(observed)
         den = sum((mass[o] for o in observed.indices), Fraction(0))
         if den == 0:

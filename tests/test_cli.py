@@ -229,23 +229,27 @@ def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
     assert peak < 10e6
 
 
-# Small flags for each subcommand, and the meta objects its manifest must carry.
+# Small flags for each subcommand, the meta objects its manifest must carry
+# and the stages it times.
 DIAGNOSTICS = {
-    "binomial-test": (["--n", "6", "--grid-step", "0.1"], {"measure"}),
+    "binomial-test": (["--n", "6", "--grid-step", "0.1"], {"measure"}, {"test"}),
     "converge": (["--n", "4", "--base-samples", "30", "--order-samples", "30",
-                  "--max-order", "2"], {"measure", "tower"}),
-    "dilation": (["--grid", "11", "--samples", "30", "--orders", "2"], {"tower"}),
-    "tvu-density": (["--n", "4", "--points", "11"], {"measure"}),
-    "urn": (["--balls", "6", "--history", "red"], set()),
+                  "--max-order", "2"], {"measure", "tower"}, {"measure", "tower", "stats"}),
+    "dilation": (["--grid", "11", "--samples", "30", "--orders", "2"], {"tower"},
+                 {"tower", "stats"}),
+    "tvu-density": (["--n", "4", "--points", "11"], {"measure"}, {"measure", "density"}),
+    "urn": (["--balls", "6", "--history", "red"], set(), {"update"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(DIAGNOSTICS))
 def test_manifest_records_diagnostics(tmp_path, capsys, command):
-    flags, keys = DIAGNOSTICS[command]
+    flags, keys, stages = DIAGNOSTICS[command]
     assert main([command, *flags, "--out", str(tmp_path)]) == 0
     diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
-    assert set(diagnostics) == keys
+    assert set(diagnostics) == keys | {"stages"}
+    assert set(diagnostics["stages"]) == stages | {"write", "hash"}
+    assert all(seconds >= 0.0 for seconds in diagnostics["stages"].values())
     if "measure" in diagnostics:
         measure = diagnostics["measure"]
         assert measure["converged"] is True

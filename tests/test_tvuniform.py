@@ -34,11 +34,14 @@ from credal import (
     QuadratureNotConverged,
     SpaceMismatch,
     StepTooLarge,
+    TowerConfig,
     TvuMeasure,
+    UrnState,
     ZeroEvidence,
     bernoulli_family,
     binomial_family,
     build_measure,
+    build_tower,
     coin_match_family,
     component_event,
     iid_extension,
@@ -48,7 +51,9 @@ from credal import (
     product_space,
     thickness,
     tvu_density,
+    urn_credal_set,
 )
+from credal import tvuniform
 from credal.tvuniform import _breakpoints, _panel_edges
 
 N = 10
@@ -298,6 +303,23 @@ class TestMeasure:
         assert m.nodes.shape[0] < 589_824
         assert peak <= 16e6
 
+    def test_three_dimensional_start_is_evaluated_in_chunks(self):
+        # 512 starting boxes halved in one density batch peaked at 114.8 MB
+        # against the 25.2 MB the measure holds.
+        tracemalloc.start()
+        try:
+            m = build_measure(sqrt_family(3), resolution=8, tol=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m.meta["bytes_held"]
+
+    def test_one_dimensional_start_is_one_density_call(self):
+        calls = []
+        build_measure(sqrt_family(1, calls), resolution=2048, tol=1e-3)
+        # The starting boxes' whole-box rules, then all their halvings.
+        assert calls[:2] == [2048 * 8, 2048 * 16]
+
     @pytest.mark.parametrize("n", [1, 3, 7, 10, 13, 400, 1100])
     @pytest.mark.parametrize("resolution", [5, 24, 100, 1000, 4096])
     def test_panel_edges_match_per_segment_linspace(self, n, resolution):
@@ -454,6 +476,21 @@ class TestSimpleFamilies:
 
 
 class TestCountingMeasure:
+    def test_tower_base_never_sums_the_masses(self, monkeypatch):
+        calls, counted_mass = [], tvuniform._counted_mass
+        monkeypatch.setattr(tvuniform, "_counted_mass",
+                            lambda *args: calls.append(args) or counted_mass(*args))
+        c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=12))
+        m = CountingMeasure(c)
+        build_tower(TowerConfig(base=m, base_samples=20, order_samples=20, max_order=2))
+        build_tower(TowerConfig(base=c, base_mode="grid", order_samples=20, max_order=2))
+        assert calls == []
+        # By symmetry every colour's mean share over the compositions is 1/3.
+        events = [c.space.event(["r"]), c.space.event(["y", "b"])]
+        assert [m.event_prob(e) for e in events] == [Fraction(1, 3), Fraction(2, 3)]
+        assert m.event_prob(events[0], exclude=0) == Fraction(1, 3) * 91 / 90
+        assert len(calls) == 1  # summed once, on the first query
+
     def test_uniform_grid_degenerate_case_matches_continuum(self):
         # 101 exact members p = i/100 of a 1-toss family: the counting
         # average of p is exactly 1/2, agreeing with the continuum.
