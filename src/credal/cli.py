@@ -132,9 +132,11 @@ def _common_flags(sub: argparse.ArgumentParser, svg: bool = True) -> None:
 
 def _cmd_binomial_test(args) -> int:
     run = _Run(args, "binomial-test")
+    measure = run.timed("measure", build_measure, binomial_family(args.n),
+                        resolution=args.resolution)
     report = run.timed("test", binomial_test, args.n, args.k,
-                       resolution=args.resolution, grid_step=args.grid_step)
-    run.diagnostics["measure"] = report.meta
+                       grid_step=args.grid_step, measure=measure)
+    run.diagnostics["measure"] = measure.meta
     if args.format == "json":
         run.write(write_json, "report.json", report.to_payload())
     else:

@@ -304,11 +304,12 @@ def binomial_test(
     """Run the head-count test: ``k`` heads observed in ``n`` tosses.
 
     Builds the uniform measure over the ``n``-toss bias family (or uses
-    a prebuilt one), tabulates every head count's reference probability,
-    and sweeps the evidence ratio for the point null across a bias grid
-    of the given step.  At ``p = 0`` and ``p = 1`` the likelihood of any
-    interior head count is exactly zero, so the curve's endpoints are
-    exact zeros.
+    a prebuilt one, which must be over ``binomial_family(n)``), reads
+    every head count's reference probability from its
+    :meth:`~credal.tvuniform.TvuMeasure.outcome_probs`, and sweeps the
+    evidence ratio for the point null across a bias grid of the given
+    step.  At ``p = 0`` and ``p = 1`` the likelihood of any interior head
+    count is exactly zero, so the curve's endpoints are exact zeros.
     """
     if not 0 <= k <= n:
         raise ConfigInvalid(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -316,9 +317,15 @@ def binomial_test(
         raise ConfigInvalid(f"need a finite grid step in (0, 1], got {grid_step!r}")
     if measure is None:
         measure = build_measure(binomial_family(n), resolution=resolution)
+    elif not (
+        isinstance(measure, TvuMeasure)
+        and len(measure.family.space) == n + 1
+        and measure.family.meta.get("n") == n
+    ):
+        raise ConfigInvalid(f"the measure must be over binomial_family({n}), got {measure!r}")
     family = measure.family
     space = family.space
-    reference = tuple(measure.event_prob(space.event([i])) for i in range(n + 1))
+    reference = tuple(measure.outcome_probs().tolist())
     inverse = 1.0 / grid_step  # inf for the smallest subnormal steps
     steps = int(round(inverse)) if inverse < MAX_GRID_CELLS else MAX_GRID_CELLS
     if (steps + 1) * (n + 1) > MAX_GRID_CELLS:

@@ -54,7 +54,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -428,28 +428,21 @@ def _box_rules(family: ParamFamily, lo: np.ndarray, hi: np.ndarray):
     return xs, ws, rho, (ws * rho).sum(axis=1)
 
 
-class _Box(NamedTuple):
-    """One quadrature box, halved along its worst slot: the halves'
-    corners ``(2, d)``, nodes, weights, density values and integrals,
-    the integrals' sum, and the box's error estimate."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    rho: np.ndarray
-    halves: np.ndarray
-    value: float
-    err: float
+# The fields of :func:`_halve_boxes`' result, each an array with one row per box.
+_LO, _HI, _NODES, _WEIGHTS, _RHO, _HALVES, _VALUE, _ERR = range(8)
 
 
-def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> list[_Box]:
+def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> tuple:
     """Every slot's halving of boxes ``[lo_b, hi_b]``, in one density call.
 
     Halving a box along slot ``k`` applies the tensor rule to its two
     halves along ``k``; that slot's error is the distance of their sum
     from ``whole``, the box's single-rule integral.  A box's error is the
     sum over its slots, and it keeps the halving of its worst slot.
+    Returns one array per field, a row per box: the kept halves' corners
+    ``lo`` and ``hi`` ``(B, 2, d)``, nodes ``(B, 2 * 8**d, d)``, weights
+    and density values ``(B, 2 * 8**d)``, the halves' integrals ``(B, 2)``,
+    their sum and the box's error estimate.
     """
     n, d = lo.shape
     mid = (0.5 * (lo + hi))[:, None, None]
@@ -460,15 +453,11 @@ def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> 
     halves = halves.reshape(n, d, 2)
     values = halves.sum(axis=2)
     errs = np.abs(whole[:, None] - values)
-    err = errs.sum(axis=1)
     keep = (np.arange(n), errs.argmax(axis=1))
     sub_lo, sub_hi, halves, values = (a[keep] for a in (*sub, halves, values))
-    xs = xs.reshape(n, d, -1, d)[keep]
     ws, rho = (a.reshape(n, d, -1)[keep] for a in (ws, rho))
-    return [
-        _Box(sub_lo[i], sub_hi[i], xs[i], ws[i], rho[i], halves[i], values[i], err[i])
-        for i in range(n)
-    ]
+    return (sub_lo, sub_hi, xs.reshape(n, d, -1, d)[keep], ws, rho, halves, values,
+            errs.sum(axis=1))
 
 
 def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panels: int):
@@ -483,7 +472,15 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     summed error estimate, kept as a running total, drops below ``tol``
     relative to the integral; missing it within ``max_panels`` boxes
     raises :class:`QuadratureNotConverged`.  Returns the nodes, weights
-    and density values in box order, plus the diagnostics for ``meta``.
+    and density values in the boxes' lexicographic order of lower
+    corners, plus the diagnostics for ``meta``.
+
+    Boxes are held as arrays, one per field of :func:`_halve_boxes`: the
+    starting boxes fill preallocated arrays chunk by chunk, and are
+    already in lexicographic order, so a start that meets ``tol`` is
+    returned as it is.  Otherwise a heap of box indices drives the
+    splitting; each split appends its two children as one block, and the
+    live boxes are sorted with ``np.lexsort`` and gathered once per field.
     """
     d = family.ndim
     edges = [_panel_edges(_breakpoints(family, k), resolution) for k in range(d)]
@@ -498,52 +495,69 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     grid = np.indices(sizes).reshape(d, -1)
     lo = np.stack([e[0][g] for e, g in zip(edges, grid)], axis=1)
     hi = np.stack([e[1][g] for e, g in zip(edges, grid)], axis=1)
-    # The start runs in chunks of at most BLOCK_ROWS**2 density evaluations,
-    # so its temporaries stay one chunk's size however many boxes there are.
-    chunk = max(1, BLOCK_ROWS**2 // (8**d + halving))
-    boxes = []
-    for c in range(0, lo.shape[0], chunk):
+    # The start runs in chunks of at most BLOCK_ROWS * 128 node coordinates
+    # (density evaluations times d, the size of its largest temporaries), so
+    # they stay one chunk's size, about 2 MB, however many boxes there are.
+    start = lo.shape[0]
+    chunk = max(1, BLOCK_ROWS * 128 // ((8**d + halving) * d))
+    for c in range(0, start, chunk):
         part_lo, part_hi = lo[c : c + chunk], hi[c : c + chunk]
-        boxes += _halve_boxes(family, part_lo, part_hi, _box_rules(family, part_lo, part_hi)[3])
-    value = float(np.sum([b.value for b in boxes]))
-    err = float(np.sum([b.err for b in boxes]))
-    # One entry per live box, worst first; the unique key breaks ties.
-    heap = [(-b.err, key, b) for key, b in enumerate(boxes)]
-    heapq.heapify(heap)
-    counter = itertools.count(len(heap))
+        part = _halve_boxes(family, part_lo, part_hi, _box_rules(family, part_lo, part_hi)[3])
+        if c == 0:
+            boxes = [np.empty((start, *a.shape[1:])) for a in part]
+        for rows, a in zip(boxes, part):
+            rows[c : c + chunk] = a
+    value, err = float(np.sum(boxes[_VALUE])), float(np.sum(boxes[_ERR]))
+    added, split = [[] for _ in boxes], []
 
-    while err > tol * max(abs(value), 1e-300) and len(heap) < max_panels:
-        worst = heap[0][2]
-        if worst.err == 0.0:  # every box is exact; the running total only holds rounding
-            err = 0.0
-            break
-        heapq.heappop(heap)
-        for child in _halve_boxes(family, worst.lo, worst.hi, worst.halves):
-            heapq.heappush(heap, (-child.err, next(counter), child))
-            value += child.value
-            err += child.err
-        value -= worst.value
-        err -= worst.err
-        evaluations += 2 * halving
+    def field(f: int, i: int):
+        """Field ``f`` of box ``i``: a starting box, or a row of an added block."""
+        return boxes[f][i] if i < start else added[f][(i - start) // 2][(i - start) % 2]
 
+    if err > tol * max(abs(value), 1e-300):
+        # One entry per live box, worst first; the box index breaks ties.
+        heap = [(-e, i) for i, e in enumerate(boxes[_ERR].tolist())]
+        heapq.heapify(heap)
+        while err > tol * max(abs(value), 1e-300) and len(heap) < max_panels:
+            worst = heap[0][1]
+            if field(_ERR, worst) == 0.0:  # every box is exact; the total only holds rounding
+                err = 0.0
+                break
+            heapq.heappop(heap)
+            part = _halve_boxes(family, *(field(f, worst) for f in (_LO, _HI, _HALVES)))
+            for j in range(2):
+                heapq.heappush(heap, (-part[_ERR][j], start + 2 * len(split) + j))
+                value += part[_VALUE][j]
+                err += part[_ERR][j]
+            value -= field(_VALUE, worst)
+            err -= field(_ERR, worst)
+            for blocks, a in zip(added, part):
+                blocks.append(a)
+            split.append(worst)
+            evaluations += 2 * halving
+
+    panels = start + len(split)
     scale = max(abs(value), 1e-300)
     if err > tol * scale:
         raise QuadratureNotConverged(
-            f"error estimate {err / scale:.3g} above tol {tol:g} at {len(heap)} panels"
+            f"error estimate {err / scale:.3g} above tol {tol:g} at {panels} panels"
         )
-    ordered = sorted((b for _, _, b in heap), key=lambda b: b.lo[0].tolist())
     diagnostics = {
         "err_estimate": err / scale,
         "converged": True,
-        "panels": len(ordered),
+        "panels": panels,
         "evaluations": evaluations,
     }
-    return (
-        np.concatenate([b.nodes for b in ordered]),
-        np.concatenate([b.weights for b in ordered]),
-        np.concatenate([b.rho for b in ordered]),
-        diagnostics,
-    )
+    fields = (_NODES, _WEIGHTS, _RHO)
+    if not split:
+        return (*(boxes[f].reshape(-1, *boxes[f].shape[2:]) for f in fields), diagnostics)
+    ids = np.delete(np.arange(start + 2 * len(split)), split)
+    ids = ids[np.lexsort(np.concatenate([boxes[_LO], *added[_LO]])[ids, 0].T[::-1])]
+    out = {}
+    for f in fields[::-1]:  # one field at a time, the nodes last; each dropped once gathered
+        out[f] = np.concatenate([boxes[f], *added[f]])[ids].reshape(-1, *boxes[f].shape[2:])
+        boxes[f] = added[f] = None
+    return (*(out[f] for f in fields), diagnostics)
 
 
 class TvuMeasure:
@@ -558,10 +572,11 @@ class TvuMeasure:
     It holds O(nodes + outcomes) numbers, never a nodes x outcomes
     matrix.  An event's probability is its outcomes' mass over ``Z``,
     so it costs ``|E|`` additions and is deterministic for a given
-    construction.  ``meta`` records the construction's settings, the
-    quadrature diagnostics (``err_estimate`` relative to ``Z``,
-    ``converged``, ``panels``, ``evaluations``) and the layout
-    (``block_rows`` and ``bytes_held``, the bytes of the arrays held).
+    construction; :meth:`outcome_probs` divides the whole mass vector at
+    once, for a table over every outcome.  ``meta`` records the
+    construction's settings, the quadrature diagnostics (``err_estimate``
+    relative to ``Z``, ``converged``, ``panels``, ``evaluations``) and the
+    layout (``block_rows`` and ``bytes_held``, the bytes of the arrays held).
     """
 
     __slots__ = ("family", "nodes", "weights", "density", "z", "_mass", "_outcome_mass", "meta")
@@ -636,6 +651,14 @@ class TvuMeasure:
         """Probability of an event on the family's outcome space."""
         _require_same_space(self.family.space, event.space)
         return float(self._outcome_mass[list(event.indices)].sum()) / self.z
+
+    def outcome_probs(self) -> np.ndarray:
+        """Every outcome's probability, in outcome order: ``m / Z``.
+
+        Each entry equals :meth:`event_prob` of that outcome's singleton
+        bit for bit, since a one-element sum is the element itself.
+        """
+        return self._outcome_mass / self.z
 
     def expectation(self, values: np.ndarray) -> float:
         """Measure-weighted mean of per-node values (e.g. a statistic of x)."""
@@ -839,6 +862,15 @@ def build_measure(
 # ---------------------------------------------------------------------------
 
 
+def _binomial_log_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log C(n, k)`` for ``k = 0..n`` and ``log(n * C(n-1, j))`` for
+    ``j = 0..n-1``, from one exact Pascal row: ``n * C(n-1, j)`` is the
+    integer ``(j+1) * C(n, j+1)``."""
+    row = list(itertools.accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))
+    log_comb = np.array([math.log(c) for c in row])
+    return log_comb, np.array([math.log(j * c) for j, c in enumerate(row[1:], 1)])
+
+
 def binomial_family(n: int) -> ParamFamily:
     """Head-count distributions of ``n`` i.i.d. tosses with bias ``p``.
 
@@ -847,15 +879,16 @@ def binomial_family(n: int) -> ParamFamily:
     ``[j/n, (j+1)/n]`` it is ``n * C(n-1, j) * p^j * (1-p)^(n-1-j)``, with
     sharp points at ``k/n`` and value exactly ``n`` at both endpoints.
     Both it and the pmf are evaluated as ``exp`` of log terms with the
-    log binomial coefficients taken from exact integers, so any ``n``
-    whose matrices fit in memory works; ``p = 0`` and ``p = 1`` stay exact.
+    log binomial coefficients taken from one exact Pascal row of integers,
+    ``C(n, k+1) = C(n, k) * (n-k) // (k+1)``, so any ``n`` whose matrices
+    fit in memory works; ``p = 0`` and ``p = 1`` stay exact.  The pmf's
+    head counts and pivot are float64 from the start: small integers are
+    exact there, so no block pays an integer-to-float cast.
     """
     if n < 1:
         raise ConfigInvalid("need n >= 1")
-    ks = np.arange(n + 1)
-    log_comb = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
-    # log(n * C(n-1, j)) for the thickness on panel j.
-    log_thick = np.array([math.log(n * math.comb(n - 1, j)) for j in range(n)])
+    ks = np.arange(n + 1, dtype=np.float64)
+    log_comb, log_thick = _binomial_log_coefficients(n)
 
     def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         p = xs[:, 0]
@@ -866,7 +899,7 @@ def binomial_family(n: int) -> ParamFamily:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_p, log_q = np.log(p), np.log1p(-p)
             out[...] = ks
-            out -= (n * upper)[:, None]
+            out -= np.where(upper, float(n), 0.0)[:, None]
             out *= (log_p - log_q)[:, None]
             out += (n * np.where(upper, log_p, log_q))[:, None]
             out += log_comb
@@ -889,7 +922,7 @@ def binomial_family(n: int) -> ParamFamily:
 
     return ParamFamily(
         ParamBox([(0.0, 1.0)]),
-        OutcomeSpace([int(k) for k in ks]),
+        OutcomeSpace(range(n + 1)),
         probs_batch,
         kinks=[tuple(k / n for k in range(1, n))],
         thickness_batch=[thickness_batch],

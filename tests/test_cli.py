@@ -232,7 +232,7 @@ def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
 # Small flags for each subcommand, the meta objects its manifest must carry
 # and the stages it times.
 DIAGNOSTICS = {
-    "binomial-test": (["--n", "6", "--grid-step", "0.1"], {"measure"}, {"test"}),
+    "binomial-test": (["--n", "6", "--grid-step", "0.1"], {"measure"}, {"measure", "test"}),
     "converge": (["--n", "4", "--base-samples", "30", "--order-samples", "30",
                   "--max-order", "2"], {"measure", "tower"}, {"measure", "tower", "stats"}),
     "dilation": (["--grid", "11", "--samples", "30", "--orders", "2"], {"tower"},

@@ -23,13 +23,16 @@ import credal
 from credal import (
     ConfigInvalid,
     CountingMeasure,
+    Event,
     ImpossibleHistory,
     IndexOutOfRange,
+    TvuMeasure,
     UrnState,
     ZeroEvidence,
     binomial_family,
     binomial_test,
     build_measure,
+    coin_match_family,
     component_event,
     hocs_curve,
     hocs_ratio,
@@ -282,6 +285,40 @@ class TestBinomialTestReport:
     def test_k_bounds(self):
         with pytest.raises(ConfigInvalid):
             binomial_test(10, 11)
+
+    def test_prebuilt_measure_gives_the_same_report(self):
+        measure = build_measure(binomial_family(10))
+        got, want = binomial_test(10, 3, measure=measure), binomial_test(10, 3)
+        assert got.reference == want.reference and got.z == want.z
+        np.testing.assert_array_equal(got.ratios, want.ratios)
+
+    @pytest.mark.parametrize("family", [binomial_family(10), coin_match_family()],
+                             ids=["binomial10", "coin-match"])
+    def test_measure_of_another_family_is_rejected(self, family):
+        # A binomial(10) measure once gave n = 3 a reference of its first
+        # four head counts; a coin-match measure has no head counts at all.
+        with pytest.raises(ConfigInvalid, match="binomial_family"):
+            binomial_test(3, 2, measure=build_measure(family))
+
+    def test_reference_table_is_one_vector_read(self, monkeypatch):
+        # The reference is the measure's outcome_probs(), not one
+        # event_prob per head count; only the observed count is an Event.
+        calls = {"event_prob": 0, "events": 0}
+        event_prob, event_init = TvuMeasure.event_prob, Event.__init__
+
+        def counted_prob(self, event):
+            calls["event_prob"] += 1
+            return event_prob(self, event)
+
+        def counted_init(self, *args, **kwargs):
+            calls["events"] += 1
+            event_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TvuMeasure, "event_prob", counted_prob)
+        monkeypatch.setattr(Event, "__init__", counted_init)
+        report = binomial_test(400, 123)
+        assert len(report.reference) == 401
+        assert calls["event_prob"] == 0 and calls["events"] <= 2
 
     def test_direct_call_reuses_its_workspace(self):
         # A library caller gets no process-wide allocator settings.  Were the

@@ -135,6 +135,33 @@ def sqrt_family(ndim: int, calls: list | None = None) -> ParamFamily:
     )
 
 
+def comb_log_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The binomial family's log coefficients from one ``math.comb`` call each."""
+    return (
+        np.array([math.log(math.comb(n, k)) for k in range(n + 1)]),
+        np.array([math.log(n * math.comb(n - 1, j)) for j in range(n)]),
+    )
+
+
+def int_pmf(n: int, xs: np.ndarray) -> np.ndarray:
+    """The binomial pmf with integer head counts and pivot, step for step as
+    the family computes it in floats."""
+    log_comb, ks, p = comb_log_coefficients(n)[0], np.arange(n + 1), xs[:, 0]
+    out = np.empty((xs.shape[0], n + 1))
+    upper = p > 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+        out[...] = ks
+        out -= (n * upper)[:, None]
+        out *= (log_p - log_q)[:, None]
+        out += (n * np.where(upper, log_p, log_q))[:, None]
+        out += log_comb
+    np.exp(out, out=out)
+    out[p == 0.0] = ks == 0
+    out[p == 1.0] = ks == n
+    return out
+
+
 @pytest.fixture(scope="module")
 def family():
     return binomial_family(N)
@@ -305,14 +332,15 @@ class TestMeasure:
 
     def test_three_dimensional_start_is_evaluated_in_chunks(self):
         # 512 starting boxes halved in one density batch peaked at 114.8 MB
-        # against the 25.2 MB the measure holds.
+        # against the 25.2 MB the measure holds; chunked, but copied out of
+        # per-box records at the end, 42.6 MB.
         tracemalloc.start()
         try:
             m = build_measure(sqrt_family(3), resolution=8, tol=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * m.meta["bytes_held"]
+        assert peak <= 1.25 * m.meta["bytes_held"]
 
     def test_one_dimensional_start_is_one_density_call(self):
         calls = []
@@ -361,6 +389,56 @@ class TestMeasure:
         m = build_measure(fam)
         assert math.isfinite(m.z) and m.z > 0.0
         assert m.meta["converged"] is True
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 400, 1100])
+    def test_pascal_row_matches_math_comb_bitwise(self, n):
+        for got, want in zip(tvuniform._binomial_log_coefficients(n), comb_log_coefficients(n)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_family_makes_no_comb_calls(self, monkeypatch):
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        binomial_family(400)
+        assert calls == []
+
+    def test_float_pmf_matches_integer_pmf_bitwise(self):
+        n = 400
+        fam = binomial_family(n)
+        ps = [0.0, 1e-300, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 1.0]
+        for xs in (np.array(ps)[:, None], build_measure(fam).nodes):
+            assert fam.probs_matrix(xs).tobytes() == int_pmf(n, xs).tobytes()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: binomial_family(10), lambda: binomial_family(400), coin_match_family],
+        ids=["binomial10", "binomial400", "coin-match"],
+    )
+    def test_outcome_probs_equal_singleton_event_probs_bitwise(self, make):
+        m = build_measure(make())
+        space = m.family.space
+        want = [m.event_prob(space.event([label])) for label in space.labels]
+        got = m.outcome_probs()
+        assert got.tolist() == want
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_refined_boxes_come_out_in_lexicographic_order(self, monkeypatch):
+        # Every box the splitting makes, keyed by its node bytes; the
+        # measure's nodes, cut into boxes, must list the boxes that were
+        # never split, sorted by lower corner with slot 0 first.
+        halve, corners = tvuniform._halve_boxes, {}
+
+        def spy(family, lo, hi, whole):
+            fields = halve(family, lo, hi, whole)
+            for corner, nodes in zip(fields[tvuniform._LO][:, 0], fields[tvuniform._NODES]):
+                corners[nodes.tobytes()] = tuple(corner.tolist())
+            return fields
+
+        monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
+        m = build_measure(sqrt_family(2), resolution=8, tol=1e-9)
+        assert m.meta["panels"] > 8 * 8
+        got = [corners[box.tobytes()] for box in m.nodes.reshape(-1, 2 * 8**2, 2)]
+        assert len(got) == m.meta["panels"] == len(set(got))
+        assert got == sorted(got)
 
     @pytest.mark.parametrize("n", [10, 400, 1100])
     def test_binomial_pmf_matches_exact_rationals(self, n):
