@@ -220,9 +220,7 @@ def _cmd_converge(args) -> int:
             run.write(
                 write_line_chart, f"table{suffix}.svg",
                 np.arange(depth),
-                {_order_name(s.order): np.pad(c, (0, depth - c.size),
-                                              constant_values=np.nan)
-                 for s, c in zip(stats, sorted_cols)},
+                {_order_name(s.order): c for s, c in zip(stats, sorted_cols)},
                 title=f"implied probability of {k} heads by order",
                 xlabel="sorted particle index", ylabel="implied probability")
         print(f"event: {k} heads of {args.n}  reference={format_float(reference)}")
@@ -313,10 +311,7 @@ def _cmd_dilation(args) -> int:
         run.write(
             write_line_chart, "dilation.svg",
             np.arange(depth),
-            {_order_name(o.order): np.pad(np.sort(o.values),
-                                          (0, depth - o.n),
-                                          constant_values=np.nan)
-             for o in profile.orders},
+            {_order_name(o.order): np.sort(o.values) for o in profile.orders},
             title="conditional match probability by order",
             xlabel="sorted particle index", ylabel="P(match | coin 1 heads)")
     run.finish()

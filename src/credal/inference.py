@@ -6,7 +6,8 @@ Two workhorses live here.
 total of balls in known colors but unknown composition; draws are with
 replacement.  Complete agnosticism over compositions is the counting
 prior, and the posterior predictive after any history is a ratio of
-integer sums — computed exactly with ``fractions.Fraction``.
+integer sums over compositions, each one coefficient of a polynomial
+product, returned exactly as ``fractions.Fraction``.
 
 ``hocs_ratio`` scores a point null hypothesis inside a parametrized
 family against the family as a whole: the likelihood the null member
@@ -102,37 +103,39 @@ def urn_compositions(ball_total: int, n_colors: int):
 def urn_update(state: UrnState, mode: str = "exact"):
     """Posterior predictive color probabilities after the state's history.
 
-    The prior is counting-uniform over all compositions; each
-    composition's likelihood for the history is a monomial in its
-    counts, so the predictive reduces to ratios of integer sums:
+    Under the counting prior over compositions ``k`` of the ``N`` balls,
+    with ``h_c`` draws of color ``c`` so far,
 
-        P(next = c | history) = sum_i w_i * count_i[c] / (N * sum_i w_i),
-        w_i = prod_c count_i[c] ** (#draws of c in history).
+        P(next = c | history) = S(h + 1_c) / (N * S(h)),
+        S(e) = sum_k prod_c k_c ** e_c = [t^N] prod_c sum_x x ** e_c * t^x
 
-    ``mode="exact"`` returns ``Fraction`` values (the default),
-    ``mode="float"`` plain floats.
+    (generating functions, ``0 ** 0 = 1``): ``c + 1`` integer polynomial
+    products cut off at degree ``N``, at most ``(c + 1) * c * (N + 1) *
+    (N + 2) / 2`` multiply-adds; a request for more than ``MAX_GRID_CELLS``
+    raises :class:`ConfigInvalid`.  ``mode="exact"`` returns ``Fraction``
+    values (the default), ``mode="float"`` the floats nearest them.
     """
     if mode not in ("exact", "float"):
         raise ConfigInvalid(f"unknown mode {mode!r}")
     n, colors = state.ball_total, state.colors
-    h = [sum(1 for d in state.history if d == c) for c in colors]
-    totals = [0] * len(colors)
-    wsum = 0
-    for counts in urn_compositions(n, len(colors)):
-        w = 1
-        for cnt, hc in zip(counts, h):
-            if hc:
-                w *= cnt**hc
-        if w == 0:
-            continue
-        wsum += w
-        for j, cnt in enumerate(counts):
-            totals[j] += w * cnt
-    if wsum == 0:  # pragma: no cover - guarded by history validation
+    work = (len(colors) + 1) * len(colors) * (n + 1) * (n + 2) // 2
+    if work > MAX_GRID_CELLS:
+        raise ConfigInvalid(f"an urn of {n} balls in {len(colors)} colors needs "
+                            f"{work} integer products, above {MAX_GRID_CELLS}")
+
+    def weight(exponents) -> int:
+        poly, *rest = [[x**e for x in range(n + 1)] for e in exponents]
+        for powers in rest[:-1]:
+            poly = [sum(map(int.__mul__, poly[: d + 1], powers[d::-1])) for d in range(n + 1)]
+        return sum(map(int.__mul__, poly, rest[-1][::-1])) if rest else poly[n]
+
+    h = [state.history.count(c) for c in colors]
+    wsum = weight(h)
+    if wsum == 0:  # more colors drawn than there are balls
         raise ImpossibleHistory("no composition can generate the history")
-    if mode == "float":
-        return {c: t / (n * wsum) for c, t in zip(colors, totals)}
-    return {c: Fraction(t, n * wsum) for c, t in zip(colors, totals)}
+    exact = {c: Fraction(weight([e + (j == i) for j, e in enumerate(h)]), n * wsum)
+             for i, c in enumerate(colors)}
+    return {c: float(v) for c, v in exact.items()} if mode == "float" else exact
 
 
 def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:

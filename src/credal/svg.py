@@ -46,8 +46,9 @@ def write_line_chart(
 ) -> Path:
     """Plot one or more y-series against shared x values and save as SVG.
 
-    Raises :class:`~credal.errors.LengthMismatch` when there are no x
-    values or no y values to plot.
+    A series shorter than ``xs`` is plotted over its own length, against
+    the first x values.  Raises :class:`~credal.errors.LengthMismatch`
+    when there are no x values or no y values to plot.
     """
     xs = [float(x) for x in xs]
     ys_all = [float(v) for ys in series.values() for v in ys]

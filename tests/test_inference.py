@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import credal
 from credal import (
@@ -96,6 +98,36 @@ class TestUrnUpdate:
             got = urn_update(state)
             want = brute_force_urn(12, colors, history)
             assert got == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_random_small_urns(self, data):
+        n = data.draw(st.integers(1, 12), label="balls")
+        colors = tuple(f"c{i}" for i in range(data.draw(st.integers(1, 4), label="colors")))
+        history = tuple(data.draw(st.lists(st.sampled_from(colors), max_size=5), label="history"))
+        state = UrnState(colors=colors, ball_total=n, history=history)
+        if len(set(history)) > n:  # no composition holds every drawn color
+            with pytest.raises(ImpossibleHistory):
+                urn_update(state)
+            return
+        want = brute_force_urn(n, colors, history)
+        assert urn_update(state) == want
+        floats = urn_update(state, mode="float")
+        assert [floats[c].hex() for c in colors] == [float(want[c]).hex() for c in colors]
+
+    def test_never_enumerates_compositions(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(credal.inference, "urn_compositions",
+                            lambda *a: calls.append(a) or urn_compositions(*a))
+        colors = ("c1", "c2", "c3", "c4", "c5")
+        state = UrnState(colors=colors, ball_total=48,
+                         history=("c1", "c3", "c3", "c5", "c2", "c1"))
+        assert sum(urn_update(state).values()) == 1
+        assert calls == []
+
+    def test_more_colors_drawn_than_balls_is_impossible(self):
+        with pytest.raises(ImpossibleHistory):
+            urn_update(UrnState(colors=("a", "b"), ball_total=1, history=("a", "b")))
 
     def test_single_draw_closed_form(self):
         # After one red from an N-ball urn: P(red) = (N + 1) / (2 N).

@@ -54,7 +54,7 @@ from credal import (
     urn_credal_set,
 )
 from credal import tvuniform
-from credal.tvuniform import _breakpoints, _panel_edges
+from credal.tvuniform import _breakpoints, _density_rows, _panel_edges
 
 N = 10
 KINKS = [k / N for k in range(1, N)]
@@ -203,6 +203,11 @@ class TestThickness:
     def test_endpoints_equal_n_exactly(self, family):
         assert tvu_density(family, 0.0) == float(N)
         assert tvu_density(family, 1.0) == float(N)
+
+    def test_point_density_is_the_batch_path_bitwise(self, family):
+        points = [0.0, *KINKS, 0.05, 0.123, 0.37, 0.6180339887, 0.999, 1.0]
+        batch = _density_rows(family, np.array(points)[:, None])
+        assert [tvu_density(family, p).hex() for p in points] == [v.hex() for v in batch]
 
     def test_endpoint_finite_difference_is_one_sided(self, family):
         assert thickness(family, 0.0, 0) == pytest.approx(float(N), abs=1e-3)
@@ -504,6 +509,21 @@ class TestMeasure:
         )
         with pytest.raises(DegenerateFamily):
             build_measure(flat)
+        negative = ParamFamily(flat.box, flat.space, flat.probs_batch_fn,
+                               thickness_batch=[lambda xs: -np.ones(xs.shape[0])])
+        with pytest.raises(DegenerateFamily):
+            tvu_density(negative, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 65_536])
+    def test_binomial_family_refuses_n_past_one_block_of_cells(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="33554432"):
+                binomial_family(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_invalid_configs(self, family):
         with pytest.raises(ConfigInvalid):
