@@ -235,8 +235,6 @@ def hocs_curve(measure, event: Event, params) -> list[HocsResult]:
         return [hocs_ratio(measure, p, event) for p in params]
     family = measure.family
     xs = params[:, None] if params.ndim == 1 else params
-    if not all(family.box.contains(x) for x in xs):
-        raise IndexOutOfRange("parameter grid reaches outside the box")
     likes = family.event_probs(xs, event)
     ref = measure.event_prob(event)
     if ref <= 0.0:

@@ -20,9 +20,9 @@ Two regimes are supported:
   The starting boxes are the product of each slot's panels, which break
   at the slot's registered kinks.  Every box is halved along each slot
   in turn, and the distance of the halves' sum from the whole-box rule
-  is that slot's error; one loop splits the box with the largest summed
-  error along its worst slot (QUADPACK's greedy policy, Piessens et al.
-  1983; for boxes, Genz & Malik 1980).  A tolerance the quadrature
+  is that slot's error (Genz & Malik 1980).  Each round splits, along
+  its worst slot, every box whose summed error is at least its equal
+  share of the tolerance, in one batch.  A tolerance the quadrature
   cannot reach within ``max_panels`` boxes raises
   :class:`~credal.errors.QuadratureNotConverged`.
 
@@ -50,7 +50,6 @@ points at ``k/n``, equals ``n`` at both endpoints, and its normalizer for
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -281,9 +280,17 @@ class ParamFamily:
     __call__ = eval
 
     def event_probs(self, xs: np.ndarray, event: Event) -> np.ndarray:
-        """The event's probability at each row of ``xs``, ``BLOCK_ROWS`` rows at a time."""
+        """The event's probability at each row of ``xs``, ``BLOCK_ROWS`` rows at a time.
+
+        Every row must lie in the box; a row with a NaN does not.
+        """
         _require_same_space(self.space, event.space)
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        if xs.shape[1] != self.ndim:
+            raise LengthMismatch(f"expected (N, {self.ndim}) parameter rows")
+        lo, hi = np.array(self.box.intervals).T
+        if not np.all((lo <= xs) & (xs <= hi)):
+            raise IndexOutOfRange("parameter rows reach outside the box")
         cols = list(event.indices)
         out = np.empty(xs.shape[0])
         for rows, _, probs in _prob_blocks(self, xs):
@@ -369,7 +376,10 @@ def _thickness_column(family: ParamFamily, xs: np.ndarray, k: int) -> np.ndarray
 
 def tvu_density(family: ParamFamily, x) -> float:
     """Unnormalized uniformity density: product of per-slot thicknesses."""
-    return float(_density_rows(family, [_as_point(x, family.ndim)])[0])
+    x = _as_point(x, family.ndim)
+    if not family.box.contains(x):
+        raise IndexOutOfRange(f"parameter {x} outside the box")
+    return float(_density_rows(family, [x])[0])
 
 
 def _density_rows(family: ParamFamily, xs: np.ndarray) -> np.ndarray:
@@ -455,6 +465,24 @@ def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> 
             errs.sum(axis=1))
 
 
+def _halve_in_chunks(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole=None) -> list:
+    """:func:`_halve_boxes` in chunks of at most ``BLOCK_ROWS * 128`` node
+    coordinates (evaluations times ``d``, the size of its largest
+    temporaries: about 2 MB however many boxes), into one array per field.
+    ``whole`` defaults to each box's single-rule integral, chunk by chunk."""
+    n, d = lo.shape
+    chunk = max(1, BLOCK_ROWS * 128 // ((1 + 2 * d) * 8**d * d))
+    for c in range(0, n, chunk):
+        rows = slice(c, c + chunk)
+        part_whole = _box_rules(family, lo[rows], hi[rows])[3] if whole is None else whole[rows]
+        part = _halve_boxes(family, lo[rows], hi[rows], part_whole)
+        if c == 0:
+            fields = [np.empty((n, *a.shape[1:])) for a in part]
+        for field, a in zip(fields, part):
+            field[rows] = a
+    return fields
+
+
 def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panels: int):
     """Adaptively refined Gauss-Legendre boxes for the family's density.
 
@@ -462,97 +490,66 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     breakpoint segments (kinks are always box faces) subdivided to
     roughly ``resolution`` panels in proportion to length.  Every box
     carries the error estimate of :func:`_halve_boxes` and the halving
-    of its worst slot.  The worst box is split along that slot, each
-    child taking its half integral as its single-rule value, until the
-    summed error estimate, kept as a running total, drops below ``tol``
-    relative to the integral; missing it within ``max_panels`` boxes
-    raises :class:`QuadratureNotConverged`.  Returns the nodes, weights
-    and density values in the boxes' lexicographic order of lower
-    corners, plus the diagnostics for ``meta``.
+    of its worst slot.  Until the summed error estimate drops below
+    ``tol`` relative to the integral, each round splits every box whose
+    error is at least its equal share of the budget, ``min(max error,
+    tol * |integral| / B)`` over ``B`` live boxes, worst first and at
+    most ``max_panels - B`` of them; each child takes its half integral
+    as its single-rule value.  Missing ``tol`` within ``max_panels``
+    boxes raises :class:`QuadratureNotConverged`.  Returns the nodes,
+    weights and density values in the boxes' lexicographic order of
+    lower corners, plus the diagnostics for ``meta``.
 
-    Boxes are held as arrays, one per field of :func:`_halve_boxes`: the
-    starting boxes fill preallocated arrays chunk by chunk, and are
-    already in lexicographic order, so a start that meets ``tol`` is
-    returned as it is.  Otherwise a heap of box indices drives the
-    splitting; each split appends its two children as one block, and the
-    live boxes are sorted with ``np.lexsort`` and gathered once per field.
+    Boxes are held as arrays, one per field of :func:`_halve_boxes`.
+    The starting boxes are already in lexicographic order; a round
+    halves the split boxes' kept halves in chunks, as the start is
+    evaluated, and gathers the live boxes back into that order with
+    ``np.lexsort``.  The totals are summed afresh over the live boxes.
     """
     d = family.ndim
     edges = [_panel_edges(_breakpoints(family, k), resolution) for k in range(d)]
     sizes = [lo.size for lo, _ in edges]
     halving = 2 * d * 8**d  # density evaluations to halve one box along every slot
-    evaluations = math.prod(sizes) * (8**d + halving)
-    if evaluations > MAX_GRID_CELLS:
+    start = math.prod(sizes)
+    evaluations = start * (8**d + halving)
+    # The measure's outcome-mass pass evaluates every node's distribution.
+    cells = start * 2 * 8**d * len(family.space)
+    if max(evaluations, cells) > MAX_GRID_CELLS:
         raise ConfigInvalid(
-            f"{sizes} starting panels per slot need {evaluations} density"
-            f" evaluations, above {MAX_GRID_CELLS}; lower the resolution"
+            f"{sizes} starting panels per slot need {evaluations} density evaluations"
+            f" and {cells} node-outcome cells, above {MAX_GRID_CELLS}; lower the resolution"
         )
     grid = np.indices(sizes).reshape(d, -1)
     lo = np.stack([e[0][g] for e, g in zip(edges, grid)], axis=1)
     hi = np.stack([e[1][g] for e, g in zip(edges, grid)], axis=1)
-    # The start runs in chunks of at most BLOCK_ROWS * 128 node coordinates
-    # (density evaluations times d, the size of its largest temporaries), so
-    # they stay one chunk's size, about 2 MB, however many boxes there are.
-    start = lo.shape[0]
-    chunk = max(1, BLOCK_ROWS * 128 // ((8**d + halving) * d))
-    for c in range(0, start, chunk):
-        part_lo, part_hi = lo[c : c + chunk], hi[c : c + chunk]
-        part = _halve_boxes(family, part_lo, part_hi, _box_rules(family, part_lo, part_hi)[3])
-        if c == 0:
-            boxes = [np.empty((start, *a.shape[1:])) for a in part]
-        for rows, a in zip(boxes, part):
-            rows[c : c + chunk] = a
-    value, err = float(np.sum(boxes[_VALUE])), float(np.sum(boxes[_ERR]))
-    added, split = [[] for _ in boxes], []
-
-    def field(f: int, i: int):
-        """Field ``f`` of box ``i``: a starting box, or a row of an added block."""
-        return boxes[f][i] if i < start else added[f][(i - start) // 2][(i - start) % 2]
-
-    if err > tol * max(abs(value), 1e-300):
-        # One entry per live box, worst first; the box index breaks ties.
-        heap = [(-e, i) for i, e in enumerate(boxes[_ERR].tolist())]
-        heapq.heapify(heap)
-        while err > tol * max(abs(value), 1e-300) and len(heap) < max_panels:
-            worst = heap[0][1]
-            if field(_ERR, worst) == 0.0:  # every box is exact; the total only holds rounding
-                err = 0.0
-                break
-            heapq.heappop(heap)
-            part = _halve_boxes(family, *(field(f, worst) for f in (_LO, _HI, _HALVES)))
-            for j in range(2):
-                heapq.heappush(heap, (-part[_ERR][j], start + 2 * len(split) + j))
-                value += part[_VALUE][j]
-                err += part[_ERR][j]
-            value -= field(_VALUE, worst)
-            err -= field(_ERR, worst)
-            for blocks, a in zip(added, part):
-                blocks.append(a)
-            split.append(worst)
-            evaluations += 2 * halving
-
-    panels = start + len(split)
-    scale = max(abs(value), 1e-300)
+    boxes = _halve_in_chunks(family, lo, hi)
+    while True:
+        errs = boxes[_ERR]
+        value, err, live = float(np.sum(boxes[_VALUE])), float(np.sum(errs)), errs.size
+        scale = max(abs(value), 1e-300)
+        if err <= tol * scale or live >= max_panels:
+            break
+        take = min(np.count_nonzero(errs >= min(errs.max(), tol * scale / live)), max_panels - live)
+        split = np.argsort(-errs, kind="stable")[:take]
+        part = _halve_in_chunks(family, *(boxes[f][split].reshape(-1, *boxes[f].shape[2:])
+                                         for f in (_LO, _HI, _HALVES)))
+        evaluations += take * 2 * halving
+        ids = np.delete(np.arange(live + 2 * take), split)
+        ids = ids[np.lexsort(np.concatenate([boxes[_LO], part[_LO]])[ids, 0].T[::-1])]
+        for f in range(len(boxes)):  # one field at a time; each dropped once gathered
+            boxes[f], part[f] = np.concatenate([boxes[f], part[f]])[ids], None
     if err > tol * scale:
         raise QuadratureNotConverged(
-            f"error estimate {err / scale:.3g} above tol {tol:g} at {panels} panels"
+            f"error estimate {err / scale:.3g} above tol {tol:g} at {live} panels"
         )
     diagnostics = {
         "err_estimate": err / scale,
         "converged": True,
-        "panels": panels,
+        "panels": live,
         "evaluations": evaluations,
     }
-    fields = (_NODES, _WEIGHTS, _RHO)
-    if not split:
-        return (*(boxes[f].reshape(-1, *boxes[f].shape[2:]) for f in fields), diagnostics)
-    ids = np.delete(np.arange(start + 2 * len(split)), split)
-    ids = ids[np.lexsort(np.concatenate([boxes[_LO], *added[_LO]])[ids, 0].T[::-1])]
-    out = {}
-    for f in fields[::-1]:  # one field at a time, the nodes last; each dropped once gathered
-        out[f] = np.concatenate([boxes[f], *added[f]])[ids].reshape(-1, *boxes[f].shape[2:])
-        boxes[f] = added[f] = None
-    return (*(out[f] for f in fields), diagnostics)
+    return (*(boxes[f].reshape(-1, *boxes[f].shape[2:]) for f in (_NODES, _WEIGHTS, _RHO)),
+            diagnostics)
 
 
 class TvuMeasure:
@@ -608,10 +605,6 @@ class TvuMeasure:
         return (
             f"TvuMeasure({self.family!r}, nodes={self.nodes.shape[0]}, Z={self.z:.9g})"
         )
-
-    @property
-    def normalizer(self) -> float:
-        return self.z
 
     def pdf(self, x) -> float:
         """Normalized density at ``x``."""
@@ -829,12 +822,12 @@ def build_measure(
     via adaptive Gauss-Legendre quadrature of the thickness-product
     density over boxes: ``resolution`` sets the starting panel count per
     slot (panels always break at registered kinks), the starting boxes
-    are their product, and the box with the largest error estimate is
-    split along its worst slot until the total estimate is below ``tol``
-    relative to the normalizer.  ``max_panels`` caps the boxes the
-    splitting may reach; missing ``tol`` within it raises
-    :class:`QuadratureNotConverged`, and starting boxes needing more than
-    ``MAX_GRID_CELLS`` density evaluations raise :class:`ConfigInvalid`.
+    are their product, and rounds split every box holding at least its
+    share of the error until the total is below ``tol`` relative to the
+    normalizer.  ``max_panels`` caps the boxes the splitting may reach;
+    missing ``tol`` within it raises :class:`QuadratureNotConverged`.
+    Starting boxes needing more than ``MAX_GRID_CELLS`` density
+    evaluations, or nodes times outcomes, raise :class:`ConfigInvalid`.
     ``meta["panels"]`` counts the final boxes and ``meta["evaluations"]``
     the density evaluations.  Doubling ``resolution`` moves ``Z`` by less
     than ``tol`` by construction.

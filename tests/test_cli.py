@@ -234,6 +234,13 @@ def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
     assert peak < 10e6
 
 
+@pytest.mark.parametrize("command", ["binomial-test", "converge", "tvu-density"])
+def test_n_past_the_measure_cap_exits_2(tmp_path, capsys, command):
+    # 8192 starting panels of 16 nodes by 8193 outcomes pass 2**25 cells.
+    assert main([command, "--n", "8192", "--out", str(tmp_path)]) == 2
+    assert "33554432" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, name, sizes", [
     (["converge", "--base-samples", "50", "--order-samples", "30", "--max-order", "3"],
      "table.svg", [50, 30, 30]),

@@ -12,6 +12,7 @@ Every load-bearing number is checked through two routes:
 * posterior predictive: continuum quadrature vs exact rational counting.
 """
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -135,6 +136,18 @@ def sqrt_family(ndim: int, calls: list | None = None) -> ParamFamily:
     )
 
 
+def record_halvings(monkeypatch) -> list:
+    """The number of boxes of each ``_halve_boxes`` call, appended as made."""
+    halve, halved = tvuniform._halve_boxes, []
+
+    def spy(family, lo, hi, whole):
+        halved.append(len(lo))
+        return halve(family, lo, hi, whole)
+
+    monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
+    return halved
+
+
 def comb_log_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The binomial family's log coefficients from one ``math.comb`` call each."""
     return (
@@ -220,6 +233,16 @@ class TestThickness:
     def test_param_outside_box(self, family):
         with pytest.raises(IndexOutOfRange):
             thickness(family, 1.5, 0)
+
+    @pytest.mark.parametrize("x", [1.5, -3.0, float("nan")])
+    def test_points_outside_the_box_raise(self, family, measure, x):
+        event = family.space.event([2])
+        for read in (lambda: tvu_density(family, x), lambda: measure.pdf(x),
+                     lambda: family.event_probs([[0.5], [x]], event)):
+            with pytest.raises(IndexOutOfRange):
+                read()
+        assert tvu_density(family, 0.0) == tvu_density(family, 1.0) == float(N)
+        np.testing.assert_array_equal(family.event_probs([[0.0], [1.0]], event), [0.0, 0.0])
 
     def test_fd_on_unregistered_family_matches_chain_rule(self, family):
         # Same family driven through s = p^3 without registered
@@ -444,6 +467,62 @@ class TestMeasure:
         got = [corners[box.tobytes()] for box in m.nodes.reshape(-1, 2 * 8**2, 2)]
         assert len(got) == m.meta["panels"] == len(set(got))
         assert got == sorted(got)
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(functools.partial(binomial_family, n) for n in (1, 10, 17, 400, 1100)),
+         bernoulli_family, coin_match_family],
+        ids=["binomial1", "binomial10", "binomial17", "binomial400", "binomial1100",
+             "bernoulli", "coin-match"],
+    )
+    def test_stock_families_meet_tol_without_a_round(self, make, monkeypatch):
+        # Every box halved is a starting box: no round splits anything.
+        halved = record_halvings(monkeypatch)
+        m = build_measure(make())
+        assert sum(halved) == m.meta["panels"]
+        assert m.meta["evaluations"] == m.meta["panels"] * (8 + 2 * 8)
+
+    def test_a_round_stops_at_the_panel_cap(self, monkeypatch):
+        # 8 x 8 starting boxes: uncapped, the first round splits several;
+        # with room for one more box, it splits one and the cap ends the search.
+        halved = record_halvings(monkeypatch)
+        build_measure(sqrt_family(2), resolution=8, tol=1e-9)
+        assert halved[0] == 64 and halved[1] > 2
+        halved.clear()
+        with pytest.raises(QuadratureNotConverged, match="at 65 panels"):
+            build_measure(sqrt_family(2), resolution=8, tol=1e-9, max_panels=65)
+        assert halved == [64, 2]
+
+    @pytest.mark.parametrize("ndim, resolution, tol", [(1, 2, 1e-12), (2, 4, 1e-8), (3, 4, 1e-6)])
+    def test_err_estimate_is_summed_over_the_live_boxes(self, monkeypatch, ndim, resolution, tol):
+        # Every box made, keyed by its node bytes: the final boxes' errors
+        # over their values, each summed once, with no running total.
+        halve, boxes = tvuniform._halve_boxes, {}
+
+        def spy(family, lo, hi, whole):
+            fields = halve(family, lo, hi, whole)
+            for nodes, value, err in zip(*(fields[f] for f in (
+                    tvuniform._NODES, tvuniform._VALUE, tvuniform._ERR))):
+                boxes[nodes.tobytes()] = value, err
+            return fields
+
+        monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
+        m = build_measure(sqrt_family(ndim), resolution=resolution, tol=tol)
+        assert m.meta["panels"] > resolution**ndim
+        live = [boxes[b.tobytes()] for b in m.nodes.reshape(m.meta["panels"], -1, ndim)]
+        values, errs = (np.array([box[i] for box in live]) for i in range(2))
+        assert m.meta["err_estimate"] == np.sum(errs) / np.sum(values)
+
+    def test_start_past_the_cell_cap_is_refused_before_any_density_call(self, monkeypatch):
+        # 1448 starting boxes of 16 nodes by 1449 outcomes pass 2**25 cells;
+        # n = 1447 keeps 33,524,096.
+        calls = []
+        monkeypatch.setattr(tvuniform, "_density_rows", lambda *a: calls.append(a))
+        with pytest.raises(ConfigInvalid, match="33554432"):
+            build_measure(binomial_family(1448))
+        assert calls == []
+        monkeypatch.undo()
+        assert build_measure(binomial_family(1447)).meta["panels"] == 1447
 
     @pytest.mark.parametrize("n", [10, 400, 1100])
     def test_binomial_pmf_matches_exact_rationals(self, n):
