@@ -62,6 +62,7 @@ from .inference import (
     urn_compositions,
     urn_credal_set,
     urn_update,
+    urn_work,
 )
 from .sets import CredalSet, EventMap, credal_condition, probability_range
 from .tower import (
@@ -108,7 +109,7 @@ __all__ = [
     "TowerConfig", "Tower", "build_tower", "convergence_stats",
     "dilation_profile", "OrderStats", "DilationOrder", "DilationProfile",
     # inference
-    "UrnState", "urn_update", "urn_compositions", "urn_credal_set",
+    "UrnState", "urn_update", "urn_work", "urn_compositions", "urn_credal_set",
     "HocsResult", "hocs_ratio", "hocs_curve",
     "BinomialTestReport", "binomial_test",
     # errors

@@ -14,9 +14,9 @@ environment variable, then 0), ``--threads``, ``--out`` and ``--format
 command, flags, seed, package version, duration, a SHA-256 digest of
 every file it wrote, and ``diagnostics``: the ``meta`` of the uniform
 measure (quadrature diagnostics and layout) and of the tower, for the
-subcommands that build them, and ``stages``, the wall seconds spent in
-each named stage of the run (for example ``measure``, ``tower``,
-``stats``, ``write`` and ``hash``).  With a fixed seed and fixed flags
+subcommands that build them, the urn's work done (``urn``), and
+``stages``, the wall seconds spent in each named stage of the run (for
+example ``measure``, ``tower``, ``stats``, ``write`` and ``hash``).  With a fixed seed and fixed flags
 all data outputs are byte-identical across runs and thread counts.
 
 Exit codes: 0 success; 2 usage or validation error; 3 internal error.
@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .core import MAX_GRID_CELLS
 from .errors import ConfigInvalid, CredalError
-from .inference import UrnState, binomial_test, urn_update
+from .inference import UrnState, binomial_test, urn_update, urn_work
 from .io import format_float, format_value, sha256_file, write_csv, write_json
 from .svg import write_line_chart
 from .tower import TowerConfig, build_tower, convergence_stats, dilation_profile
@@ -245,6 +245,7 @@ def _cmd_urn(args) -> int:
     history = tuple(c for c in args.history.split(",") if c)
     state = UrnState(colors=colors, ball_total=args.balls, history=history)
     predictive = run.timed("update", urn_update, state, mode=args.mode)
+    run.diagnostics["urn"] = urn_work(state)
     printable = {c: format_value(v) for c, v in predictive.items()}
     if args.format == "json":
         run.write(write_json, "urn.json", {

@@ -44,6 +44,7 @@ from .tvuniform import (
 __all__ = [
     "UrnState",
     "urn_update",
+    "urn_work",
     "urn_compositions",
     "urn_credal_set",
     "HocsResult",
@@ -136,6 +137,21 @@ def urn_update(state: UrnState, mode: str = "exact"):
     exact = {c: Fraction(weight([e + (j == i) for j, e in enumerate(h)]), n * wsum)
              for i, c in enumerate(colors)}
     return {c: float(v) for c, v in exact.items()} if mode == "float" else exact
+
+
+def urn_work(state: UrnState) -> dict:
+    """The work :func:`urn_update` does for ``state``, for diagnostics.
+
+    ``degree`` is the truncation degree ``N`` (the ball total),
+    ``colors`` the number of colours ``c``, and ``multiply_adds`` the
+    integer multiply-adds of a successful update: each of its ``c + 1``
+    weights takes ``c - 2`` products cut off at degree ``N``, of
+    ``(N + 1) * (N + 2) / 2`` multiply-adds each, and one last
+    coefficient of ``N + 1`` (a single colour needs none).
+    """
+    n, c = state.ball_total, len(state.colors)
+    per_weight = (c - 2) * (n + 1) * (n + 2) // 2 + n + 1 if c > 1 else 0
+    return {"degree": n, "colors": c, "multiply_adds": (c + 1) * per_weight}
 
 
 def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:

@@ -29,11 +29,13 @@ mean, which is why the base is drawn from the measure.
 The weight matrices ``W_i`` are never held.  A level is built in blocks
 of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
 rows as standard exponentials, multiplies them onto ``V_(i-1)`` and
-divides by their row sums.  Building level ``i`` costs
-S_i · S_(i-1) · |outcomes| multiply-adds and holds one block of draws at
-a time, and every later event query is a column sum, so a tower over
-many outcomes queried for one event does more work than one
-matrix-vector chain per event would.
+divides by their row sums, a few rows at a time through one reused
+workspace of at most ``max(DRAW_CELLS, S_(i-1))`` draws.  Building level
+``i`` costs S_i · S_(i-1) · |outcomes| multiply-adds, and beyond the
+levels themselves it holds one such workspace per worker thread,
+however many particles a level mixes over.  Every later event query is
+a column sum, so a tower over many outcomes queried for one event does
+more work than one matrix-vector chain per event would.
 
 Determinism: ``default_rng(seed).spawn(max_order)`` gives one stream per
 order; order 1 takes the base's stratification offsets from the first,
@@ -46,6 +48,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,14 +74,30 @@ __all__ = [
 # which stream draws which row.
 BLOCK_ROWS = 256
 
+# Draws per sub-block: a block fills its rows a few at a time through one
+# workspace of about this many float64 cells (256 KB), so the draws held
+# stay bounded whatever the number of particles mixed over.
+DRAW_CELLS = 2**15
+
 STREAMS = (
     "rng.spawn(max_order): stream 1 draws one uniform offset per order-1 particle "
     "(stratified inverse CDF over the measure's node masses or the set's weights; "
     "unused by a grid base); order i spawns "
     f"ceil(S_i / {BLOCK_ROWS}) block streams from stream i, and block b draws "
-    f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) as one (rows x S_(i-1)) "
+    f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) in row order, each row S_(i-1) "
+    "standard exponentials: the same sequence as one (rows x S_(i-1)) "
     "standard_exponential array"
 )
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a true integer (not a ``bool``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,8 @@ class TowerConfig:
             raise ConfigInvalid(
                 f"base must be a family, measure, or credal set, got {type(self.base).__name__}"
             )
+        for name in ("base_samples", "order_samples", "max_order", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.base_samples < 1:
             raise ConfigInvalid("base_samples must be >= 1")
         if self.order_samples < 1:
@@ -121,7 +142,7 @@ class TowerConfig:
             raise ConfigInvalid("max_order must be >= 1")
         if self.base_mode not in ("tvu", "grid"):
             raise ConfigInvalid(f"unknown base_mode {self.base_mode!r}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
 
 
@@ -131,8 +152,9 @@ class Tower:
     ``levels[i - 1]`` is the (particles × outcomes) matrix whose rows are
     the order-``i`` particles as distributions over the outcome space;
     ``levels[0]`` is ``base_probs``.  ``meta`` records the layout:
-    ``level_sizes``, ``bytes_held`` (the levels' bytes), ``block_rows``
-    and ``streams`` (how each level's random stream is derived).
+    ``level_sizes``, ``bytes_held`` (the levels' bytes), ``block_rows``,
+    ``workspace_bytes`` (one worker's draw workspace, the largest over
+    levels) and ``streams`` (how each level's random stream is derived).
     """
 
     __slots__ = ("config", "space", "levels", "base_params", "meta")
@@ -149,6 +171,11 @@ class Tower:
             "level_sizes": [v.shape[0] for v in levels],
             "bytes_held": sum(v.nbytes for v in levels),
             "block_rows": BLOCK_ROWS,
+            "workspace_bytes": max(
+                (_draw_rows(prev.shape[0], v.shape[0]) * prev.shape[0] * 8
+                 for prev, v in zip(levels, levels[1:])),
+                default=0,
+            ),
             "streams": STREAMS,
         })
 
@@ -200,26 +227,40 @@ def _grid_params(family: ParamFamily, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
+def _draw_rows(prev_rows: int, rows: int) -> int:
+    """Rows per sub-block when mixing ``rows`` particles over ``prev_rows``:
+    ``DRAW_CELLS`` cells' worth, at least one row and at most one block."""
+    return max(1, min(DRAW_CELLS // prev_rows, BLOCK_ROWS, rows))
+
+
 def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
     """``rows`` flat-Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
 
     Block ``b`` fills rows ``[b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)`` from
-    the ``b``-th stream spawned off ``gen_parent``: a (block × S)
-    array of standard exponentials ``x`` gives ``(x @ prev) / x.sum(1)``.
-    Each block writes only its own rows, so the result is independent
-    of the pool's thread count.  ``einsum`` (never BLAS, whose sums
-    depend on its thread count) fixes each product's summation order.
+    the ``b``-th stream spawned off ``gen_parent``, in sub-blocks of
+    ``_draw_rows`` rows: it draws a sub-block's standard exponentials
+    ``x`` into one reused (sub-block × S) workspace, in row order, and
+    writes ``(x @ prev) / x.sum(1)``.  Filling the workspace draws the
+    same sequence as one (block × S) array would, and each row's product
+    and sum are computed alone, so the values do not depend on the
+    sub-block height.  Each block writes only its own rows, so the result
+    is independent of the pool's thread count.  ``einsum`` (never BLAS,
+    whose sums depend on its thread count) fixes each product's summation
+    order.
     """
     gens = gen_parent.spawn(-(-rows // BLOCK_ROWS))
     prev_t = np.ascontiguousarray(prev.T)
     out = np.empty((rows, prev.shape[1]), dtype=np.float64)
+    step = _draw_rows(prev.shape[0], rows)
 
     def fill(b: int) -> None:
-        lo = b * BLOCK_ROWS
-        block = out[lo:lo + BLOCK_ROWS]
-        x = gens[b].standard_exponential((block.shape[0], prev.shape[0]))
-        np.einsum("ij,kj->ik", x, prev_t, out=block)
-        block /= x.sum(axis=1)[:, None]
+        workspace = np.empty((step, prev.shape[0]), dtype=np.float64)
+        end = min((b + 1) * BLOCK_ROWS, rows)
+        for lo in range(b * BLOCK_ROWS, end, step):
+            block = out[lo:min(lo + step, end)]
+            x = gens[b].standard_exponential(out=workspace[:block.shape[0]])
+            np.einsum("ij,kj->ik", x, prev_t, out=block)
+            block /= x.sum(axis=1)[:, None]
 
     list(pool.map(fill, range(len(gens))))
     return out
@@ -242,7 +283,7 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     a config fixes the tower's bytes.  ``n_jobs`` threads fill a level's
     blocks without changing any value.
     """
-    if n_jobs < 1:
+    if _integer("n_jobs", n_jobs) < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
     base = CountingMeasure(cfg.base) if isinstance(cfg.base, CredalSet) else cfg.base
     counting = isinstance(base, CountingMeasure)

@@ -50,6 +50,7 @@ points at ``k/n``, equals ``n`` at both endpoints, and its normalizer for
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -869,19 +870,25 @@ def binomial_family(n: int) -> ParamFamily:
     Both it and the pmf are evaluated as ``exp`` of log terms with the
     log binomial coefficients taken from one exact Pascal row of integers,
     ``C(n, k+1) = C(n, k) * (n-k) // (k+1)``; ``p = 0`` and ``p = 1`` stay
-    exact.  ``n`` must keep one ``BLOCK_ROWS x (n + 1)`` evaluation block
+    exact.  The row is built on the family's first evaluation, so a
+    measure that refuses the family before evaluating it never pays for
+    it.  ``n`` must keep one ``BLOCK_ROWS x (n + 1)`` evaluation block
     within ``MAX_GRID_CELLS`` (``n < 65536``); a larger ``n`` raises
-    :class:`ConfigInvalid` before the row is built.  The pmf's head counts
-    and pivot are float64 from the start: small integers are exact there,
-    so no block pays an integer-to-float cast.
+    :class:`ConfigInvalid`.  The pmf's head counts and pivot are float64
+    from the start: small integers are exact there, so no block pays an
+    integer-to-float cast.
     """
     if not 1 <= n < MAX_GRID_CELLS // BLOCK_ROWS:
         raise ConfigInvalid(f"need 1 <= n and one block of {BLOCK_ROWS} x (n + 1) cells "
                             f"within {MAX_GRID_CELLS}, got n={n}")
     ks = np.arange(n + 1, dtype=np.float64)
-    log_comb, log_thick = _binomial_log_coefficients(n)
+
+    @functools.cache
+    def coefficients() -> tuple[np.ndarray, np.ndarray]:
+        return _binomial_log_coefficients(n)
 
     def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        log_comb = coefficients()[0]
         p = xs[:, 0]
         # log pmf = (k - c) log(p / (1-p)) + c log(p) + (n - c) log(1-p) + log C(n, k),
         # pivoted at c = n for p > 1/2 so that large terms never cancel; every
@@ -901,6 +908,7 @@ def binomial_family(n: int) -> ParamFamily:
         return out
 
     def thickness_batch(xs: np.ndarray) -> np.ndarray:
+        log_thick = coefficients()[1]
         p = xs[:, 0]
         out = np.full(p.shape, float(n))  # one-sided limit at both endpoints
         interior = (p > 0.0) & (p < 1.0)

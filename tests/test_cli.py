@@ -265,7 +265,7 @@ DIAGNOSTICS = {
     "dilation": (["--grid", "11", "--samples", "30", "--orders", "2"], {"tower"},
                  {"tower", "stats"}),
     "tvu-density": (["--n", "4", "--points", "11"], {"measure"}, {"measure", "density"}),
-    "urn": (["--balls", "6", "--history", "red"], set(), {"update"}),
+    "urn": (["--balls", "6", "--history", "red"], {"urn"}, {"update"}),
 }
 
 
@@ -284,7 +284,12 @@ def test_manifest_records_diagnostics(tmp_path, capsys, command):
         assert {"err_estimate", "panels", "evaluations", "resolution", "tol"} <= set(measure)
     if "tower" in diagnostics:
         assert diagnostics["tower"]["bytes_held"] > 0
+        assert diagnostics["tower"]["workspace_bytes"] > 0
         assert len(diagnostics["tower"]["level_sizes"]) == 2
+    if "urn" in diagnostics:
+        # three colours, 6 balls: 4 weights of one truncated product
+        # (28 multiply-adds) and one last coefficient (7)
+        assert diagnostics["urn"] == {"degree": 6, "colors": 3, "multiply_adds": 4 * (28 + 7)}
 
 
 def test_repeated_op_reuses_freed_memory(tmp_path, capsys):

@@ -43,6 +43,7 @@ from credal import (
     urn_compositions,
     urn_credal_set,
     urn_update,
+    urn_work,
 )
 
 # Golden exact posteriors for the default 90-ball three-color urn.
@@ -124,6 +125,26 @@ class TestUrnUpdate:
                          history=("c1", "c3", "c3", "c5", "c2", "c1"))
         assert sum(urn_update(state).values()) == 1
         assert calls == []
+
+    @pytest.mark.parametrize("colors", [("a",), ("a", "b"), ("a", "b", "c"),
+                                        ("a", "b", "c", "d", "e")])
+    def test_work_counts_the_products_formed(self, monkeypatch, colors):
+        # Every integer product urn_update forms goes through one
+        # map(int.__mul__, ...) pair; count the pairs it consumes.
+        formed = 0
+
+        def counting_map(fn, *iterables):
+            nonlocal formed
+            pairs = list(zip(*iterables))
+            formed += len(pairs) if fn is int.__mul__ else 0
+            return itertools.starmap(fn, pairs)
+
+        state = UrnState(colors=colors, ball_total=12, history=("a", "a"))
+        monkeypatch.setattr(credal.inference, "map", counting_map, raising=False)
+        urn_update(state)
+        assert urn_work(state) == {"degree": 12, "colors": len(colors),
+                                   "multiply_adds": formed}
+        assert formed > 0 or len(colors) == 1
 
     def test_more_colors_drawn_than_balls_is_impossible(self):
         with pytest.raises(ImpossibleHistory):

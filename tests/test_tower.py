@@ -1,8 +1,10 @@
 """Tower construction, determinism, chains, and dilation statistics."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from credal import (
     dilation_profile,
     make_distribution,
 )
+from credal import tower as tower_module
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,25 @@ class TestConfig:
             TowerConfig(base=fam, seed=-1)
         with pytest.raises(ConfigInvalid):
             TowerConfig(base="not a family")
+
+    @pytest.mark.parametrize("field", ["base_samples", "order_samples", "max_order", "seed"])
+    @pytest.mark.parametrize("value", [1.5, -0.5, 2.0, float("nan"), "3", True, None])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"{field} must be an integer"):
+            TowerConfig(base=bernoulli_family(), **{field: value})
+
+    @pytest.mark.parametrize("n_jobs", [1.5, 2.0, "2", True, None])
+    def test_n_jobs_must_be_an_integer(self, n_jobs):
+        cfg = TowerConfig(base=bernoulli_family(), base_samples=4, order_samples=4, max_order=2)
+        with pytest.raises(ConfigInvalid, match="n_jobs must be an integer"):
+            build_tower(cfg, n_jobs=n_jobs)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TowerConfig(base=bernoulli_family(), base_samples=np.int64(4),
+                          order_samples=np.uint8(4), max_order=np.int32(2), seed=np.uint64(7))
+        assert (cfg.base_samples, cfg.order_samples, cfg.max_order, cfg.seed) == (4, 4, 2, 7)
+        assert type(cfg.seed) is int
+        assert build_tower(cfg, n_jobs=np.int64(2)).meta["level_sizes"] == [4, 4]
 
     @pytest.mark.parametrize("sizes", [
         # levels held: (100 + 39 * 2**16) particles x 16 outcomes
@@ -127,6 +149,64 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestDrawWorkspace:
+    # SHA-256 of every level, recorded when each block drew its rows as one
+    # (block x S) array.  "sub-blocked" mixes 3000 base particles (10-row
+    # sub-blocks; 300 rows per order: a full block and a partial one) and
+    # then 300 (109-row sub-blocks); "one call" mixes 101 grid particles,
+    # few enough for a whole block in one sub-block.
+    GOLDEN = {
+        "sub-blocked": (
+            dict(base=binomial_family(10), base_samples=3000, order_samples=300,
+                 max_order=3, seed=3),
+            ["d13f253ab43ae1a846aca377a7a07113a1372bb5a51eb9ea9ad0c6045b660450",
+             "c473ee821e74e9a37e26e56db64f3257da51f31407737dad67745d01e77af4a3",
+             "622f911d74e1c2309aa737b905a91acb0c904cfc48384a2a2a6f8183af561919"],
+        ),
+        "one call": (
+            dict(base=coin_match_family(), base_samples=101, order_samples=300,
+                 max_order=3, seed=0, base_mode="grid"),
+            ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
+             "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
+             "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"],
+        ),
+    }
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_levels_keep_their_bytes(self, case, n_jobs):
+        kwargs, digests = self.GOLDEN[case]
+        tower = build_tower(TowerConfig(**kwargs), n_jobs=n_jobs)
+        assert [hashlib.sha256(v.tobytes()).hexdigest() for v in tower.levels] == digests
+
+    @pytest.mark.parametrize("cells", [1, 7 * 3000, 10**9])
+    def test_sub_block_height_never_changes_values(self, monkeypatch, cells):
+        # One row at a time, 7-row sub-blocks, and whole blocks in one call.
+        cfg = TowerConfig(base=binomial_family(4), base_samples=3000, order_samples=300,
+                          max_order=3, base_mode="grid", seed=8)
+        want = [v.tobytes() for v in build_tower(cfg).levels]
+        monkeypatch.setattr(tower_module, "DRAW_CELLS", cells)
+        assert [v.tobytes() for v in build_tower(cfg, n_jobs=2).levels] == want
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_build_peak_stays_near_the_levels(self, n_jobs):
+        # The benchmark's converge shape.  Drawing each 256-row block as one
+        # array peaked at 7.8 MB on one thread and 14.0 MB on two.
+        m = build_measure(binomial_family(10))
+        # A first build in the process also allocates one-time state (the
+        # thread pool's module, numpy's lazy imports); keep it untraced.
+        build_tower(TowerConfig(base=m, base_samples=8, order_samples=8, max_order=2), n_jobs=2)
+        cfg = TowerConfig(base=m, base_samples=3000, order_samples=3000, max_order=5)
+        tracemalloc.start()
+        try:
+            tower = build_tower(cfg, n_jobs=n_jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tower.meta["bytes_held"] == 5 * 3000 * 11 * 8
+        assert peak <= tower.meta["bytes_held"] + 2**20
+
+
 class TestStructure:
     def test_level_rows_are_distributions(self, small_tower):
         _, tower = small_tower
@@ -136,10 +216,13 @@ class TestStructure:
 
     def test_meta_records_the_layout(self, small_tower):
         _, tower = small_tower
-        assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows", "streams"}
+        assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows",
+                                   "workspace_bytes", "streams"}
         assert tower.meta["level_sizes"] == [400, 400, 400, 400]
         assert tower.meta["bytes_held"] == sum(v.nbytes for v in tower.levels)
         assert tower.meta["block_rows"] == 256
+        # 2**15 // 400 = 81 rows of 400 draws
+        assert tower.meta["workspace_bytes"] == 81 * 400 * 8
         assert "spawn" in tower.meta["streams"]
 
     def test_full_event_chain_stays_at_one(self, small_tower):

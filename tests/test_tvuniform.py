@@ -427,8 +427,25 @@ class TestMeasure:
         calls = []
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
-        binomial_family(400)
+        binomial_family(400).probs(0.3)
         assert calls == []
+
+    def test_pascal_row_is_built_on_first_evaluation_only(self, monkeypatch):
+        built = []
+        row = tvuniform._binomial_log_coefficients
+        monkeypatch.setattr(tvuniform, "_binomial_log_coefficients",
+                            lambda n: built.append(n) or row(n))
+        with pytest.raises(ConfigInvalid, match="33554432"):
+            build_measure(binomial_family(65535))
+        assert built == []
+        fam = binomial_family(10)
+        assert built == []
+        build_measure(fam)
+        fam.probs(0.3)
+        assert built == [10]
+        # Each family builds its own row.
+        binomial_family(10).thickness_batch_fns[0](np.array([[0.3]]))
+        assert built == [10, 10]
 
     def test_float_pmf_matches_integer_pmf_bitwise(self):
         n = 400
