@@ -84,9 +84,7 @@ from .tvuniform import (
     binomial_family,
     build_measure,
     coin_match_family,
-    component_event,
     iid_extension,
-    product_family,
     product_space,
     thickness,
     tvu_density,
@@ -103,8 +101,8 @@ __all__ = [
     # tvuniform
     "ParamBox", "ParamFamily", "TvuMeasure", "CountingMeasure",
     "thickness", "tvu_density", "build_measure", "binomial_family",
-    "bernoulli_family", "coin_match_family", "product_family",
-    "product_space", "component_event", "iid_extension",
+    "bernoulli_family", "coin_match_family", "product_space",
+    "iid_extension",
     # tower
     "TowerConfig", "Tower", "build_tower", "convergence_stats",
     "dilation_profile", "OrderStats", "DilationOrder", "DilationProfile",

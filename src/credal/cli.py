@@ -171,6 +171,8 @@ def _parse_events(text: str, n: int) -> list[int]:
         raise CredalError(f"--events must be comma-separated integers, got {text!r}")
     if not ks or any(not 0 <= k <= n for k in ks):
         raise CredalError(f"--events entries must lie in 0..{n}")
+    if len(set(ks)) != len(ks):
+        raise CredalError(f"--events entries must not repeat, got {text!r}")
     return ks
 
 

@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 # Most float cells one request may evaluate or hold: a likelihood grid, a
-# density table, the quadrature's starting density evaluations, a tower's
-# levels or one block of its weight draws.  Larger requests raise
-# ConfigInvalid before anything is allocated or spawned.
+# density table, the quadrature's starting density evaluations or a tower's
+# levels (whose size also bounds each thread's weight-draw workspace).
+# Larger requests raise ConfigInvalid before anything is allocated or spawned.
 MAX_GRID_CELLS = 2**25
 
 

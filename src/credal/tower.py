@@ -267,13 +267,16 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
 
 
 def _check_size(cfg: TowerConfig, base_rows: int, outcomes: int) -> None:
-    """Refuse a tower whose levels, or one block of its weight draws (a row
-    per particle of the level mixed over), pass ``MAX_GRID_CELLS`` cells."""
+    """Refuse a tower whose levels pass ``MAX_GRID_CELLS`` cells.
+
+    That bounds the weight draws too: a worker thread holds one workspace
+    of ``_draw_rows(S_(i-1), S_i) * S_(i-1) <= max(DRAW_CELLS, S_(i-1))``
+    cells, and the level mixed over is held, so ``S_(i-1)`` is at most
+    ``MAX_GRID_CELLS / outcomes``.
+    """
     held = (base_rows + (cfg.max_order - 1) * cfg.order_samples) * outcomes
-    mixed = [base_rows, cfg.order_samples][: cfg.max_order - 1]
-    draws = min(BLOCK_ROWS, cfg.order_samples) * max(mixed, default=0)
-    if max(held, draws) > MAX_GRID_CELLS:
-        raise ConfigInvalid(f"the tower needs {max(held, draws)} cells, above {MAX_GRID_CELLS}")
+    if held > MAX_GRID_CELLS:
+        raise ConfigInvalid(f"the tower needs {held} cells, above {MAX_GRID_CELLS}")
 
 
 def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:

@@ -73,7 +73,6 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     QuadratureNotConverged,
-    SpaceMismatch,
     StepTooLarge,
     ZeroEvidence,
 )
@@ -90,9 +89,7 @@ __all__ = [
     "binomial_family",
     "bernoulli_family",
     "coin_match_family",
-    "product_family",
     "product_space",
-    "component_event",
     "iid_extension",
 ]
 
@@ -587,7 +584,13 @@ class TvuMeasure:
         z = self._integrate(1.0)
         if not math.isfinite(z) or z <= 0.0:
             raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
-        outcome_mass = self._outcome_mass_of(family)
+        # Each block is outcomes x nodes, so that each outcome's terms are
+        # contiguous and numpy sums them pairwise; then the block partials.
+        partials = []
+        for rows, block, probs in _prob_blocks(family, nodes):
+            np.multiply(probs.T, mass[rows], out=block)
+            partials.append(block.sum(axis=1))
+        outcome_mass = np.stack(partials, axis=1).sum(axis=1)
         held = (nodes, weights, density, mass, outcome_mass)
         for arr in held:
             arr.setflags(write=False)
@@ -622,20 +625,6 @@ class TvuMeasure:
         """
         return float(np.sum(self._mass * values))
 
-    def _outcome_mass_of(self, family: ParamFamily) -> np.ndarray:
-        """``sum_i weight_i * density_i * family(x_i)``, one value per outcome.
-
-        Nodes are evaluated ``BLOCK_ROWS`` at a time; each block is summed
-        pairwise over its nodes, then the block partials pairwise.
-        """
-        partials = []
-        for rows, block, probs in _prob_blocks(family, self.nodes):
-            # Outcomes x nodes, so that each outcome's terms are contiguous
-            # and numpy sums them pairwise.
-            np.multiply(probs.T, self._mass[rows], out=block)
-            partials.append(block.sum(axis=1))
-        return np.stack(partials, axis=1).sum(axis=1)
-
     def event_prob(self, event: Event) -> float:
         """Probability of an event on the family's outcome space."""
         _require_same_space(self.family.space, event.space)
@@ -656,30 +645,25 @@ class TvuMeasure:
             raise LengthMismatch("need one value per quadrature node")
         return self._integrate(values) / self.z
 
-    def posterior_predictive(
-        self, observed: Event, query: Event, family: ParamFamily | None = None
-    ) -> float:
-        """Conditional probability of ``query`` given ``observed``.
+    def posterior_predictive(self, observed: Event, query: Event) -> float:
+        """Conditional probability of ``query`` given ``observed``, two
+        events of one draw: ``m[query & observed] / m[observed]``.
 
-        Both events live on the outcome space of ``family`` (defaults to
-        the measure's own family), which must share this measure's
-        parameter box — e.g. the i.i.d. multi-draw extension of a
-        single-draw family.  Computes the ratio of the measure-weighted
-        likelihoods ``P(query & observed) / P(observed)``, both read from
-        one per-outcome mass vector: the measure's own, or one blocked
-        pass over the nodes for another family.
+        Draws sharing the parameter are independent given it, so a
+        predictive after several i.i.d. draws is a ratio of two
+        :meth:`expectation` calls over products of the columns of
+        ``P = family.probs_matrix(nodes)``: after ``h`` heads and ``t``
+        tails of a two-outcome family, ``P(head)`` is
+        ``expectation(p**(h+1) * q**t) / expectation(p**h * q**t)`` with
+        ``p, q = P.T`` (``2/3`` after one head under the flat Bernoulli
+        measure, Laplace's rule of succession).
         """
-        fam = family if family is not None else self.family
-        if fam.ndim != self.family.ndim:
-            raise SpaceMismatch("evaluation family has a different parameter box")
-        _require_same_space(fam.space, observed.space)
-        _require_same_space(fam.space, query.space)
-        mass = self._outcome_mass if fam is self.family else self._outcome_mass_of(fam)
-        joint = query.intersect(observed)
-        den = float(mass[list(observed.indices)].sum())
+        _require_same_space(self.family.space, observed.space)
+        _require_same_space(self.family.space, query.space)
+        den = float(self._outcome_mass[list(observed.indices)].sum())
         if den <= 0.0:
             raise ZeroEvidence("observed event has measure-weighted likelihood zero")
-        return float(mass[list(joint.indices)].sum()) / den
+        return float(self._outcome_mass[list(query.intersect(observed).indices)].sum()) / den
 
     def sample_params(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw parameters from the measure (1-D families).
@@ -980,60 +964,6 @@ def product_space(base: OutcomeSpace, draws: int, sep: str = ",") -> OutcomeSpac
         raise ConfigInvalid("need draws >= 1")
     combos = itertools.product(base.labels, repeat=draws)
     return OutcomeSpace([sep.join(str(c) for c in combo) for combo in combos])
-
-
-def component_event(
-    space: OutcomeSpace, base: OutcomeSpace, draws: int, position: int, label
-) -> Event:
-    """Event "draw ``position`` equals ``label``" in a product space.
-
-    Works by index arithmetic (the product space enumerates draws in
-    row-major order), so it never parses labels.
-    """
-    m = len(base)
-    if len(space) != m**draws:
-        raise SpaceMismatch(f"space size {len(space)} is not {m}^{draws}")
-    if not 0 <= position < draws:
-        raise IndexOutOfRange(f"no draw position {position}")
-    want = base.index(label)
-    stride = m ** (draws - 1 - position)
-    idx = [i for i in range(len(space)) if (i // stride) % m == want]
-    return Event(space, idx)
-
-
-def product_family(base: ParamFamily, draws: int, sep: str = ",") -> ParamFamily:
-    """I.i.d. extension: ``draws`` independent draws sharing one parameter.
-
-    The parameter box (and kinks) are the base family's; only the
-    outcome space changes, to ordered tuples of base outcomes.  No
-    closed-form thickness is registered — the product family is meant
-    for *evaluating* multi-draw events (posterior predictive), while the
-    uniformity density should be built from the base family.
-    """
-    if draws < 1:
-        raise ConfigInvalid("need draws >= 1")
-    space = product_space(base.space, draws, sep=sep)
-
-    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        n = xs.shape[0]
-        rows = base.probs_matrix(xs)
-        chain = np.ones((n, 1))
-        for _ in range(draws - 1):
-            chain = np.einsum("ni,nj->nij", chain, rows).reshape(n, -1)
-        # The last factor is written into ``out``: splitting its outcome
-        # axis is a view, even of a strided block, so a blocked pass reuses
-        # its workspace.
-        last = out.reshape(n, -1, len(base.space))
-        return np.einsum("ni,nj->nij", chain, rows, out=last).reshape(n, -1)
-
-    return ParamFamily(
-        base.box,
-        space,
-        probs_batch,
-        kinks=base.kinks,
-        name=f"{base.name or 'family'}^{draws}",
-        meta={"base_space": base.space, "draws": draws, "sep": sep},
-    )
 
 
 def iid_extension(member, draws: int, sep: str = ","):

@@ -153,6 +153,11 @@ class TestConvergeCommand:
         assert main(["converge", "--events", "0,99",
                      "--out", str(tmp_path)]) == 2
 
+    def test_repeated_events_exit_2(self, tmp_path, capsys):
+        assert main(["converge", "--events", "1,1", "--out", str(tmp_path)]) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "command", ["converge", "dilation", "binomial-test", "urn", "tvu-density"])
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -35,7 +35,6 @@ from credal import (
     binomial_test,
     build_measure,
     coin_match_family,
-    component_event,
     hocs_curve,
     hocs_ratio,
     iid_extension,
@@ -204,8 +203,8 @@ class TestUrnCredalSet:
         m = CountingMeasure(c)
         sp = c.space
         pair = product_space(sp, 2)
-        first_red = component_event(pair, sp, 2, 0, "red")
-        second_red = component_event(pair, sp, 2, 1, "red")
+        first_red = pair.event([f"red,{c}" for c in sp.labels])
+        second_red = pair.event([f"{c},red" for c in sp.labels])
         got = m.posterior_predictive(
             first_red, second_red, lift=lambda d: iid_extension(d, 2)
         )

@@ -75,8 +75,8 @@ class TestConfig:
     @pytest.mark.parametrize("sizes", [
         # levels held: (100 + 39 * 2**16) particles x 16 outcomes
         dict(base=binomial_family(15), base_samples=100, order_samples=2**16, max_order=40),
-        # one block of draws: 256 rows x 2**18 base particles
-        dict(base=bernoulli_family(), base_samples=2**18, order_samples=256, max_order=2),
+        # a level mixed over: (2**24 + 1) base particles x 2 outcomes
+        dict(base=bernoulli_family(), base_samples=2**24 + 1, order_samples=1, max_order=2),
         # no stream spawned per order
         dict(base=bernoulli_family(), max_order=2**40),
     ])
@@ -84,6 +84,16 @@ class TestConfig:
         cfg = TowerConfig(base_mode="grid", **sizes)
         with pytest.raises(ConfigInvalid, match="cells"):
             build_tower(cfg)
+
+    def test_long_draw_rows_fit_one_small_workspace(self):
+        # Each row draws 2**17 + 1 weights, one block 2**25 + 256 in all, but a
+        # thread holds one row's draws at a time, and the levels fit the cap.
+        base = 2**17 + 1
+        cfg = TowerConfig(base=bernoulli_family(), base_samples=base, order_samples=256,
+                          max_order=2, base_mode="grid")
+        tower = build_tower(cfg)
+        assert tower.meta["level_sizes"] == [base, 256]
+        assert tower.meta["workspace_bytes"] == base * 8
 
 
 class TestDeterminism:

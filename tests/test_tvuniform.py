@@ -44,11 +44,9 @@ from credal import (
     build_measure,
     build_tower,
     coin_match_family,
-    component_event,
     iid_extension,
     make_distribution,
     make_rational_distribution,
-    product_family,
     product_space,
     thickness,
     tvu_density,
@@ -791,17 +789,28 @@ class TestCountingMeasure:
                                    lift=lambda d: iid_extension(d, 2))
 
 
+@pytest.fixture(scope="module")
+def flat_coin():
+    return build_measure(bernoulli_family())
+
+
 class TestPosteriorPredictive:
-    def test_laplace_rule_of_succession(self):
+    # Draws sharing the parameter are independent given it, so a predictive
+    # after several draws is a ratio of two expectations over the nodes.
+    def test_laplace_rule_of_succession(self, flat_coin):
         # Flat measure over a 1-toss bias family, one head observed:
         # P(next head) = int p^2 / int p = 2/3.
-        base = bernoulli_family()
-        m = build_measure(base)
-        pair = product_family(base, 2)
-        first_h = component_event(pair.space, base.space, 2, 0, "H")
-        second_h = component_event(pair.space, base.space, 2, 1, "H")
-        got = m.posterior_predictive(first_h, second_h, family=pair)
+        p = flat_coin.family.probs_matrix(flat_coin.nodes)[:, 0]
+        got = flat_coin.expectation(p**2) / flat_coin.expectation(p)
         assert got == pytest.approx(2 / 3, rel=1e-9)
+
+    @pytest.mark.parametrize("heads, tails", [(h, t) for h in range(15) for t in range(15 - h)])
+    def test_rule_of_succession(self, flat_coin, heads, tails):
+        # After h heads and t tails, P(next head) = (h + 1) / (h + t + 2).
+        p, q = flat_coin.family.probs_matrix(flat_coin.nodes).T
+        likelihood = p**heads * q**tails
+        got = flat_coin.expectation(likelihood * p) / flat_coin.expectation(likelihood)
+        assert got == pytest.approx((heads + 1) / (heads + tails + 2), rel=1e-13)
 
     def test_zero_evidence_raises(self):
         base = bernoulli_family()
@@ -818,8 +827,8 @@ class TestPosteriorPredictive:
         ]
         m = CountingMeasure(CredalSet(members))
         pair = product_space(sp, 2)
-        first_h = component_event(pair, sp, 2, 0, "H")
-        second_h = component_event(pair, sp, 2, 1, "H")
+        first_h = pair.event([f"H,{c}" for c in sp.labels])
+        second_h = pair.event([f"{c},H" for c in sp.labels])
         got = m.posterior_predictive(
             first_h, second_h, lift=lambda d: iid_extension(d, 2)
         )
@@ -888,37 +897,6 @@ class TestSampling:
 
 
 class TestProductFamilies:
-    def test_product_probs_are_kron_powers(self):
-        base = bernoulli_family()
-        pair = product_family(base, 2)
-        got = pair.probs(0.3)
-        want = np.kron([0.3, 0.7], [0.3, 0.7])
-        np.testing.assert_allclose(got, want, atol=1e-15)
-        batch = pair.probs_matrix(np.array([[0.3], [0.6]]))
-        np.testing.assert_allclose(batch[1], np.kron([0.6, 0.4], [0.6, 0.4]))
-
-    @pytest.mark.parametrize("base, draws", [
-        (bernoulli_family(), 3), (coin_match_family(), 2), (binomial_family(3), 1),
-    ])
-    def test_product_rows_fill_out_and_match_iid_extension(self, base, draws):
-        fam = product_family(base, draws)
-        xs = np.linspace(0.0, 1.0, 7)[:, None]
-        width = len(fam.space)
-        # A contiguous buffer and the strided view a blocked pass hands over.
-        for buf in (np.empty((7, width)), np.empty((width, 7)).T):
-            got = fam.probs_matrix(xs, out=buf)
-            assert np.shares_memory(got, buf)
-            for x, row in zip(xs[:, 0], got):
-                want = iid_extension(base.eval(x), draws).probs
-                assert row.tobytes() == np.asarray(want).tobytes()
-
-    def test_component_event_indexing(self):
-        sp = OutcomeSpace(["r", "y", "b"])
-        trip = product_space(sp, 3)
-        e = component_event(trip, sp, 3, 1, "y")
-        assert len(e) == 9
-        assert all(lab.split(",")[1] == "y" for lab in e.labels)
-
     def test_iid_extension_exact(self):
         sp = OutcomeSpace(["r", "y"])
         d = make_rational_distribution(sp, [1, 2])
