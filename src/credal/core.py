@@ -17,12 +17,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     IndexOutOfRange,
     LengthMismatch,
     NegativeWeight,
@@ -60,6 +62,16 @@ def stable_sum(values) -> float:
     cancellation amplifies it.
     """
     return float(np.sum(np.asarray(values, dtype=np.float64).ravel()))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a true integer (not a ``bool``)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
 class OutcomeSpace:

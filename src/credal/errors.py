@@ -49,7 +49,7 @@ class ConfigInvalid(CredalError):
 
 
 class StepTooLarge(CredalError):
-    """A finite-difference step does not fit inside the parameter interval."""
+    """A finite-difference step too large for its interval or for the local curvature."""
 
 
 class DegenerateFamily(CredalError):

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution
-from .errors import ConfigInvalid, ImpossibleHistory, IndexOutOfRange, ZeroEvidence
+from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _integer
+from .errors import ConfigInvalid, ImpossibleHistory, ZeroEvidence
 from .sets import CredalSet
 from .tvuniform import (
     CountingMeasure,
@@ -93,12 +93,8 @@ def urn_compositions(ball_total: int, n_colors: int):
         raise ConfigInvalid("need ball_total >= 1 and n_colors >= 1")
     # Stars and bars: choose cut points among ball_total + n_colors - 1 slots.
     for cuts in itertools.combinations(range(ball_total + n_colors - 1), n_colors - 1):
-        prev, counts = -1, []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(ball_total + n_colors - 2 - prev)
-        yield tuple(counts)
+        bounds = (-1, *cuts, ball_total + n_colors - 1)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
 
 
 def urn_update(state: UrnState, mode: str = "exact"):
@@ -111,24 +107,28 @@ def urn_update(state: UrnState, mode: str = "exact"):
         S(e) = sum_k prod_c k_c ** e_c = [t^N] prod_c sum_x x ** e_c * t^x
 
     (generating functions, ``0 ** 0 = 1``): ``c + 1`` integer polynomial
-    products cut off at degree ``N``, at most ``(c + 1) * c * (N + 1) *
-    (N + 2) / 2`` multiply-adds; a request for more than ``MAX_GRID_CELLS``
-    raises :class:`ConfigInvalid`.  ``mode="exact"`` returns ``Fraction``
-    values (the default), ``mode="float"`` the floats nearest them.
+    products cut off at degree ``N``.  An update whose multiply-adds and
+    powers, charged by size as :func:`urn_work` counts them, together
+    pass ``MAX_GRID_CELLS`` raises :class:`ConfigInvalid`.
+    ``mode="exact"`` returns ``Fraction`` values (the default),
+    ``mode="float"`` the floats nearest them.
     """
     if mode not in ("exact", "float"):
         raise ConfigInvalid(f"unknown mode {mode!r}")
     n, colors = state.ball_total, state.colors
-    work = (len(colors) + 1) * len(colors) * (n + 1) * (n + 2) // 2
+    cost = urn_work(state)
+    work = cost["multiply_adds"] + cost["powers"]
     if work > MAX_GRID_CELLS:
-        raise ConfigInvalid(f"an urn of {n} balls in {len(colors)} colors needs "
-                            f"{work} integer products, above {MAX_GRID_CELLS}")
+        raise ConfigInvalid(f"an urn of {n} balls in {len(colors)} colors needs {work} "
+                            f"word-sized integer multiply-adds and powers, above {MAX_GRID_CELLS}")
 
     def weight(exponents) -> int:
+        if len(exponents) == 1:  # [t^N] sum_x x ** e * t^x
+            return n ** exponents[0]
         poly, *rest = [[x**e for x in range(n + 1)] for e in exponents]
         for powers in rest[:-1]:
             poly = [sum(map(int.__mul__, poly[: d + 1], powers[d::-1])) for d in range(n + 1)]
-        return sum(map(int.__mul__, poly, rest[-1][::-1])) if rest else poly[n]
+        return sum(map(int.__mul__, poly, rest[-1][::-1]))
 
     h = [state.history.count(c) for c in colors]
     wsum = weight(h)
@@ -143,15 +143,29 @@ def urn_work(state: UrnState) -> dict:
     """The work :func:`urn_update` does for ``state``, for diagnostics.
 
     ``degree`` is the truncation degree ``N`` (the ball total),
-    ``colors`` the number of colours ``c``, and ``multiply_adds`` the
-    integer multiply-adds of a successful update: each of its ``c + 1``
-    weights takes ``c - 2`` products cut off at degree ``N``, of
+    ``colors`` the number of colours ``c``.  Each of the update's
+    ``c + 1`` weights lists ``c`` colours' ``N + 1`` powers ``x ** e``
+    and takes ``c - 2`` products cut off at degree ``N``, of
     ``(N + 1) * (N + 2) / 2`` multiply-adds each, and one last
-    coefficient of ``N + 1`` (a single colour needs none).
+    coefficient of ``N + 1`` (a single colour's weight is the one power
+    ``N ** e``, which lists nothing).  ``powers`` charges each power one
+    unit per 64-bit word it may hold (``e * b`` bits for ``b`` the bit
+    length of ``N``), and ``multiply_adds`` each multiply-add the product
+    of its operands' words, bounding a partial product of ``k`` colours
+    by ``(E + k - 1) * b`` bits for exponents summing to ``E``.  While
+    every operand fits one word (short histories) both are plain counts.
     """
-    n, c = state.ball_total, len(state.colors)
-    per_weight = (c - 2) * (n + 1) * (n + 2) // 2 + n + 1 if c > 1 else 0
-    return {"degree": n, "colors": c, "multiply_adds": (c + 1) * per_weight}
+    n, c, bits = state.ball_total, len(state.colors), state.ball_total.bit_length()
+    h = [state.history.count(x) for x in state.colors]
+    powers = multiply_adds = 0
+    for i in range(-1, c) if c > 1 else ():  # the history's weight, then one per colour
+        words = [1 + (e + (j == i)) * bits // 64 for j, e in enumerate(h)]
+        powers += (n + 1) * sum(words)
+        for k in range(1, c):  # multiply the product of k colours by the next
+            cells = (n + 1) * (n + 2) // 2 if k < c - 1 else n + 1
+            partial = 1 + (sum(h[:k]) + (0 <= i < k) + k - 1) * bits // 64
+            multiply_adds += cells * partial * words[k]
+    return {"degree": n, "colors": c, "multiply_adds": multiply_adds, "powers": powers}
 
 
 def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:
@@ -168,15 +182,9 @@ def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:
         state = UrnState(**kwargs)
     elif kwargs:
         raise ConfigInvalid("pass either a state or keyword fields, not both")
-    space = OutcomeSpace(state.colors)
-    members, labels = [], []
-    for counts in urn_compositions(state.ball_total, len(state.colors)):
-        members.append(
-            RationalDistribution(
-                space, [Fraction(c, state.ball_total) for c in counts]
-            )
-        )
-        labels.append(counts)
+    space, n = OutcomeSpace(state.colors), state.ball_total
+    labels = list(urn_compositions(n, len(state.colors)))
+    members = [RationalDistribution(space, [Fraction(c, n) for c in counts]) for counts in labels]
     return CredalSet(members, labels=labels)
 
 
@@ -210,61 +218,43 @@ class HocsResult:
 def hocs_ratio(measure, null, event: Event) -> HocsResult:
     """Score a point null against the uniform measure over its family.
 
-    For a :class:`TvuMeasure`, ``null`` is a parameter point; the
-    continuum reference probability is unaffected by deleting one point.
-    For a :class:`CountingMeasure`, ``null`` is a member index; the
-    member is excluded from the reference and the remaining weights
+    This is :func:`hocs_curve` at the one null ``null``: a parameter
+    point of a :class:`TvuMeasure` or a member index of a
+    :class:`CountingMeasure`.
+    """
+    return hocs_curve(measure, event, [null])[0]
+
+
+def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
+    """The ratio as a function of the null, one result per entry of ``nulls``.
+
+    For a :class:`TvuMeasure` the nulls are parameter points; the
+    likelihoods come from one blocked ``family.event_probs`` call and
+    the reference from one ``event_prob``, which deleting one point of
+    the continuum leaves unchanged.  For a :class:`CountingMeasure` the
+    nulls are member indices (integers, not ``bool``s); each member is
+    excluded from its own reference and the remaining weights
     renormalized (a singleton has positive counting measure).
     """
     if isinstance(measure, TvuMeasure):
-        result = hocs_curve(measure, event, [null])[0]
-        return replace(result, null_point=null if np.isscalar(null) else tuple(null))
-    if not isinstance(measure, CountingMeasure):
+        points = np.asarray(nulls, dtype=float)
+        likes = measure.family.event_probs(points[:, None] if points.ndim == 1 else points, event)
+        refs = [measure.event_prob(event)] * len(points)
+        nulls = [p if np.isscalar(p) else tuple(p) for p in points]
+        mode = "continuum"
+    elif isinstance(measure, CountingMeasure):
+        nulls = [_integer("a finite-mode null", i) for i in nulls]
+        likes = [float(measure.credal_set.member(i).prob(event)) for i in nulls]
+        refs = [float(measure.event_prob(event, exclude=i)) for i in nulls]
+        mode = "finite-excluded"
+    else:
         raise ConfigInvalid(f"unsupported measure type {type(measure).__name__}")
-    idx = int(null)
-    members = measure.credal_set.members
-    if not 0 <= idx < len(members):
-        raise IndexOutOfRange(f"member index {idx} out of range")
-    like = float(members[idx].prob(event))
-    ref = float(measure.event_prob(event, exclude=idx))
-    if ref <= 0.0:
-        raise ZeroEvidence("event has reference probability zero")
-    return HocsResult(
-        null_point=idx,
-        event_labels=event.labels,
-        null_likelihood=like,
-        reference_prob=ref,
-        ratio=like / ref,
-        mode="finite-excluded",
-    )
-
-
-def hocs_curve(measure, event: Event, params) -> list[HocsResult]:
-    """The ratio as a function of the null point over a parameter grid.
-
-    For a :class:`TvuMeasure` the likelihoods come from one blocked
-    ``family.event_probs`` call and the reference from one
-    ``event_prob``; :func:`hocs_ratio` is this curve at one point.
-    """
-    params = np.asarray(params, dtype=float)
-    if not isinstance(measure, TvuMeasure):
-        return [hocs_ratio(measure, p, event) for p in params]
-    family = measure.family
-    xs = params[:, None] if params.ndim == 1 else params
-    likes = family.event_probs(xs, event)
-    ref = measure.event_prob(event)
-    if ref <= 0.0:
+    if any(ref <= 0.0 for ref in refs):
         raise ZeroEvidence("event has reference probability zero")
     return [
-        HocsResult(
-            null_point=p if np.isscalar(p) else tuple(p),
-            event_labels=event.labels,
-            null_likelihood=float(like),
-            reference_prob=ref,
-            ratio=float(like) / ref,
-            mode="continuum",
-        )
-        for p, like in zip(params, likes)
+        HocsResult(null_point=null, event_labels=event.labels, null_likelihood=float(like),
+                   reference_prob=ref, ratio=float(like) / ref, mode=mode)
+        for null, like, ref in zip(nulls, likes, refs)
     ]
 
 

@@ -48,13 +48,12 @@ threads.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, _require_same_space, stable_sum
+from .core import MAX_GRID_CELLS, Event, _integer, _require_same_space, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
 from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, build_measure
@@ -88,16 +87,6 @@ STREAMS = (
     "standard exponentials: the same sequence as one (rows x S_(i-1)) "
     "standard_exponential array"
 )
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is a true integer (not a ``bool``)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -336,11 +325,12 @@ class OrderStats:
     values: np.ndarray = field(repr=False)
 
 
-def _summary(values, reference=None):
+def _summary(order: int, values: np.ndarray) -> dict:
+    """The fields every per-order report shares, from that order's values."""
     mean = stable_sum(values) / values.size
     sd = float(np.sqrt(stable_sum((values - mean) ** 2) / values.size))
-    dev = None if reference is None else float(np.max(np.abs(values - reference)))
-    return mean, sd, dev
+    return dict(order=order, n=int(values.size), mean=float(mean), sd=sd,
+                vmin=float(values.min()), vmax=float(values.max()), values=values)
 
 
 def convergence_stats(
@@ -351,22 +341,15 @@ def convergence_stats(
     ``reference`` (e.g. the exact uniform-measure probability of the
     event) adds a worst-case deviation column.
     """
-    out = []
-    for order, values in enumerate(tower.implied_vectors(event), start=1):
-        mean, sd, dev = _summary(values, reference)
-        out.append(
-            OrderStats(
-                order=order,
-                n=int(values.size),
-                mean=float(mean),
-                sd=sd,
-                vmin=float(values.min()),
-                vmax=float(values.max()),
-                max_dev_from_reference=dev,
-                values=values,
-            )
+    return [
+        OrderStats(
+            **_summary(order, values),
+            max_dev_from_reference=(
+                None if reference is None else float(np.max(np.abs(values - reference)))
+            ),
         )
-    return out
+        for order, values in enumerate(tower.implied_vectors(event), start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -433,24 +416,9 @@ def dilation_profile(tower: Tower, pre_event: Event, query_event: Event) -> Dila
     for order, (a, b) in enumerate(zip(a_chain, b_chain), start=1):
         ok = b > 0.0
         values = a[ok] / b[ok]
-        num, den = stable_sum(a[ok]), stable_sum(b[ok])
-        weighted = num / den
-        mean, sd, _ = _summary(values)
-        values = values.copy()
         values.setflags(write=False)
-        orders.append(
-            DilationOrder(
-                order=order,
-                n=int(values.size),
-                n_excluded=int((~ok).sum()),
-                mean=float(mean),
-                sd=sd,
-                weighted_mean=float(weighted),
-                vmin=float(values.min()),
-                vmax=float(values.max()),
-                values=values,
-            )
-        )
+        orders.append(DilationOrder(**_summary(order, values), n_excluded=int((~ok).sum()),
+                                    weighted_mean=float(stable_sum(a[ok]) / stable_sum(b[ok]))))
     return DilationProfile(
         pre_event=pre_event,
         query_event=query_event,

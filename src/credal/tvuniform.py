@@ -318,6 +318,9 @@ def thickness(family: ParamFamily, x, k: int = 0, h: float | None = None) -> flo
     box boundary; the two sides are averaged when both exist, which at a
     kink yields the mean of the one-sided limits.  ``h`` defaults to
     ``1e-5`` times the slot's interval length and must fit inside it.
+    A side whose Richardson correction ``|d2 - d1|`` passes a tenth of
+    its estimate ``|2 d2 - d1|`` raises :class:`StepTooLarge`: the step
+    is too coarse for the curvature there, and the estimate untrusted.
     """
     x = _as_point(x, family.ndim)
     if not family.box.contains(x):
@@ -354,6 +357,9 @@ def thickness(family: ParamFamily, x, k: int = 0, h: float | None = None) -> flo
             return 0.5 * stable_sum(np.abs(shifted - base)) / s
 
         d1, d2 = rate(step), rate(step / 2.0)
+        if abs(d2 - d1) > 0.1 * abs(2.0 * d2 - d1):
+            raise StepTooLarge(f"step {step} in slot {k} at {x} is too coarse for "
+                               "the local curvature")
         return 2.0 * d2 - d1  # cancels the O(h) term of the one-sided quotient
 
     right = one_sided(+1.0, room_r)

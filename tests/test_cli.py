@@ -5,6 +5,7 @@ import json
 import platform
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,20 @@ class TestUrnCommand:
                      "--out", str(tmp_path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["red"] == "101/200"
+
+    def test_urn_is_refused_by_its_work_not_its_ball_count(self, tmp_path, capsys):
+        code = main(["urn", "--colors", "a,b", "--balls", "3343", "--history", "a,b,a",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        probs = json.loads(capsys.readouterr().out)
+        assert sum(Fraction(v) for v in probs.values()) == 1
+
+    def test_urn_with_wide_powers_is_refused(self, tmp_path, capsys):
+        # 300,000 balls are few powers, but after 200 draws each spans 60 words.
+        code = main(["urn", "--colors", "a,b", "--balls", "300000", "--history",
+                     ",".join(["a"] * 200), "--out", str(tmp_path)])
+        assert code == 2
+        assert "300000 balls" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +308,10 @@ def test_manifest_records_diagnostics(tmp_path, capsys, command):
         assert len(diagnostics["tower"]["level_sizes"]) == 2
     if "urn" in diagnostics:
         # three colours, 6 balls: 4 weights of one truncated product
-        # (28 multiply-adds) and one last coefficient (7)
-        assert diagnostics["urn"] == {"degree": 6, "colors": 3, "multiply_adds": 4 * (28 + 7)}
+        # (28 multiply-adds) and one last coefficient (7), each weight
+        # listing 3 colours' 7 powers
+        assert diagnostics["urn"] == {"degree": 6, "colors": 3, "multiply_adds": 4 * (28 + 7),
+                                      "powers": 4 * 3 * 7}
 
 
 def test_repeated_op_reuses_freed_memory(tmp_path, capsys):

@@ -141,9 +141,36 @@ class TestUrnUpdate:
         state = UrnState(colors=colors, ball_total=12, history=("a", "a"))
         monkeypatch.setattr(credal.inference, "map", counting_map, raising=False)
         urn_update(state)
-        assert urn_work(state) == {"degree": 12, "colors": len(colors),
-                                   "multiply_adds": formed}
-        assert formed > 0 or len(colors) == 1
+        c = len(colors)
+        assert urn_work(state) == {"degree": 12, "colors": c, "multiply_adds": formed,
+                                   "powers": (c + 1) * c * 13 if c > 1 else 0}
+        assert formed > 0 or c == 1
+
+    def test_work_charges_wide_integers_by_their_words(self, monkeypatch):
+        # A long history makes the powers and products span many 64-bit
+        # words; the charge bounds the word products actually formed.
+        formed = words = 0
+
+        def counting_map(fn, *iterables):
+            nonlocal formed, words
+            pairs = list(zip(*iterables))
+            if fn is int.__mul__:
+                formed += len(pairs)
+                words += sum((1 + a.bit_length() // 64) * (1 + b.bit_length() // 64)
+                             for a, b in pairs)
+            return itertools.starmap(fn, pairs)
+
+        state = UrnState(colors=("a", "b", "c"), ball_total=30,
+                         history=("a",) * 40 + ("b",) * 25 + ("c",) * 3)
+        monkeypatch.setattr(credal.inference, "map", counting_map, raising=False)
+        urn_update(state)
+        cost = urn_work(state)
+        assert formed < words <= cost["multiply_adds"]
+        # 5-bit balls: the four weights' exponents (40|41, 25|26, 3|4) span
+        # 4, 2|3, 1 words; the 496-cell product's operands 4 and 2|3 words,
+        # the last coefficient's partial products 6 words.
+        assert cost["powers"] == 31 * (7 + 7 + 8 + 7)
+        assert cost["multiply_adds"] == 496 * 4 * (2 + 2 + 3 + 2) + 31 * 6 * 4
 
     def test_more_colors_drawn_than_balls_is_impossible(self):
         with pytest.raises(ImpossibleHistory):
@@ -183,6 +210,44 @@ class TestUrnUpdate:
             UrnState(colors=("red", "red"))
         with pytest.raises(ConfigInvalid):
             urn_update(UrnState(), mode="fast")
+
+    @pytest.mark.parametrize("colors", [("a", "b"), ("a", "b", "c")])
+    def test_refused_by_the_reported_work(self, monkeypatch, colors):
+        state = UrnState(colors=colors, ball_total=40, history=("a", "a"))
+        cost = urn_work(state)
+        work = cost["multiply_adds"] + cost["powers"]
+        monkeypatch.setattr(credal.inference, "MAX_GRID_CELLS", work)
+        assert sum(urn_update(state).values()) == 1
+        monkeypatch.setattr(credal.inference, "MAX_GRID_CELLS", work - 1)
+        with pytest.raises(ConfigInvalid, match=str(work)):
+            urn_update(state)
+
+    def test_large_two_colour_urn_runs(self):
+        # 10,032 multiply-adds and 20,064 powers: far inside the cap,
+        # which a bound quadratic in the ball total used to pass.
+        state = UrnState(colors=("a", "b"), ball_total=3343, history=("a", "b", "a"))
+        assert urn_work(state)["multiply_adds"] == 10_032
+        probs = urn_update(state)
+        assert all(isinstance(v, Fraction) for v in probs.values())
+        assert sum(probs.values()) == 1
+        assert urn_update(UrnState(colors=("a",), ball_total=6000, history=("a",))) == {"a": 1}
+
+    @pytest.mark.parametrize("balls, history", [(300_000, ("a",) * 200),
+                                                (100_000, ("a", "b") * 100)])
+    def test_long_history_over_many_balls_is_refused(self, balls, history):
+        # Few powers per ball, but each spans dozens of 64-bit words.
+        state = UrnState(colors=("a", "b"), ball_total=balls, history=history)
+        cost = urn_work(state)
+        assert cost["multiply_adds"] + cost["powers"] > credal.inference.MAX_GRID_CELLS
+        assert 3 * 2 * (balls + 1) < 2 * 10**6
+        with pytest.raises(ConfigInvalid):
+            urn_update(state)
+
+    def test_one_colour_lists_nothing(self):
+        state = UrnState(colors=("a",), ball_total=16_000_000, history=("a",) * 200)
+        assert urn_work(state) == {"degree": 16_000_000, "colors": 1,
+                                   "multiply_adds": 0, "powers": 0}
+        assert urn_update(state) == {"a": 1}
 
     def test_runtime_is_fast(self):
         t0 = time.perf_counter()
@@ -254,6 +319,18 @@ class TestHocsRatio:
         assert r.ratio == pytest.approx(r.null_likelihood / r.reference_prob)
         assert r.event_labels == (1,)
 
+    def test_continuum_null_point_is_the_float_scored(self, family, measure):
+        # A parameter point comes back as the float the curve scored, a
+        # tuple of them for a point given as a sequence, never the
+        # caller's object.
+        e = family.space.event([1])
+        for null in (0, 0.25, np.float32(0.5)):
+            r = hocs_ratio(measure, null, e)
+            assert type(r.null_point) is np.float64 and r.null_point == float(null)
+        r = hocs_ratio(measure, [0.25], e)
+        assert r.null_point == (0.25,) and type(r.null_point[0]) is np.float64
+        assert r == hocs_curve(measure, e, [[0.25]])[0]
+
     def test_ratio_is_likelihood_over_unexcluded_reference(self, family, measure):
         # Continuum: a point null carries no mass, so the reference is
         # the plain event probability.
@@ -311,6 +388,61 @@ class TestHocsRatio:
     def test_curve_rejects_points_outside_the_box(self, family, measure):
         with pytest.raises(IndexOutOfRange):
             hocs_curve(measure, family.space.event([1]), [0.5, 1.5])
+
+
+@pytest.fixture(scope="module")
+def coins():
+    from credal import CredalSet, OutcomeSpace, make_rational_distribution
+
+    sp = OutcomeSpace(["H", "T"])
+    members = [make_rational_distribution(sp, [w, 4 - w]) for w in range(5)]
+    return CountingMeasure(CredalSet(members)), sp.event(["H"])
+
+
+class TestFiniteNulls:
+    @pytest.mark.parametrize("null", [1.7, 1.0, True, np.float64(2.0), "1"])
+    def test_non_integer_null_is_refused(self, coins, null):
+        m, e = coins
+        with pytest.raises(ConfigInvalid):
+            hocs_ratio(m, null, e)
+
+    def test_curve_refuses_float_indices(self, coins):
+        # Casting to float and truncating used to score members 0 and 2.
+        m, e = coins
+        with pytest.raises(ConfigInvalid):
+            hocs_curve(m, e, [0.2, 2.9])
+        with pytest.raises(ConfigInvalid):
+            hocs_curve(m, e, np.array([0, 2], dtype=float))
+
+    @pytest.mark.parametrize("null", [-1, 5])
+    def test_index_out_of_range(self, coins, null):
+        m, e = coins
+        with pytest.raises(IndexOutOfRange):
+            hocs_ratio(m, null, e)
+        with pytest.raises(IndexOutOfRange):
+            hocs_curve(m, e, [0, null])
+
+    def test_numpy_integers_are_indices(self, coins):
+        m, e = coins
+        r = hocs_ratio(m, np.int64(3), e)
+        assert r == hocs_ratio(m, 3, e)
+        assert type(r.null_point) is int
+        assert hocs_curve(m, e, np.arange(5)) == hocs_curve(m, e, range(5))
+
+    def test_curve_equals_per_member_ratios(self, coins):
+        m, e = coins
+        curve = hocs_curve(m, e, range(5))
+        assert curve == [hocs_ratio(m, i, e) for i in range(5)]
+        # Member i has P(H) = i/4; the other four average (10 - i)/16.
+        for i, r in enumerate(curve):
+            assert r.mode == "finite-excluded" and r.null_point == i
+            assert r.null_likelihood == i / 4
+            assert r.reference_prob == (10 - i) / 16
+            assert r.ratio == (i / 4) / ((10 - i) / 16)
+
+    def test_unsupported_measure(self, family):
+        with pytest.raises(ConfigInvalid):
+            hocs_curve(family, family.space.event([1]), [0.5])
 
 
 class TestBinomialTestReport:

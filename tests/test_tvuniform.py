@@ -256,6 +256,37 @@ class TestThickness:
             want = panel_thickness(p) * p / (3.0 * s)
             assert thickness(fam_s, s, 0) == pytest.approx(want, rel=1e-5)
 
+    def test_fd_refuses_a_step_too_coarse_for_the_curvature(self, family):
+        # Near s = 0 the s = p^3 family's thickness (30,450.6 at s = 1e-6,
+        # 5,903.1 at 1e-5 by the chain rule) bends within one 1e-5 step:
+        # the estimates were -664.9 and 482.0, and the measure over the
+        # family failed on a negative density.
+        fam_s = ParamFamily(
+            ParamBox([(0.0, 1.0)]),
+            family.space,
+            lambda xs, out: family.probs_batch_fn(xs ** (1 / 3), out),
+            kinks=[tuple(k**3 for k in KINKS)],
+        )
+        for s in (1e-6, 1e-5):
+            with pytest.raises(StepTooLarge, match=rf"step 1e-05 in slot 0 at \({s},\)"):
+                thickness(fam_s, s, 0)
+        p = 1e-4 ** (1 / 3)
+        want = panel_thickness(p) * p / (3.0 * 1e-4)
+        assert thickness(fam_s, 1e-4, 0) == pytest.approx(want, rel=2e-3)
+        with pytest.raises(StepTooLarge):
+            build_measure(fam_s)
+
+    def test_fd_only_measure_matches_the_closed_form(self, family, measure):
+        # build_measure's finite-difference fallback, on a family that
+        # registers no thickness, against the closed-form measure.
+        fd = ParamFamily(ParamBox([(0.0, 1.0)]), family.space, family.probs_batch_fn,
+                         kinks=[tuple(KINKS)])
+        m = build_measure(fd)
+        assert fd.thickness_batch_fns[0] is None
+        assert m.meta["converged"] is True
+        assert m.z == pytest.approx(GOLDEN_Z, rel=1e-9)
+        np.testing.assert_allclose(m.outcome_probs(), measure.outcome_probs(), rtol=0, atol=1e-9)
+
 
 class TestMeasure:
     def test_normalizer_against_quad_and_golden(self, measure):
