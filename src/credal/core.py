@@ -74,7 +74,31 @@ def _integer(name: str, value) -> int:
     raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
 
-class OutcomeSpace:
+class _Frozen:
+    """Base of the package's value classes, which updates read and share.
+
+    Assignment is refused.  A constructor sets its fields once through
+    :meth:`_init`, which makes every numpy array it stores read-only: an
+    array alone, or a tuple whose first element is an array (a tuple of
+    labels or members is never walked).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+                for arr in value:
+                    arr.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+
+class OutcomeSpace(_Frozen):
     """An ordered finite set of distinct outcome labels."""
 
     __slots__ = ("labels", "_index")
@@ -86,11 +110,7 @@ class OutcomeSpace:
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise LengthMismatch("outcome labels must be distinct")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("OutcomeSpace is immutable")
+        self._init(labels=labels, _index=index)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -121,7 +141,7 @@ class OutcomeSpace:
         return Event(self, indices=range(len(self.labels)))
 
 
-class Event:
+class Event(_Frozen):
     """A subset of an outcome space, kept as sorted outcome indices."""
 
     __slots__ = ("space", "indices")
@@ -131,11 +151,7 @@ class Event:
         n = len(space)
         if idx and (idx[0] < 0 or idx[-1] >= n):
             raise IndexOutOfRange(f"event indices must lie in [0, {n})")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "indices", tuple(idx))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Event is immutable")
+        self._init(space=space, indices=tuple(idx))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -183,7 +199,7 @@ def _require_same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
         raise SpaceMismatch(f"outcome spaces differ: {a!r} vs {b!r}")
 
 
-class FiniteDistribution:
+class FiniteDistribution(_Frozen):
     """A probability vector over a finite outcome space.
 
     The constructor expects an already-normalized vector (sum within
@@ -204,13 +220,7 @@ class FiniteDistribution:
         total = stable_sum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ZeroTotal(f"probabilities sum to {total!r}, not 1")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteDistribution is immutable")
+        self._init(space=space, probs=probs.copy())
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -235,7 +245,7 @@ class FiniteDistribution:
         return cls(OutcomeSpace(payload["labels"]), payload["probs"])
 
 
-class RationalDistribution:
+class RationalDistribution(_Frozen):
     """An exact probability vector with :class:`fractions.Fraction` entries.
 
     Used where the package promises exact arithmetic (urn posteriors,
@@ -254,11 +264,7 @@ class RationalDistribution:
             raise NegativeWeight("probabilities must be non-negative")
         if sum(probs) != 1:
             raise ZeroTotal(f"probabilities sum to {sum(probs)}, not 1")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalDistribution is immutable")
+        self._init(space=space, probs=probs)
 
     def __eq__(self, other) -> bool:
         return (

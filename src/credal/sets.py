@@ -12,8 +12,11 @@ Conditioning a credal set on an event ``E`` does two things at once:
   restriction can be compared event by event.
 
 Distinct members may collapse to the same conditional; such duplicates
-are merged (total variation below ``MERGE_TOL``) and the merge count is
-recorded in ``multiplicities``.
+are merged and the merge count is recorded in ``multiplicities``.  Exact
+members merge when equal; float members merge when every probability
+rounds to the same multiple of ``MERGE_TOL`` (``np.rint(p / MERGE_TOL)``).
+That is a rounding grid, not a TV threshold: two conditionals closer than
+``MERGE_TOL`` stay apart when a rounding boundary falls between them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .core import (
     FiniteDistribution,
     OutcomeSpace,
     RationalDistribution,
+    _Frozen,
     _require_same_space,
     stable_sum,
 )
@@ -44,7 +48,7 @@ __all__ = [
 MERGE_TOL = 1e-12
 
 
-class CredalSet:
+class CredalSet(_Frozen):
     """A non-empty finite set of distributions over one outcome space.
 
     ``multiplicities[i]`` counts how many original members are
@@ -79,13 +83,8 @@ class CredalSet:
                 raise LengthMismatch("one multiplicity per member required")
             if any(k < 1 for k in multiplicities):
                 raise LengthMismatch("multiplicities must be positive")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "multiplicities", multiplicities)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CredalSet is immutable")
+        self._init(space=space, members=members, labels=labels,
+                   multiplicities=multiplicities)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -111,7 +110,7 @@ def probability_range(c: CredalSet, event: Event) -> tuple[float, float]:
     return min(probs), max(probs)
 
 
-class EventMap:
+class EventMap(_Frozen):
     """Relabeling induced by conditioning: source events to the event space.
 
     The target space's outcomes are exactly the outcomes of the
@@ -133,15 +132,9 @@ class EventMap:
             target_space = OutcomeSpace(event.labels)
         elif len(target_space) != len(event):
             raise SpaceMismatch("target space must have one outcome per event member")
-        src2tgt = {s: t for t, s in enumerate(event.indices)}
-        object.__setattr__(self, "source_space", source_space)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "target_space", target_space)
-        object.__setattr__(self, "_src2tgt", src2tgt)
-        object.__setattr__(self, "_tgt2src", tuple(event.indices))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EventMap is immutable")
+        self._init(source_space=source_space, event=event, target_space=target_space,
+                   _src2tgt={s: t for t, s in enumerate(event.indices)},
+                   _tgt2src=tuple(event.indices))
 
     def __repr__(self) -> str:
         return f"EventMap({self.event!r} -> {self.target_space!r})"
@@ -186,9 +179,12 @@ def credal_condition(c: CredalSet, event: Event) -> tuple[CredalSet, EventMap]:
 
     Members assigning zero probability to the event are dropped; if all
     of them do, :class:`~credal.errors.AllMembersZero` is raised.
-    Surviving conditionals that coincide (TV below ``MERGE_TOL``) are
-    merged, summing their multiplicities.  Returns the conditioned set
-    together with the :class:`EventMap` used for the restriction.
+    Surviving conditionals that coincide are merged, summing their
+    multiplicities: exact ones when equal, float ones when each
+    probability rounds to the same multiple of ``MERGE_TOL`` (see the
+    module docstring; a rounding boundary can split near neighbours).
+    Returns the conditioned set together with the :class:`EventMap`
+    used for the restriction.
     """
     _require_same_space(c.space, event.space)
     emap = EventMap(event)

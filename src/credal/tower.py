@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, _integer, _require_same_space, stable_sum
+from .core import MAX_GRID_CELLS, Event, _Frozen, _integer, _require_same_space, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
 from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, build_measure
@@ -135,7 +135,7 @@ class TowerConfig:
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
 
 
-class Tower:
+class Tower(_Frozen):
     """A built tower: one stack of particle distributions per order.
 
     ``levels[i - 1]`` is the (particles × outcomes) matrix whose rows are
@@ -150,13 +150,7 @@ class Tower:
 
     def __init__(self, config, space, levels, base_params):
         levels = tuple(np.asarray(v, dtype=np.float64) for v in levels)
-        for v in levels:
-            v.setflags(write=False)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "base_params", base_params)
-        object.__setattr__(self, "meta", {
+        self._init(config=config, space=space, levels=levels, base_params=base_params, meta={
             "level_sizes": [v.shape[0] for v in levels],
             "bytes_held": sum(v.nbytes for v in levels),
             "block_rows": BLOCK_ROWS,
@@ -167,9 +161,6 @@ class Tower:
             ),
             "streams": STREAMS,
         })
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tower is immutable")
 
     def __repr__(self) -> str:
         return f"Tower(orders={self.max_order}, sizes={self.meta['level_sizes']})"
@@ -329,6 +320,7 @@ def _summary(order: int, values: np.ndarray) -> dict:
     """The fields every per-order report shares, from that order's values."""
     mean = stable_sum(values) / values.size
     sd = float(np.sqrt(stable_sum((values - mean) ** 2) / values.size))
+    values.setflags(write=False)
     return dict(order=order, n=int(values.size), mean=float(mean), sd=sd,
                 vmin=float(values.min()), vmax=float(values.max()), values=values)
 
@@ -416,7 +408,6 @@ def dilation_profile(tower: Tower, pre_event: Event, query_event: Event) -> Dila
     for order, (a, b) in enumerate(zip(a_chain, b_chain), start=1):
         ok = b > 0.0
         values = a[ok] / b[ok]
-        values.setflags(write=False)
         orders.append(DilationOrder(**_summary(order, values), n_excluded=int((~ok).sum()),
                                     weighted_mean=float(stable_sum(a[ok]) / stable_sum(b[ok]))))
     return DilationProfile(

@@ -64,6 +64,7 @@ from .core import (
     FiniteDistribution,
     OutcomeSpace,
     RationalDistribution,
+    _Frozen,
     _require_same_space,
     stable_sum,
 )
@@ -136,7 +137,7 @@ def _stratified_indices(mass: np.ndarray, rng: np.random.Generator, size: int) -
     return np.minimum(idx, np.flatnonzero(mass)[-1])
 
 
-class ParamBox:
+class ParamBox(_Frozen):
     """An axis-aligned box of parameters: one closed interval per slot."""
 
     __slots__ = ("intervals",)
@@ -148,10 +149,7 @@ class ParamBox:
         for a, b in ivs:
             if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
                 raise ConfigInvalid(f"invalid interval ({a}, {b})")
-        object.__setattr__(self, "intervals", ivs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamBox is immutable")
+        self._init(intervals=ivs)
 
     @property
     def ndim(self) -> int:
@@ -179,7 +177,7 @@ def _as_point(x, ndim: int) -> tuple:
     return pt
 
 
-class ParamFamily:
+class ParamFamily(_Frozen):
     """A parametrized family of distributions over a fixed outcome space.
 
     ``probs_batch(xs, out)`` maps an ``(N, ndim)`` array of parameter
@@ -228,16 +226,9 @@ class ParamFamily:
             thickness_batch = (None,) * d
         elif len(thickness_batch) != d:
             raise ConfigInvalid("one batch thickness per parameter slot required")
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "probs_batch_fn", probs_batch)
-        object.__setattr__(self, "kinks", kinks)
-        object.__setattr__(self, "thickness_batch_fns", tuple(thickness_batch))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "meta", dict(meta or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamFamily is immutable")
+        self._init(box=box, space=space, probs_batch_fn=probs_batch, kinks=kinks,
+                   thickness_batch_fns=tuple(thickness_batch), name=name,
+                   meta=dict(meta or {}))
 
     def __repr__(self) -> str:
         tag = self.name or "family"
@@ -556,7 +547,7 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
             diagnostics)
 
 
-class TvuMeasure:
+class TvuMeasure(_Frozen):
     """Quadrature representation of the uniform measure over a family.
 
     Stores the final node set ``nodes`` (shape ``(N, ndim)``), the
@@ -581,12 +572,8 @@ class TvuMeasure:
         nodes = np.atleast_2d(np.asarray(nodes, dtype=np.float64))
         weights = np.asarray(weights, dtype=np.float64)
         density = np.asarray(density, dtype=np.float64)
-        mass = weights * density
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "_mass", mass)
+        self._init(family=family, nodes=nodes, weights=weights, density=density,
+                   _mass=weights * density)
         z = self._integrate(1.0)
         if not math.isfinite(z) or z <= 0.0:
             raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
@@ -594,22 +581,15 @@ class TvuMeasure:
         # contiguous and numpy sums them pairwise; then the block partials.
         partials = []
         for rows, block, probs in _prob_blocks(family, nodes):
-            np.multiply(probs.T, mass[rows], out=block)
+            np.multiply(probs.T, self._mass[rows], out=block)
             partials.append(block.sum(axis=1))
         outcome_mass = np.stack(partials, axis=1).sum(axis=1)
-        held = (nodes, weights, density, mass, outcome_mass)
-        for arr in held:
-            arr.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_outcome_mass", outcome_mass)
-        object.__setattr__(self, "meta", {
+        held = (nodes, weights, density, self._mass, outcome_mass)
+        self._init(z=z, _outcome_mass=outcome_mass, meta={
             **(meta or {}),
             "block_rows": BLOCK_ROWS,
             "bytes_held": sum(arr.nbytes for arr in held),
         })
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TvuMeasure is immutable")
 
     def __repr__(self) -> str:
         return (
@@ -702,7 +682,7 @@ def _counted_mass(space: OutcomeSpace, members, counts) -> tuple[list[Fraction],
     return mass, Fraction if exact else float
 
 
-class CountingMeasure:
+class CountingMeasure(_Frozen):
     """Uniform counting measure over the members of a finite credal set.
 
     This is what TV-uniformity degenerates to when the credal set is
@@ -727,14 +707,8 @@ class CountingMeasure:
         else:
             counts = (1,) * len(credal_set)
         total = sum(counts)
-        object.__setattr__(self, "credal_set", credal_set)
-        object.__setattr__(self, "weights", tuple(Fraction(c, total) for c in counts))
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_summed", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CountingMeasure is immutable")
+        self._init(credal_set=credal_set, weights=tuple(Fraction(c, total) for c in counts),
+                   counts=counts, _total=total, _summed=None)
 
     def __repr__(self) -> str:
         return f"CountingMeasure({len(self.credal_set)} members)"
@@ -743,7 +717,7 @@ class CountingMeasure:
         """The members' :func:`_counted_mass`, summed on the first query."""
         if self._summed is None:
             c = self.credal_set
-            object.__setattr__(self, "_summed", _counted_mass(c.space, c.members, self.counts))
+            self._init(_summed=_counted_mass(c.space, c.members, self.counts))
         return self._summed
 
     def event_prob(self, event: Event, exclude: int | None = None):

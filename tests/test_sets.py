@@ -27,7 +27,9 @@ from credal import (
     make_rational_distribution,
     probability_range,
     sample_l1_uniform,
+    tv_distance,
 )
+from credal.sets import MERGE_TOL
 from credal.tvuniform import coin_match_family
 
 
@@ -143,6 +145,24 @@ class TestCredalCondition:
         assert len(conditioned) == 2
         assert conditioned.multiplicities == (2, 1)
         assert conditioned.total_multiplicity() == 3
+
+    def test_float_merge_is_a_rounding_grid_not_a_tv_threshold(self):
+        sp = OutcomeSpace(["a", "b", "c"])
+        on_ab = sp.event(["a", "b"])
+
+        def pair(*xs):
+            members = [make_distribution(sp, [x, 1.0 - x, 0.0]) for x in xs]
+            conditioned, _ = credal_condition(CredalSet(members), on_ab)
+            return tv_distance(*members), conditioned
+
+        # 50 times closer than MERGE_TOL in TV, but a rounding boundary lies between.
+        tv, split = pair(0.25 + 0.49e-12, 0.25 + 0.51e-12)
+        assert tv == pytest.approx(2.0e-14, rel=0.01)
+        assert split.multiplicities == (1, 1)
+        # 24 times farther apart, but on the same multiples of MERGE_TOL.
+        tv, merged = pair(0.25 + 0.01e-12, 0.25 + 0.49e-12)
+        assert tv == pytest.approx(4.8e-13, rel=0.01)
+        assert merged.multiplicities == (2,)
 
     def test_rational_members_condition_exactly(self):
         sp = OutcomeSpace(["r", "y", "b"])
