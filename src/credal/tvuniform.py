@@ -32,13 +32,17 @@ unnormalized per-outcome masses ``m_o = sum_i weight_i * density_i *
 f(x_i)_o`` in one pass over the nodes, and an event's probability is
 ``m[E].sum() / Z``.  The pass evaluates ``BLOCK_ROWS`` nodes at a time,
 sums each block pairwise, then sums the block partials pairwise; no
-nodes x outcomes matrix is ever held.  Building costs one evaluation of
-every node's distribution, each block written into one reused workspace
-(about 1.6 MB at ``n = 400``); each event then costs ``|E|`` additions.
-Every term is non-negative, so each sum is accurate to a few ulps of the
-total (Higham 1993, "The accuracy of floating point summation"), and the
-block size is a constant, so the reduction order and every result are
-the same on every run.
+nodes x outcomes matrix is ever held.  Of each block it evaluates only
+the family's ``outcome_span``, the outcomes that can hold more than
+``OUTCOME_FLOOR`` of a node's mass (every outcome for a family that
+registers no span), into one reused workspace of ``BLOCK_ROWS x
+|outcomes|`` (about 1.6 MB at ``n = 400``).  For the binomial family the
+span is a Chernoff band: at ``n = 400`` the pass evaluates 1,446,912 of
+the 6,400 x 401 node-outcome cells.  Each event then costs ``|E|``
+additions.  Every term is non-negative, so each sum is accurate to a few
+ulps of the total (Higham 1993, "The accuracy of floating point
+summation"), and the block size is a constant, so the reduction order
+and every result are the same on every run.
 
 The binomial head-count family is the fully worked example.  Half the
 L1 norm of the pmf's derivative has a closed form (de Moivre's mean
@@ -65,6 +69,7 @@ from .core import (
     OutcomeSpace,
     RationalDistribution,
     _Frozen,
+    _integer,
     _require_same_space,
     stable_sum,
 )
@@ -101,21 +106,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # summation order, and with it every result, never varies.
 BLOCK_ROWS = 512
 
+# The probability below which a family's ``outcome_span`` may leave an
+# outcome out of a block of the outcome-mass pass.  A left-out cell weighs
+# less than OUTCOME_FLOOR times its node's mass, so that outcome's block
+# partial, at most BLOCK_ROWS x (largest node mass) x OUTCOME_FLOOR,
+# becomes 0.  The node masses sum to Z, so no outcome probability P loses
+# OUTCOME_FLOOR or more: about 20 orders of magnitude below half an ulp of
+# P (above 5e-17 P) when P > 1e-4, as for every binomial head count at
+# n <= 1447.  The loss can change P's last bit only by tipping a rounding
+# that lies within it; the tests check bit equality with a full pass.
+OUTCOME_FLOOR = 1e-40
 
-def _prob_blocks(family: ParamFamily, xs: np.ndarray):
-    """Yield ``(rows, block, probs)`` for each ``BLOCK_ROWS`` slice of ``xs``.
 
-    Every block is evaluated into one outcome-major workspace, so a pass
-    allocates one block's worth of memory however many blocks it has.
-    ``block`` is the slice's ``(|outcomes|, rows)`` view of it, and
-    ``probs`` is ``block.T`` unless the family returned a fresh array.
+def _prob_blocks(family: ParamFamily, xs: np.ndarray, outcomes: slice | None = None):
+    """Yield ``(rows, span, block, probs)`` for each ``BLOCK_ROWS`` slice of ``xs``.
+
+    ``span`` is the slice ``outcomes`` of the family's outcomes or, when
+    omitted, the family's :meth:`~ParamFamily.outcome_span` of the
+    block's rows.  Every block is evaluated into one outcome-major
+    workspace, so a pass allocates one block's worth of memory however
+    many blocks it has.  ``block`` is the ``(|span|, rows)`` view of it,
+    and ``probs`` is ``block.T`` unless the family returned a fresh array.
     """
     n = xs.shape[0]
-    work = np.empty((len(family.space), min(BLOCK_ROWS, n)))
+    width = len(family.space) if outcomes is None else outcomes.stop - outcomes.start
+    work = np.empty((width, min(BLOCK_ROWS, n)))
     for lo in range(0, n, BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, n))
-        block = work[:, : rows.stop - lo]
-        yield rows, block, family.probs_matrix(xs[rows], out=block.T)
+        span = family.outcome_span(xs[rows]) if outcomes is None else outcomes
+        block = work[: span.stop - span.start, : rows.stop - lo]
+        yield rows, span, block, family.probs_matrix(xs[rows], out=block.T, outcomes=span)
 
 
 def _stratified_indices(mass: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -180,26 +200,33 @@ def _as_point(x, ndim: int) -> tuple:
 class ParamFamily(_Frozen):
     """A parametrized family of distributions over a fixed outcome space.
 
-    ``probs_batch(xs, out)`` maps an ``(N, ndim)`` array of parameter
-    points to the ``(N, |outcomes|)`` matrix of their probability
-    vectors; it is the family's one evaluation path, and :meth:`probs`
-    reads a single point as a one-row batch.  ``out`` is a writable,
-    possibly strided ``(N, |outcomes|)`` float array that the stock
-    families fill and return; a family may return a fresh array instead.
-    Only the shape is checked: normalization is the family's contract.
-    Optional registrations sharpen the geometry:
+    ``probs_batch(xs, out, outcomes)`` maps an ``(N, ndim)`` array of
+    parameter points to the probabilities of the outcomes in ``outcomes``,
+    a contiguous ``slice(start, stop)`` of the outcome indices: an ``(N,
+    stop - start)`` matrix.  It is the family's one evaluation path;
+    :meth:`probs_matrix` passes every outcome unless asked for a slice,
+    and :meth:`probs` reads a single point as a one-row batch.  ``out`` is
+    a writable, possibly strided float array of that shape, which the
+    stock families fill and return; a family may return a fresh array
+    instead.  Only the shape is checked: normalization is the family's
+    contract.  Optional registrations sharpen the geometry:
 
     * ``kinks[k]``: interior parameter values where the thickness in
       slot ``k`` is not smooth (quadrature panels never straddle them,
       finite differences never step across them);
     * ``thickness_batch[k]``: closed-form thickness for slot ``k``,
-      taking the same ``(N, ndim)`` array and returning ``N`` values.
+      taking the same ``(N, ndim)`` array and returning ``N`` values;
+    * ``outcome_span(xs)``: a contiguous slice of the outcomes outside
+      which every row of ``xs`` has probability below ``OUTCOME_FLOOR``.
+      The measure's outcome-mass pass evaluates only that slice of each
+      block of nodes; without it, every outcome.
 
     A slot without a registered thickness falls back to the
     finite-difference estimator :func:`thickness`, point by point.
     """
 
-    __slots__ = ("box", "space", "probs_batch_fn", "kinks", "thickness_batch_fns", "name", "meta")
+    __slots__ = ("box", "space", "probs_batch_fn", "kinks", "thickness_batch_fns",
+                 "outcome_span_fn", "name", "meta")
 
     def __init__(
         self,
@@ -209,6 +236,7 @@ class ParamFamily(_Frozen):
         *,
         kinks: Sequence[Sequence[float]] | None = None,
         thickness_batch: Sequence[Callable | None] | None = None,
+        outcome_span: Callable | None = None,
         name: str = "",
         meta: dict | None = None,
     ):
@@ -227,8 +255,8 @@ class ParamFamily(_Frozen):
         elif len(thickness_batch) != d:
             raise ConfigInvalid("one batch thickness per parameter slot required")
         self._init(box=box, space=space, probs_batch_fn=probs_batch, kinks=kinks,
-                   thickness_batch_fns=tuple(thickness_batch), name=name,
-                   meta=dict(meta or {}))
+                   thickness_batch_fns=tuple(thickness_batch), outcome_span_fn=outcome_span,
+                   name=name, meta=dict(meta or {}))
 
     def __repr__(self) -> str:
         tag = self.name or "family"
@@ -237,6 +265,21 @@ class ParamFamily(_Frozen):
     @property
     def ndim(self) -> int:
         return self.box.ndim
+
+    def _outcomes(self, outcomes: slice | None) -> slice:
+        """``outcomes`` as ``slice(start, stop)`` within the space; every outcome if ``None``."""
+        if outcomes is None:
+            return slice(0, len(self.space))
+        if isinstance(outcomes, slice):
+            start, stop, step = outcomes.indices(len(self.space))
+            if step == 1:
+                return slice(start, max(start, stop))
+        raise ConfigInvalid(f"outcomes must be a contiguous slice, got {outcomes!r}")
+
+    def outcome_span(self, xs: np.ndarray) -> slice:
+        """The outcomes outside which every row of ``xs`` has probability
+        below ``OUTCOME_FLOOR``: the registered span, or every outcome."""
+        return self._outcomes(None if self.outcome_span_fn is None else self.outcome_span_fn(xs))
 
     def probs(self, x) -> np.ndarray:
         """Probability vector at parameter ``x`` in the box.
@@ -248,19 +291,21 @@ class ParamFamily(_Frozen):
             raise IndexOutOfRange(f"parameter {x} outside the box")
         return self.probs_matrix(np.array([x]))[0]
 
-    def probs_matrix(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Probability vectors at each row of ``xs`` (shape (N, ndim)),
-        filled into ``out`` when the family supports it (allocated if omitted)."""
+    def probs_matrix(self, xs: np.ndarray, out: np.ndarray | None = None,
+                     outcomes: slice | None = None) -> np.ndarray:
+        """Probabilities of the ``outcomes`` slice (every outcome if omitted)
+        at each row of ``xs`` (shape (N, ndim)), filled into ``out`` when
+        the family supports it (allocated if omitted)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         if xs.shape[1] != self.ndim:
             raise LengthMismatch(f"expected (N, {self.ndim}) parameter rows")
+        outcomes = self._outcomes(outcomes)
+        shape = (xs.shape[0], outcomes.stop - outcomes.start)
         if out is None:
-            out = np.empty((xs.shape[0], len(self.space)))
-        out = np.asarray(self.probs_batch_fn(xs, out), dtype=np.float64)
-        if out.shape != (xs.shape[0], len(self.space)):
-            raise LengthMismatch(
-                f"family returned shape {out.shape}, expected ({xs.shape[0]}, {len(self.space)})"
-            )
+            out = np.empty(shape)
+        out = np.asarray(self.probs_batch_fn(xs, out, outcomes), dtype=np.float64)
+        if out.shape != shape:
+            raise LengthMismatch(f"family returned shape {out.shape}, expected {shape}")
         return out
 
     def eval(self, x) -> FiniteDistribution:
@@ -271,7 +316,8 @@ class ParamFamily(_Frozen):
     def event_probs(self, xs: np.ndarray, event: Event) -> np.ndarray:
         """The event's probability at each row of ``xs``, ``BLOCK_ROWS`` rows at a time.
 
-        Every row must lie in the box; a row with a NaN does not.
+        Only the outcomes from the event's first to its last are
+        evaluated.  Every row must lie in the box; a row with a NaN does not.
         """
         _require_same_space(self.space, event.space)
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -280,9 +326,11 @@ class ParamFamily(_Frozen):
         lo, hi = np.array(self.box.intervals).T
         if not np.all((lo <= xs) & (xs <= hi)):
             raise IndexOutOfRange("parameter rows reach outside the box")
-        cols = list(event.indices)
+        idx = event.indices
+        span = slice(min(idx, default=0), max(idx, default=-1) + 1)
+        cols = [i - span.start for i in idx]
         out = np.empty(xs.shape[0])
-        for rows, _, probs in _prob_blocks(self, xs):
+        for rows, _, _, probs in _prob_blocks(self, xs, span):
             out[rows] = probs[:, cols].sum(axis=1)
         return out
 
@@ -507,7 +555,7 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     halving = 2 * d * 8**d  # density evaluations to halve one box along every slot
     start = math.prod(sizes)
     evaluations = start * (8**d + halving)
-    # The measure's outcome-mass pass evaluates every node's distribution.
+    # The measure's outcome-mass pass evaluates at most every node's distribution.
     cells = start * 2 * 8**d * len(family.space)
     if max(evaluations, cells) > MAX_GRID_CELLS:
         raise ConfigInvalid(
@@ -556,14 +604,17 @@ class TvuMeasure(_Frozen):
     unnormalized per-outcome masses ``sum_i weight_i * density_i *
     f(x_i)``, summed once at construction in blocks of ``BLOCK_ROWS``
     nodes (pairwise within a block, then across the block partials).
-    It holds O(nodes + outcomes) numbers, never a nodes x outcomes
-    matrix.  An event's probability is its outcomes' mass over ``Z``,
-    so it costs ``|E|`` additions and is deterministic for a given
-    construction; :meth:`outcome_probs` divides the whole mass vector at
-    once, for a table over every outcome.  ``meta`` records the
+    Each block evaluates only the family's ``outcome_span`` of its nodes;
+    an outcome outside it has block partial 0.  It holds O(nodes +
+    outcomes) numbers, never a nodes x outcomes matrix.  An event's
+    probability is its outcomes' mass over ``Z``, so it costs ``|E|``
+    additions and is deterministic for a given construction;
+    :meth:`outcome_probs` divides the whole mass vector at once, for a
+    table over every outcome.  ``meta`` records the
     construction's settings, the quadrature diagnostics (``err_estimate``
     relative to ``Z``, ``converged``, ``panels``, ``evaluations``) and the
-    layout (``block_rows`` and ``bytes_held``, the bytes of the arrays held).
+    layout (``block_rows``, ``bytes_held``, the bytes of the arrays held,
+    and ``outcome_cells``, the node-outcome cells the mass pass evaluated).
     """
 
     __slots__ = ("family", "nodes", "weights", "density", "z", "_mass", "_outcome_mass", "meta")
@@ -577,18 +628,22 @@ class TvuMeasure(_Frozen):
         z = self._integrate(1.0)
         if not math.isfinite(z) or z <= 0.0:
             raise DegenerateFamily(f"family sweeps zero TV length (Z={z!r})")
-        # Each block is outcomes x nodes, so that each outcome's terms are
-        # contiguous and numpy sums them pairwise; then the block partials.
-        partials = []
-        for rows, block, probs in _prob_blocks(family, nodes):
+        # Each block is span x nodes, so that each outcome's terms are
+        # contiguous and numpy sums them pairwise; then each outcome's block
+        # partials, which are 0 outside the block's span.
+        partials = np.zeros((len(family.space), -(-nodes.shape[0] // BLOCK_ROWS)))
+        cells = 0
+        for b, (rows, span, block, probs) in enumerate(_prob_blocks(family, nodes)):
             np.multiply(probs.T, self._mass[rows], out=block)
-            partials.append(block.sum(axis=1))
-        outcome_mass = np.stack(partials, axis=1).sum(axis=1)
+            partials[span, b] = block.sum(axis=1)
+            cells += block.size
+        outcome_mass = partials.sum(axis=1)
         held = (nodes, weights, density, self._mass, outcome_mass)
         self._init(z=z, _outcome_mass=outcome_mass, meta={
             **(meta or {}),
             "block_rows": BLOCK_ROWS,
             "bytes_held": sum(arr.nbytes for arr in held),
+            "outcome_cells": cells,
         })
 
     def __repr__(self) -> str:
@@ -795,14 +850,20 @@ def build_measure(
     evaluations, or nodes times outcomes, raise :class:`ConfigInvalid`.
     ``meta["panels"]`` counts the final boxes and ``meta["evaluations"]``
     the density evaluations.  Doubling ``resolution`` moves ``Z`` by less
-    than ``tol`` by construction.
+    than ``tol`` by construction.  ``meta["err_estimate"]`` is the summed
+    halving error relative to ``Z``: an estimate, not a bound (at the
+    singular endpoint of a ``p**3`` reparametrization it undercounts the
+    true error about 4x).  ``resolution`` and ``max_panels`` must be
+    integers and ``tol`` finite and positive; anything else raises
+    :class:`ConfigInvalid`.
     """
     if isinstance(source, CredalSet):
         return CountingMeasure(source, use_multiplicities=use_multiplicities)
     if not isinstance(source, ParamFamily):
         raise ConfigInvalid(f"cannot build a measure over {type(source).__name__}")
-    if resolution < 1 or tol <= 0.0 or max_panels < resolution:
-        raise ConfigInvalid("need resolution >= 1, tol > 0, max_panels >= resolution")
+    resolution, max_panels = _integer("resolution", resolution), _integer("max_panels", max_panels)
+    if not (resolution >= 1 and math.isfinite(tol) and tol > 0.0 and max_panels >= resolution):
+        raise ConfigInvalid("need resolution >= 1, a finite tol > 0, max_panels >= resolution")
 
     nodes, weights, rho, diagnostics = _adaptive_panels(source, resolution, tol, max_panels)
     return TvuMeasure(
@@ -840,19 +901,33 @@ def binomial_family(n: int) -> ParamFamily:
     within ``MAX_GRID_CELLS`` (``n < 65536``); a larger ``n`` raises
     :class:`ConfigInvalid`.  The pmf's head counts and pivot are float64
     from the start: small integers are exact there, so no block pays an
-    integer-to-float cast.
+    integer-to-float cast, and a slice of head counts runs each cell
+    through the same operations as the whole row.
+
+    The outcome span comes from the Chernoff bound (Chernoff 1952;
+    Hoeffding 1963) ``P(K = k) <= exp(-n D(k/n || p))``, with ``D`` the
+    Kullback-Leibler divergence of two coins, an equality at ``k = 0``
+    and ``k = n``.  ``D`` is convex in ``p`` and zero at ``p = k/n``, so
+    over rows with biases in ``[a, b]`` the bound is largest at ``p = a``
+    for ``k/n < a`` and at ``p = b`` for ``k/n > b``.  The span keeps every
+    ``k`` with ``k/n`` in ``[a, b]`` or either bound at least
+    ``OUTCOME_FLOOR = 1e-40`` (``n D <= 92.1034``, with ``1e-6`` nats to
+    spare for rounding); every other head count has probability below
+    ``OUTCOME_FLOOR`` at every row.
     """
     if not 1 <= n < MAX_GRID_CELLS // BLOCK_ROWS:
         raise ConfigInvalid(f"need 1 <= n and one block of {BLOCK_ROWS} x (n + 1) cells "
                             f"within {MAX_GRID_CELLS}, got n={n}")
     ks = np.arange(n + 1, dtype=np.float64)
+    fracs = ks / n
+    nats = math.log(1.0 / OUTCOME_FLOOR) + 1e-6
 
     @functools.cache
     def coefficients() -> tuple[np.ndarray, np.ndarray]:
         return _binomial_log_coefficients(n)
 
-    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        log_comb = coefficients()[0]
+    def probs_batch(xs: np.ndarray, out: np.ndarray, outcomes: slice) -> np.ndarray:
+        log_comb, k = coefficients()[0][outcomes], ks[outcomes]
         p = xs[:, 0]
         # log pmf = (k - c) log(p / (1-p)) + c log(p) + (n - c) log(1-p) + log C(n, k),
         # pivoted at c = n for p > 1/2 so that large terms never cancel; every
@@ -860,16 +935,28 @@ def binomial_family(n: int) -> ParamFamily:
         upper = p > 0.5
         with np.errstate(divide="ignore", invalid="ignore"):
             log_p, log_q = np.log(p), np.log1p(-p)
-            out[...] = ks
+            out[...] = k
             out -= np.where(upper, float(n), 0.0)[:, None]
             out *= (log_p - log_q)[:, None]
             out += (n * np.where(upper, log_p, log_q))[:, None]
             out += log_comb
         np.exp(out, out=out)
         # 0 * log(0) is nan above; the endpoint pmfs are point masses.
-        out[p == 0.0] = ks == 0
-        out[p == 1.0] = ks == n
+        out[p == 0.0] = k == 0
+        out[p == 1.0] = k == n
         return out
+
+    def outcome_span(xs: np.ndarray) -> slice:
+        a, b = xs[:, 0].min(), xs[:, 0].max()
+        p = np.array([[a], [b]])
+        # n D(k/n || p) for every head count k, at p = a and p = b.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            heads = np.where(ks > 0, ks * np.log(fracs / p), 0.0)
+            tails = np.where(ks < n, (n - ks) * np.log((1.0 - fracs) / (1.0 - p)), 0.0)
+        below = heads + tails <= nats
+        # from_a is false, then true for good, as k rises; to_b as k falls.
+        from_a, to_b = (fracs >= a) | below[0], ((fracs <= b) | below[1])[::-1]
+        return slice(int(np.argmax(from_a)), n + 1 - int(np.argmax(to_b)))
 
     def thickness_batch(xs: np.ndarray) -> np.ndarray:
         log_thick = coefficients()[1]
@@ -889,6 +976,7 @@ def binomial_family(n: int) -> ParamFamily:
         probs_batch,
         kinks=[tuple(k / n for k in range(1, n))],
         thickness_batch=[thickness_batch],
+        outcome_span=outcome_span,
         name=f"binomial(n={n})",
         meta={"n": n},
     )
@@ -900,9 +988,10 @@ def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
     if len(labels) != 2:
         raise ConfigInvalid("a two-outcome family needs exactly two labels")
 
-    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray, outcomes: slice) -> np.ndarray:
         p = xs[:, 0]
-        out[:, 0], out[:, 1] = p, 1.0 - p
+        for j, col in enumerate((p, 1.0 - p)[outcomes]):
+            out[:, j] = col
         return out
 
     return ParamFamily(
@@ -924,9 +1013,11 @@ def coin_match_family() -> ParamFamily:
     "match" event — see the dilation demo.  Thickness is identically 1.
     """
 
-    def probs_batch(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def probs_batch(xs: np.ndarray, out: np.ndarray, outcomes: slice) -> np.ndarray:
         p = xs[:, 0]
-        out[:, ::2], out[:, 1::2] = (0.5 * p)[:, None], (0.5 * (1.0 - p))[:, None]
+        heads, tails = 0.5 * p, 0.5 * (1.0 - p)
+        for j, col in enumerate((heads, tails, heads, tails)[outcomes]):
+            out[:, j] = col
         return out
 
     return ParamFamily(

@@ -1,6 +1,7 @@
 """Command line behavior: files, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import platform
 import re
@@ -314,6 +315,17 @@ def test_manifest_records_diagnostics(tmp_path, capsys, command):
                                       "powers": 4 * 3 * 7}
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["binomial-test", "--n", "400", "--k", "123"], 1_446_912),
+    (["tvu-density", "--n", "4", "--points", "11"], None),
+], ids=["banded", "every-outcome"])
+def test_manifest_records_the_cells_of_the_mass_pass(tmp_path, capsys, argv, cells):
+    # binomial(4) keeps every head count at every node: 16 nodes per panel.
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    measure = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["measure"]
+    assert measure["outcome_cells"] == (cells or measure["panels"] * 16 * 5)
+
+
 def test_repeated_op_reuses_freed_memory(tmp_path, capsys):
     # The measure's blocked passes evaluate every block into one reused
     # 1.6 MB workspace.  Were they to allocate and free block-sized matrices
@@ -346,3 +358,32 @@ class TestSeedResolution:
     def test_garbage_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CREDAL_SEED", "lots")
         assert main(["urn", "--out", str(tmp_path)]) == 2
+
+
+# SHA-256 of every data file of the quadrature path's commands.  The
+# outcome-mass pass and the likelihood grid evaluate only the head counts
+# that can carry mass; these digests pin that they write the bytes a pass
+# over every head count writes.
+QUADRATURE_GOLDENS = {
+    ("binomial-test", "--n", "400", "--k", "123"): {
+        "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
+        "hocs.csv": "25cedcccf100db1e9aec1eb56c71da1a1955660f767d9c407ddac5916451b22d",
+        "reference.csv": "d346f0732533ff7e68e7f9ad8b7795d035ae871b0800a6e133f3a40d698f16a2",
+    },
+    ("binomial-test", "--n", "1000", "--k", "3"): {
+        "density.csv": "5b5bd95cc2ad1d9ee063036b1e61f86811ca98e65994d3713113057464a72e4b",
+        "hocs.csv": "c2e728a52571bb3c1868b341d19b1fe57d79212cb8d1a9233a127abf3aed3543",
+        "reference.csv": "ad29adae8a7bd11690886dfb402b3cc9868517734121170971fcb793103b7237",
+    },
+    ("tvu-density", "--n", "400"): {
+        "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(QUADRATURE_GOLDENS), ids=" ".join)
+def test_quadrature_outputs_match_golden_digests(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert digests == QUADRATURE_GOLDENS[argv]

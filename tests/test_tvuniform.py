@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -117,8 +117,9 @@ def sqrt_family(ndim: int, calls: list | None = None) -> ParamFamily:
     Z = 2/3, and outcome 0 (probability x_0) has measure 3/5.  Appends the
     rows of each density call to ``calls`` when given."""
 
-    def probs(xs, out):
-        out[:, 0], out[:, 1] = xs[:, 0], 1.0 - xs[:, 0]
+    def probs(xs, out, outcomes):
+        for j, col in enumerate((xs[:, 0], 1.0 - xs[:, 0])[outcomes]):
+            out[:, j] = col
         return out
 
     def slot0(xs):
@@ -146,6 +147,7 @@ def record_halvings(monkeypatch) -> list:
     return halved
 
 
+@functools.cache
 def comb_log_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The binomial family's log coefficients from one ``math.comb`` call each."""
     return (
@@ -248,7 +250,7 @@ class TestThickness:
         fam_s = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             family.space,
-            lambda xs, out: family.probs_batch_fn(xs ** (1 / 3), out),
+            lambda xs, out, outcomes: family.probs_batch_fn(xs ** (1 / 3), out, outcomes),
             kinks=[tuple(k**3 for k in KINKS)],
         )
         for s in (0.2, 0.5, 0.9):
@@ -264,7 +266,7 @@ class TestThickness:
         fam_s = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             family.space,
-            lambda xs, out: family.probs_batch_fn(xs ** (1 / 3), out),
+            lambda xs, out, outcomes: family.probs_batch_fn(xs ** (1 / 3), out, outcomes),
             kinks=[tuple(k**3 for k in KINKS)],
         )
         for s in (1e-6, 1e-5):
@@ -424,7 +426,7 @@ class TestMeasure:
         fam = ParamFamily(
             ParamBox([(0.0, 1.0)] * ndim),
             OutcomeSpace([0, 1]),
-            lambda x, out: np.array([x[0], 1.0 - x[0]]),
+            lambda x, out, outcomes: np.array([x[0], 1.0 - x[0]]),
             thickness_batch=[lambda xs: np.sqrt(xs[:, 0])] + [
                 lambda xs: np.ones(xs.shape[0])] * (ndim - 1),
         )
@@ -597,8 +599,8 @@ class TestMeasure:
         # p = s^(1/3): same family traced at a different speed.  The
         # density is singular at s -> 0 yet integrable; both the
         # normalizer and every event probability must be unchanged.
-        def probs_batch(xs, out):
-            return family.probs_batch_fn(xs ** (1 / 3), out)
+        def probs_batch(xs, out, outcomes):
+            return family.probs_batch_fn(xs ** (1 / 3), out, outcomes)
 
         def thick_batch(xs):
             s = xs[:, 0]
@@ -629,7 +631,7 @@ class TestMeasure:
         flat = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             OutcomeSpace([0, 1]),
-            lambda xs, out: np.full((xs.shape[0], 2), 0.5),
+            lambda xs, out, outcomes: np.full((xs.shape[0], 2), 0.5)[:, outcomes],
             thickness_batch=[lambda xs: np.zeros(xs.shape[0])],
         )
         with pytest.raises(DegenerateFamily):
@@ -660,6 +662,17 @@ class TestMeasure:
         with pytest.raises(ConfigInvalid):  # 24^3 starting boxes of 7 * 8^3 evaluations
             build_measure(sqrt_family(3))
 
+    @pytest.mark.parametrize("bad", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"resolution": 2.5},
+        {"resolution": True}, {"resolution": 2, "max_panels": 2.5}, {"max_panels": float("inf")},
+    ], ids=["tol-nan", "tol-inf", "resolution-2.5", "resolution-True", "max_panels-2.5",
+            "max_panels-inf"])
+    def test_build_measure_refuses_what_it_cannot_honour(self, bad):
+        # A NaN tol passed every `err > tol * scale` test as False, so the
+        # splitting ran to max_panels and reported itself converged.
+        with pytest.raises(ConfigInvalid):
+            build_measure(binomial_family(10), **bad)
+
 
 class TestSimpleFamilies:
     def test_coin_match_density_and_marginal(self):
@@ -680,9 +693,10 @@ class TestSimpleFamilies:
     def test_two_dimensional_box(self):
         # Two coins with independent biases: thickness 1 in each slot,
         # so Z = 1 and P(both heads) = 1/4.
-        def probs(xs, out):
+        def probs(xs, out, outcomes):
             p, q = xs[:, 0], xs[:, 1]
-            return np.stack([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)], axis=1)
+            cols = [p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)][outcomes]
+            return np.stack(cols, axis=1)
 
         fam = ParamFamily(
             ParamBox([(0.0, 1.0), (0.0, 1.0)]),
@@ -696,6 +710,79 @@ class TestSimpleFamilies:
         m = build_measure(fam, resolution=8)
         assert m.z == pytest.approx(1.0, rel=1e-9)
         assert m.event_prob(fam.space.event(["HH"])) == pytest.approx(0.25, rel=1e-6)
+
+
+def full_span(fam: ParamFamily) -> ParamFamily:
+    """The same family with every outcome as its span."""
+    return ParamFamily(fam.box, fam.space, fam.probs_batch_fn, kinks=fam.kinks,
+                       thickness_batch=fam.thickness_batch_fns, name=fam.name, meta=fam.meta)
+
+
+class TestOutcomeSpan:
+    @pytest.mark.parametrize("n", [1, 2, 10, 30, 100, 400, 1000, 1447])
+    def test_banded_outcome_masses_equal_a_full_pass_bitwise(self, n):
+        banded = build_measure(binomial_family(n))
+        full = TvuMeasure(full_span(banded.family), banded.nodes, banded.weights, banded.density)
+        assert banded._outcome_mass.tobytes() == full._outcome_mass.tobytes()
+        assert full.meta["outcome_cells"] == banded.nodes.shape[0] * (n + 1)
+        assert banded.meta["outcome_cells"] <= full.meta["outcome_cells"]
+
+    def test_outcome_cells_count_the_cells_the_pass_evaluates(self):
+        assert build_measure(binomial_family(400)).meta["outcome_cells"] == 1_446_912
+        m = build_measure(coin_match_family())  # registers no span
+        assert m.meta["outcome_cells"] == m.nodes.shape[0] * 4
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 2000), ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           inner=st.lists(st.floats(0.0, 1.0), max_size=6))
+    @example(n=400, ends=[0.0, 0.0], inner=[])
+    @example(n=400, ends=[1.0, 1.0], inner=[])
+    @example(n=2000, ends=[0.0, 1.0], inner=[0.5])
+    @example(n=2000, ends=[0.0, 1e-3], inner=[0.5])
+    @example(n=2000, ends=[0.999, 1.0], inner=[0.5])
+    @example(n=1, ends=[0.3, 0.3], inner=[])
+    # The bound is an equality at k = 0 and k = n: here P(K = 0), then
+    # P(K = n), is exp(-92.05), just above the floor of exp(-92.103).
+    @example(n=2000, ends=[-math.expm1(-92.05 / 2000)] * 2, inner=[])
+    @example(n=2000, ends=[math.exp(-92.05 / 2000)] * 2, inner=[])
+    def test_span_leaves_out_only_outcomes_below_the_floor(self, n, ends, inner):
+        a, b = sorted(ends)
+        xs = np.clip(np.array([a, b, *(a + t * (b - a) for t in inner)]), a, b)[:, None]
+        span = binomial_family(n).outcome_span(xs)
+        assert 0 <= span.start < span.stop <= n + 1 and span.step is None
+        outside = np.ones(n + 1, dtype=bool)
+        outside[span] = False
+        assert np.all(int_pmf(n, xs)[:, outside] < tvuniform.OUTCOME_FLOOR)
+
+    @pytest.mark.parametrize("labels", [[123], [199, 200], [5, 123, 400], [0, 400]],
+                             ids=["one", "two", "three-apart", "ends"])
+    def test_event_probs_equal_the_full_tables_column_sums_bitwise(self, labels):
+        fam = binomial_family(400)
+        grid = np.linspace(0.0, 1.0, 1001)[:, None]
+        event = fam.space.event(labels)
+        want = fam.probs_matrix(grid)[:, list(event.indices)].sum(axis=1)
+        assert fam.event_probs(grid, event).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: binomial_family(400), bernoulli_family, coin_match_family],
+        ids=["binomial400", "bernoulli", "coin-match"],
+    )
+    def test_sliced_probs_matrix_equals_the_full_tables_columns_bitwise(self, make):
+        fam = make()
+        xs = np.concatenate([[0.0, 1.0, 0.5, 1e-300], np.linspace(0.0, 1.0, 613)])[:, None]
+        full = fam.probs_matrix(xs)
+        m = len(fam.space)
+        cuts = {0, 1, m // 3, m // 2, m - 1, m}
+        for lo, hi in ((lo, hi) for lo in cuts for hi in cuts if lo < hi):
+            got = fam.probs_matrix(xs, outcomes=slice(lo, hi))
+            assert got.tobytes() == np.ascontiguousarray(full[:, lo:hi]).tobytes()
+        assert fam.probs_matrix(xs, outcomes=slice(-1, None)).tobytes() == \
+            np.ascontiguousarray(full[:, -1:]).tobytes()
+
+    @pytest.mark.parametrize("outcomes", [slice(0, 2, 2), 1, [0, 1]])
+    def test_a_slice_that_is_not_contiguous_is_refused(self, outcomes):
+        with pytest.raises(ConfigInvalid):
+            coin_match_family().probs_matrix([[0.5]], outcomes=outcomes)
 
 
 class TestCountingMeasure:
@@ -899,7 +986,7 @@ class TestSampling:
         fam = ParamFamily(
             ParamBox([(0.0, 1.0)]),
             OutcomeSpace(["H", "T"]),
-            lambda xs, out: np.concatenate([xs, 1 - xs], axis=1),
+            lambda xs, out, outcomes: np.concatenate([xs, 1 - xs], axis=1)[:, outcomes],
             kinks=[(0.5,)],
             thickness_batch=[lambda xs: np.where(xs[:, 0] < 0.5, 1.0, 0.0)],
         )
@@ -960,6 +1047,6 @@ class TestParamBox:
             ParamFamily(
                 ParamBox([(0.0, 1.0)]),
                 OutcomeSpace([0, 1]),
-                lambda xs, out: np.concatenate([xs, 1 - xs], axis=1),
+                lambda xs, out, outcomes: np.concatenate([xs, 1 - xs], axis=1)[:, outcomes],
                 kinks=[(0.0,)],
             )
