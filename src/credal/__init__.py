@@ -7,9 +7,10 @@ A toolkit for reasoning with *sets* of probability distributions:
   (flat-Dirichlet) simplex sampling;
 * :mod:`credal.sets` — credal sets, lower/upper probabilities, and
   conditioning with explicit event relabeling;
-* :mod:`credal.tvuniform` — the reparametrization-invariant uniform
-  measure over simply parametrized families (thickness densities,
-  adaptive quadrature) and its finite counting-measure degenerate case;
+* :mod:`credal.tvuniform` — the uniform measure over simply
+  parametrized families (thickness densities, adaptive quadrature),
+  reparametrization-invariant in one slot and, with several, under maps
+  acting on each slot alone, and its finite counting-measure case;
 * :mod:`credal.tower` — Monte-Carlo towers of higher-order uncertainty
   and their convergence/dilation statistics;
 * :mod:`credal.inference` — exact urn updating and the evidence-ratio

@@ -14,6 +14,7 @@ Every load-bearing number is checked through two routes:
 
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ from credal import (
     urn_credal_set,
 )
 from credal import tvuniform
-from credal.tvuniform import _breakpoints, _density_rows, _panel_edges
+from credal.tvuniform import BLOCK_ROWS, _breakpoints, _density_rows, _panel_edges
 
 N = 10
 KINKS = [k / N for k in range(1, N)]
@@ -175,6 +176,58 @@ def int_pmf(n: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_fd_thickness(family: ParamFamily, x: tuple, k: int = 0) -> float:
+    """The finite-difference thickness point by point, one ``probs`` call
+    per evaluation: the oracle the batched estimator must equal bit for bit."""
+    a, b = family.box.intervals[k]
+    h, snap, xk = 1e-5 * (b - a), tvuniform._KINK_SNAP * (b - a), x[k]
+    bps = np.array([a, *family.kinks[k], b])
+    above, below = bps[bps > xk + snap], bps[bps < xk - snap]
+    base, sides = family.probs(x), []
+    for sign, room in ((1.0, above[0] - xk if above.size else 0.0),
+                       (-1.0, xk - below[-1] if below.size else 0.0)):
+        step = float(min(h, room))
+        if step <= 0.0:
+            continue
+        rates = []
+        for s in (step, step / 2.0):
+            y = list(x)
+            y[k] = xk + sign * s
+            rates.append(0.5 * float(np.sum(np.abs(family.probs(tuple(y)) - base))) / s)
+        d1, d2 = rates
+        if abs(d2 - d1) > 0.1 * abs(2.0 * d2 - d1):
+            raise StepTooLarge(f"step {step} in slot {k} at {x} is too coarse for "
+                               "the local curvature")
+        sides.append(2.0 * d2 - d1)
+    return float(np.mean(sides))
+
+
+def fd_only(fam: ParamFamily) -> ParamFamily:
+    """The same family with no registered thickness."""
+    return ParamFamily(fam.box, fam.space, fam.probs_batch_fn, kinks=fam.kinks,
+                       outcome_span=fam.outcome_span_fn, name=fam.name, meta=fam.meta)
+
+
+def cube_chart(fam: ParamFamily) -> ParamFamily:
+    """A one-slot family traced by ``s = p**3``, with no registered thickness."""
+    return ParamFamily(
+        fam.box, fam.space,
+        lambda xs, out, outcomes: fam.probs_batch_fn(xs ** (1 / 3), out, outcomes),
+        kinks=[tuple(k**3 for k in fam.kinks[0])],
+    )
+
+
+def two_coins(thickness_batch=None) -> ParamFamily:
+    """Two coins with independent biases: thickness 1 in each slot."""
+    def probs(xs, out, outcomes):
+        p, q = xs[:, 0], xs[:, 1]
+        cols = [p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)][outcomes]
+        return np.stack(cols, axis=1)
+
+    return ParamFamily(ParamBox([(0.0, 1.0), (0.0, 1.0)]), OutcomeSpace(["HH", "HT", "TH", "TT"]),
+                       probs, thickness_batch=thickness_batch)
+
+
 @pytest.fixture(scope="module")
 def family():
     return binomial_family(N)
@@ -247,12 +300,7 @@ class TestThickness:
     def test_fd_on_unregistered_family_matches_chain_rule(self, family):
         # Same family driven through s = p^3 without registered
         # thickness: FD must recover t_p(s^(1/3)) * ds->dp factor.
-        fam_s = ParamFamily(
-            ParamBox([(0.0, 1.0)]),
-            family.space,
-            lambda xs, out, outcomes: family.probs_batch_fn(xs ** (1 / 3), out, outcomes),
-            kinks=[tuple(k**3 for k in KINKS)],
-        )
+        fam_s = cube_chart(family)
         for s in (0.2, 0.5, 0.9):
             p = s ** (1 / 3)
             want = panel_thickness(p) * p / (3.0 * s)
@@ -263,12 +311,7 @@ class TestThickness:
         # 5,903.1 at 1e-5 by the chain rule) bends within one 1e-5 step:
         # the estimates were -664.9 and 482.0, and the measure over the
         # family failed on a negative density.
-        fam_s = ParamFamily(
-            ParamBox([(0.0, 1.0)]),
-            family.space,
-            lambda xs, out, outcomes: family.probs_batch_fn(xs ** (1 / 3), out, outcomes),
-            kinks=[tuple(k**3 for k in KINKS)],
-        )
+        fam_s = cube_chart(family)
         for s in (1e-6, 1e-5):
             with pytest.raises(StepTooLarge, match=rf"step 1e-05 in slot 0 at \({s},\)"):
                 thickness(fam_s, s, 0)
@@ -288,6 +331,62 @@ class TestThickness:
         assert m.meta["converged"] is True
         assert m.z == pytest.approx(GOLDEN_Z, rel=1e-9)
         np.testing.assert_allclose(m.outcome_probs(), measure.outcome_probs(), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("make, chart", [(fd_only, 1), (fd_only, 10), (fd_only, 100),
+                                             (cube_chart, 10)])
+    def test_batch_equals_the_per_point_reference_bitwise(self, make, chart):
+        fam = make(binomial_family(chart))
+        kinks, snap = np.array(fam.kinks[0]), tvuniform._KINK_SNAP
+        # Endpoints, kinks, inside the snap zone, on its edges, and a grid.
+        points = np.concatenate([[0.0, 1.0], kinks, kinks - 1e-10, kinks + 1e-10,
+                                 kinks - snap, kinks + snap, np.linspace(0.0, 1.0, 1001)])
+        kept, want, refused = [], [], []
+        for p in points:
+            try:
+                want.append(reference_fd_thickness(fam, (float(p),)).hex())
+                kept.append(p)
+            except StepTooLarge as exc:
+                refused.append((p, str(exc)))
+        assert [v.hex() for v in _density_rows(fam, np.array(kept)[:, None])] == want
+        # Only the s = p^3 chart refuses, and only next to its singular end.
+        assert all(p <= 1e-5 for p, _ in refused) and (make is cube_chart) == bool(refused)
+        for p, message in refused:
+            with pytest.raises(StepTooLarge, match=re.escape(message)):
+                _density_rows(fam, [[p]])
+
+    @pytest.mark.parametrize("rows, named", [([1e-6, 1e-5], 1e-6), ([1e-5, 1e-6], 1e-5),
+                                             ([0.5] * 600 + [1e-5, 1e-6], 1e-5)])
+    def test_batch_refusal_names_the_first_refused_row(self, family, rows, named):
+        with pytest.raises(StepTooLarge, match=rf"step 1e-05 in slot 0 at \({named},\) is too"):
+            _density_rows(cube_chart(family), np.array(rows)[:, None])
+
+    def test_fd_density_makes_five_family_calls_per_block(self, monkeypatch):
+        calls, sizes = [], []
+        fam, density = binomial_family(100), tvuniform._density_rows
+
+        def probs_batch(xs, out, outcomes):
+            calls.append(len(xs))
+            return fam.probs_batch_fn(xs, out, outcomes)
+
+        counted = ParamFamily(fam.box, fam.space, probs_batch, kinks=fam.kinks)
+
+        def spy(family, xs):
+            before = len(calls)
+            out = density(family, xs)
+            sizes.append((len(out), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(tvuniform, "_density_rows", spy)
+        m = build_measure(counted)
+        assert m.nodes.shape[0] > BLOCK_ROWS and max(rows for rows, _ in sizes) > BLOCK_ROWS
+        for rows, made in sizes:
+            assert made <= 5 * -(-rows // BLOCK_ROWS)
+
+    @pytest.mark.parametrize("k, h", [(0.5, None), ("0", None), (True, None), (0, "1e-5"),
+                                      (0, float("nan")), (0, float("inf")), (0, True)])
+    def test_a_bad_slot_or_step_is_a_typed_error(self, family, k, h):
+        with pytest.raises(ConfigInvalid):
+            thickness(family, 0.3, k, h)
 
 
 class TestMeasure:
@@ -693,20 +792,13 @@ class TestSimpleFamilies:
     def test_two_dimensional_box(self):
         # Two coins with independent biases: thickness 1 in each slot,
         # so Z = 1 and P(both heads) = 1/4.
-        def probs(xs, out, outcomes):
-            p, q = xs[:, 0], xs[:, 1]
-            cols = [p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)][outcomes]
-            return np.stack(cols, axis=1)
+        fam = two_coins([lambda xs: np.ones(xs.shape[0]), lambda xs: np.ones(xs.shape[0])])
+        m = build_measure(fam, resolution=8)
+        assert m.z == pytest.approx(1.0, rel=1e-9)
+        assert m.event_prob(fam.space.event(["HH"])) == pytest.approx(0.25, rel=1e-6)
 
-        fam = ParamFamily(
-            ParamBox([(0.0, 1.0), (0.0, 1.0)]),
-            OutcomeSpace(["HH", "HT", "TH", "TT"]),
-            probs,
-            thickness_batch=[
-                lambda xs: np.ones(xs.shape[0]),
-                lambda xs: np.ones(xs.shape[0]),
-            ],
-        )
+    def test_two_dimensional_box_by_finite_differences(self):
+        fam = two_coins()
         m = build_measure(fam, resolution=8)
         assert m.z == pytest.approx(1.0, rel=1e-9)
         assert m.event_prob(fam.space.event(["HH"])) == pytest.approx(0.25, rel=1e-6)
