@@ -188,11 +188,6 @@ class Event(_Frozen):
     __and__ = intersect
     __or__ = union
 
-    def indicator(self) -> np.ndarray:
-        out = np.zeros(len(self.space), dtype=bool)
-        out[list(self.indices)] = True
-        return out
-
 
 def _require_same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
     if a != b:
@@ -230,9 +225,6 @@ class FiniteDistribution(_Frozen):
 
     def prob(self, event: Event) -> float:
         return event_probability(self, event)
-
-    def support(self) -> Event:
-        return Event(self.space, np.flatnonzero(self.probs > 0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -354,11 +346,12 @@ def event_probability(d: FiniteDistribution, event: Event) -> float:
 
 
 def condition(d: FiniteDistribution, event: Event) -> FiniteDistribution:
-    """Bayesian conditioning on an event of positive probability.
+    """Bayes' rule: ``d`` given an event of positive probability.
 
-    The result lives on the same outcome space with support inside the
-    event; restricting to a smaller space is a separate relabeling step
-    (see :func:`credal.sets.credal_condition`).
+    The package's one conditioning rule.  The result lives on the same
+    outcome space with support inside the event;
+    :class:`credal.sets.EventMap` restricts it to the event's outcomes.
+    A float result divides each probability once by the event's mass.
     """
     if isinstance(d, RationalDistribution):
         return d.condition(event)
@@ -368,8 +361,6 @@ def condition(d: FiniteDistribution, event: Event) -> FiniteDistribution:
     out = np.zeros(len(d.space), dtype=np.float64)
     idx = list(event.indices)
     out[idx] = d.probs[idx] / mass
-    # Guard against rounding pushing the total off one.
-    out /= stable_sum(out)
     return FiniteDistribution(d.space, out)
 
 

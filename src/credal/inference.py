@@ -125,10 +125,13 @@ def urn_update(state: UrnState, mode: str = "exact"):
     def weight(exponents) -> int:
         if len(exponents) == 1:  # [t^N] sum_x x ** e * t^x
             return n ** exponents[0]
-        poly, *rest = [[x**e for x in range(n + 1)] for e in exponents]
-        for powers in rest[:-1]:
+        # Only a factor the convolution slices is listed; the others stream.
+        first, *middle, last = exponents
+        poly = map(pow, range(n + 1), itertools.repeat(first))
+        for e in middle:
+            poly, powers = list(poly), [x**e for x in range(n + 1)]
             poly = [sum(map(int.__mul__, poly[: d + 1], powers[d::-1])) for d in range(n + 1)]
-        return sum(map(int.__mul__, poly, rest[-1][::-1]))
+        return sum(map(int.__mul__, poly, map(pow, range(n, -1, -1), itertools.repeat(last))))
 
     h = [state.history.count(c) for c in colors]
     wsum = weight(h)
@@ -144,7 +147,8 @@ def urn_work(state: UrnState) -> dict:
 
     ``degree`` is the truncation degree ``N`` (the ball total),
     ``colors`` the number of colours ``c``.  Each of the update's
-    ``c + 1`` weights lists ``c`` colours' ``N + 1`` powers ``x ** e``
+    ``c + 1`` weights computes ``c`` colours' ``N + 1`` powers ``x ** e``
+    (listing only those a product slices, so two colours list none)
     and takes ``c - 2`` products cut off at degree ``N``, of
     ``(N + 1) * (N + 2) / 2`` multiply-adds each, and one last
     coefficient of ``N + 1`` (a single colour's weight is the one power
@@ -316,7 +320,8 @@ def binomial_test(
     :meth:`~credal.tvuniform.TvuMeasure.outcome_probs`, and sweeps the
     evidence ratio for the point null across a bias grid of the given
     step.  At ``p = 0`` and ``p = 1`` the likelihood of any interior head
-    count is exactly zero, so the curve's endpoints are exact zeros.
+    count is exactly zero, so the curve's endpoints are exact zeros.  A
+    grid of more than ``MAX_GRID_CELLS`` rows raises :class:`ConfigInvalid`.
     """
     if not 0 <= k <= n:
         raise ConfigInvalid(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -335,11 +340,8 @@ def binomial_test(
     reference = tuple(measure.outcome_probs().tolist())
     inverse = 1.0 / grid_step  # inf for the smallest subnormal steps
     steps = int(round(inverse)) if inverse < MAX_GRID_CELLS else MAX_GRID_CELLS
-    if (steps + 1) * (n + 1) > MAX_GRID_CELLS:
-        raise ConfigInvalid(
-            f"grid step {grid_step!r} with n={n} needs more than "
-            f"{MAX_GRID_CELLS} likelihood grid cells"
-        )
+    if steps + 1 > MAX_GRID_CELLS:  # the likelihood reads one head count per row
+        raise ConfigInvalid(f"grid step {grid_step!r} needs more than {MAX_GRID_CELLS} grid rows")
     grid = np.linspace(0.0, 1.0, steps + 1)
     event = space.event([k])
     likes = family.event_probs(grid[:, None], event)

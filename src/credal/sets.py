@@ -21,7 +21,6 @@ That is a rounding grid, not a TV threshold: two conditionals closer than
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -33,9 +32,9 @@ from .core import (
     RationalDistribution,
     _Frozen,
     _require_same_space,
-    stable_sum,
+    condition,
 )
-from .errors import AllMembersZero, IndexOutOfRange, LengthMismatch, SpaceMismatch
+from .errors import AllMembersZero, IndexOutOfRange, LengthMismatch
 
 __all__ = [
     "CredalSet",
@@ -119,20 +118,17 @@ class EventMap(_Frozen):
     a target event is the corresponding subset of ``E`` in the source
     space.  Forward mapping is surjective but many-to-one: all source
     outcomes outside ``E`` are dropped, so mapping then pulling back
-    returns ``f & E``, not ``f``.
+    returns ``f & E``, not ``f``.  A distribution maps by
+    :func:`~credal.core.condition` on ``E``, then restriction.
     """
 
     __slots__ = ("source_space", "event", "target_space", "_src2tgt", "_tgt2src")
 
-    def __init__(self, event: Event, target_space: OutcomeSpace | None = None):
+    def __init__(self, event: Event):
         if len(event) == 0:
             raise LengthMismatch("cannot restrict to an empty event")
-        source_space = event.space
-        if target_space is None:
-            target_space = OutcomeSpace(event.labels)
-        elif len(target_space) != len(event):
-            raise SpaceMismatch("target space must have one outcome per event member")
-        self._init(source_space=source_space, event=event, target_space=target_space,
+        self._init(source_space=event.space, event=event,
+                   target_space=OutcomeSpace(event.labels),
                    _src2tgt={s: t for t, s in enumerate(event.indices)},
                    _tgt2src=tuple(event.indices))
 
@@ -151,20 +147,9 @@ class EventMap(_Frozen):
         return Event(self.source_space, (self._tgt2src[j] for j in g.indices))
 
     def map_distribution(self, d):
-        """Push a source distribution supported on E to the target space."""
-        if isinstance(d, RationalDistribution):
-            probs = [d.probs[i] for i in self._tgt2src]
-            total = sum(probs, Fraction(0))
-            if total != 1:
-                if total == 0:
-                    raise AllMembersZero("distribution has no mass on the event")
-                probs = [p / total for p in probs]
-            return RationalDistribution(self.target_space, probs)
-        probs = d.probs[list(self._tgt2src)].astype(np.float64)
-        total = stable_sum(probs)
-        if total <= 0.0:
-            raise AllMembersZero("distribution has no mass on the event")
-        return FiniteDistribution(self.target_space, probs / total)
+        """``d`` conditioned on E by :func:`condition` (with its errors), then restricted."""
+        probs = condition(d, self.event).probs
+        return type(d)(self.target_space, [probs[i] for i in self._tgt2src])
 
 
 def _merge_key(member) -> tuple:

@@ -717,20 +717,19 @@ class TvuMeasure(_Frozen):
         return self.nodes[_stratified_indices(self._mass, rng, size), 0]
 
 
-def _counted_mass(space: OutcomeSpace, members, counts) -> tuple[list[Fraction], type]:
+def _counted_mass(c: CredalSet, counts) -> tuple[list[Fraction], type]:
     """``sum_i counts_i * members_i``, one exact ``Fraction`` per outcome.
 
     A float member converts exactly through ``Fraction(p)``.  Also
     returns the type of every result drawn from the masses: ``Fraction``
     when every member is exact, else ``float``, which rounds the exact
-    value once.  Every member must live on ``space``.
+    value once.
     """
-    mass = [Fraction(0)] * len(space)
-    for count, member in zip(counts, members):
-        _require_same_space(space, member.space)
+    mass = [Fraction(0)] * len(c.space)
+    for count, member in zip(counts, c.members):
         for o, p in enumerate(member.probs):
             mass[o] += count * Fraction(p)
-    exact = all(isinstance(m, RationalDistribution) for m in members)
+    exact = all(isinstance(m, RationalDistribution) for m in c.members)
     return mass, Fraction if exact else float
 
 
@@ -768,8 +767,7 @@ class CountingMeasure(_Frozen):
     def _held_mass(self) -> tuple[list[Fraction], type]:
         """The members' :func:`_counted_mass`, summed on the first query."""
         if self._summed is None:
-            c = self.credal_set
-            self._init(_summed=_counted_mass(c.space, c.members, self.counts))
+            self._init(_summed=_counted_mass(self.credal_set, self.counts))
         return self._summed
 
     def event_prob(self, event: Event, exclude: int | None = None):
@@ -794,24 +792,17 @@ class CountingMeasure(_Frozen):
                 raise ZeroEvidence("cannot exclude the only member")
         return result(num / den)
 
-    def posterior_predictive(
-        self, observed: Event, query: Event, lift: Callable | None = None
-    ):
+    def posterior_predictive(self, observed: Event, query: Event):
         """Conditional probability of ``query`` given ``observed``.
 
-        ``lift`` maps each member to the distribution used for
-        evaluation (e.g. :func:`iid_extension` to score multi-draw
-        events); by default members are evaluated as they are.  Both
-        events are read from one mass vector over the lifted members (the
-        held one when there is no ``lift``).  Exact (``Fraction``) when all
-        lifted members are exact.
+        Both events are read from the held mass vector, so they are events
+        of the set's own space.  Exact (``Fraction``) when every member is
+        exact.  A two-draw question about a set ``c`` is asked of its
+        lifted set, ``CountingMeasure(CredalSet([iid_extension(m, 2) for m
+        in c.members]))``, whose events are ordered pairs of draws.
         """
-        if lift is None:
-            _require_same_space(self.credal_set.space, observed.space)
-            mass, result = self._held_mass()
-        else:
-            members = [lift(m) for m in self.credal_set.members]
-            mass, result = _counted_mass(observed.space, members, self.counts)
+        _require_same_space(self.credal_set.space, observed.space)
+        mass, result = self._held_mass()
         joint = query.intersect(observed)
         den = sum((mass[o] for o in observed.indices), Fraction(0))
         if den == 0:
@@ -825,16 +816,14 @@ class CountingMeasure(_Frozen):
 
 
 def build_measure(
-    source: ParamFamily | CredalSet,
+    family: ParamFamily,
     *,
     resolution: int = 24,
     tol: float = 1e-6,
     max_panels: int = 4096,
-    use_multiplicities: bool = False,
-):
-    """Construct the uniform measure over a credal set.
+) -> TvuMeasure:
+    """Construct the uniform measure over a parametrized family.
 
-    A finite :class:`CredalSet` yields the exact :class:`CountingMeasure`.
     A :class:`ParamFamily` of any dimension yields a :class:`TvuMeasure`
     via adaptive Gauss-Legendre quadrature of the thickness-product
     density over boxes: ``resolution`` sets the starting panel count per
@@ -852,19 +841,19 @@ def build_measure(
     singular endpoint of a ``p**3`` reparametrization it undercounts the
     true error about 4x).  ``resolution`` and ``max_panels`` must be
     integers and ``tol`` finite and positive; anything else raises
-    :class:`ConfigInvalid`.
+    :class:`ConfigInvalid`.  A finite :class:`CredalSet` has its own
+    measure, :class:`CountingMeasure`, and is refused here.
     """
-    if isinstance(source, CredalSet):
-        return CountingMeasure(source, use_multiplicities=use_multiplicities)
-    if not isinstance(source, ParamFamily):
-        raise ConfigInvalid(f"cannot build a measure over {type(source).__name__}")
+    if not isinstance(family, ParamFamily):
+        raise ConfigInvalid(f"cannot build a measure over {type(family).__name__}; "
+                            "a finite credal set's measure is CountingMeasure")
     resolution, max_panels = _integer("resolution", resolution), _integer("max_panels", max_panels)
     if not (resolution >= 1 and math.isfinite(tol) and tol > 0.0 and max_panels >= resolution):
         raise ConfigInvalid("need resolution >= 1, a finite tol > 0, max_panels >= resolution")
 
-    nodes, weights, rho, diagnostics = _adaptive_panels(source, resolution, tol, max_panels)
+    nodes, weights, rho, diagnostics = _adaptive_panels(family, resolution, tol, max_panels)
     return TvuMeasure(
-        source, nodes, weights, rho, meta={"resolution": resolution, "tol": tol, **diagnostics}
+        family, nodes, weights, rho, meta={"resolution": resolution, "tol": tol, **diagnostics}
     )
 
 
@@ -1026,23 +1015,24 @@ def coin_match_family() -> ParamFamily:
     )
 
 
-def product_space(base: OutcomeSpace, draws: int, sep: str = ",") -> OutcomeSpace:
-    """Outcome space of ``draws`` ordered draws with labels joined by ``sep``."""
+def product_space(base: OutcomeSpace, draws: int) -> OutcomeSpace:
+    """Outcome space of ``draws`` ordered draws with labels joined by ``","``."""
     if draws < 1:
         raise ConfigInvalid("need draws >= 1")
     combos = itertools.product(base.labels, repeat=draws)
-    return OutcomeSpace([sep.join(str(c) for c in combo) for combo in combos])
+    return OutcomeSpace([",".join(str(c) for c in combo) for combo in combos])
 
 
-def iid_extension(member, draws: int, sep: str = ","):
+def iid_extension(member, draws: int):
     """Lift one distribution to ``draws`` independent ordered draws.
 
-    Exact for :class:`RationalDistribution` members; the counting-measure
-    route to posterior predictive values uses this as the ``lift``.
+    Exact for :class:`RationalDistribution` members.  A counting measure
+    over the lifted members answers multi-draw questions (see
+    :meth:`CountingMeasure.posterior_predictive`).
     """
     if draws < 1:
         raise ConfigInvalid("need draws >= 1")
-    space = product_space(member.space, draws, sep=sep)
+    space = product_space(member.space, draws)
     return type(member)(
         space, [math.prod(c) for c in itertools.product(member.probs, repeat=draws)]
     )

@@ -129,6 +129,12 @@ class TestBinomialTestCommand:
                      "--out", str(tmp_path)]) == 0
         assert len(read_csv(tmp_path / "hocs.csv")) == 100_001
 
+    def test_fine_grid_step_runs_at_large_n(self, tmp_path):
+        # The likelihood reads one head count, so the grid is priced by its rows.
+        assert main(["binomial-test", "--n", "1000", "--k", "3", "--grid-step", "1e-5",
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "hocs.csv")) == 100_001
+
 
 class TestConvergeCommand:
     def test_deterministic_across_runs_and_threads(self, tmp_path):
@@ -203,6 +209,21 @@ class TestDilationCommand:
         )
         profile = read_csv(tmp_path / "profile.csv")
         assert len(profile) == 101 + 150 + 150
+
+    def test_json_format_carries_the_csv_values(self, tmp_path, capsys):
+        argv = ["dilation", "--grid", "21", "--samples", "40", "--orders", "3", "--seed", "9"]
+        assert main([*argv, "--out", str(tmp_path / "csv")]) == 0
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        payload = json.loads((tmp_path / "json" / "dilation.json").read_text())
+        summary = read_csv(tmp_path / "csv" / "summary.csv")
+        assert [{h: float(o[h]) for h in summary[0]} for o in payload["orders"]] == [
+            {h: float(v) for h, v in row.items()} for row in summary]
+        profile = read_csv(tmp_path / "csv" / "profile.csv")
+        for o in payload["orders"]:
+            rows = [r for r in profile if int(r["order"]) == o["order"]]
+            assert [int(r["particle"]) for r in rows] == list(range(len(o["values"])))
+            assert [float(r["value"]) for r in rows] == o["values"]
+        assert len(profile) == sum(len(o["values"]) for o in payload["orders"]) == 21 + 40 + 40
 
     def test_stdout_mentions_range(self, tmp_path, capsys):
         main(["dilation", "--samples", "60", "--orders", "2",

@@ -13,6 +13,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import credal
 from credal import (
     ConfigInvalid,
     CountingMeasure,
+    CredalSet,
     Event,
     ImpossibleHistory,
     IndexOutOfRange,
@@ -243,6 +245,22 @@ class TestUrnUpdate:
         with pytest.raises(ConfigInvalid):
             urn_update(state)
 
+    def test_two_colour_weights_stream_their_powers(self):
+        # Neither factor of a two-colour weight is sliced, so no list of
+        # N + 1 powers (about 9 MB here) may be held.
+        state = UrnState(colors=("red", "blue"), ball_total=100_000,
+                         history=("red", "red", "blue"))
+        tracemalloc.start()
+        try:
+            probs = urn_update(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert sum(probs.values()) == 1
+        assert urn_update(UrnState(history=("red",)))["red"] == GOLDEN_AFTER_RED
+        assert urn_update(UrnState(history=("red", "red")))["red"] == GOLDEN_AFTER_RED_RED
+
     def test_one_colour_lists_nothing(self):
         state = UrnState(colors=("a",), ball_total=16_000_000, history=("a",) * 200)
         assert urn_work(state) == {"degree": 16_000_000, "colors": 1,
@@ -265,14 +283,12 @@ class TestUrnCredalSet:
         # Same number, two genuinely different code paths: direct
         # integer sums vs the counting measure over lifted members.
         c = urn_credal_set(ball_total=30)
-        m = CountingMeasure(c)
+        m = CountingMeasure(CredalSet([iid_extension(d, 2) for d in c.members]))
         sp = c.space
         pair = product_space(sp, 2)
         first_red = pair.event([f"red,{c}" for c in sp.labels])
         second_red = pair.event([f"{c},red" for c in sp.labels])
-        got = m.posterior_predictive(
-            first_red, second_red, lift=lambda d: iid_extension(d, 2)
-        )
+        got = m.posterior_predictive(first_red, second_red)
         want = urn_update(UrnState(ball_total=30, history=("red",)))["red"]
         assert got == want == Fraction(31, 60)
 

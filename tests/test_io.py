@@ -7,6 +7,7 @@ data file before it.
 
 import csv
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from credal.cli import main
 from credal.errors import LengthMismatch
-from credal.io import STRETCH_ROWS, format_value, write_csv
+from credal.io import STRETCH_ROWS, format_value, write_csv, write_json
 
 # Written by the previous cell formatter, which sent every cell (strings
 # included) through the Fraction check first; the bytes must not move.
@@ -158,3 +159,18 @@ def test_cli_csv_round_trips_through_the_oracle(tmp_path, capsys, argv):
         header, *rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
         columns = [trim([parse_cell(r[j]) for r in rows]) for j in range(len(header))]
         assert oracle_bytes(header, columns) == raw, path.name
+
+
+def test_write_json_encodes_exact_and_numpy_values(tmp_path):
+    payload = {"frac": Fraction(91, 180), "i64": np.int64(2**53 + 1),
+               "f64": np.float64(0.1), "f32": np.float32(0.5),
+               "array": np.array([[1.5, 2.0], [3.0, 0.1]]), "ints": np.arange(3)}
+    text = write_json(tmp_path / "x.json", payload).read_text()
+    assert text.endswith("}\n")
+    loaded = json.loads(text)
+    assert loaded == {"frac": "91/180", "i64": 2**53 + 1, "f64": 0.1, "f32": 0.5,
+                      "array": [[1.5, 2.0], [3.0, 0.1]], "ints": [0, 1, 2]}
+    assert list(loaded) == sorted(payload)
+    assert type(loaded["i64"]) is int and type(loaded["ints"][0]) is int
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "y.json", {"set": {1}})

@@ -20,6 +20,7 @@ from credal import (
     EventMap,
     LengthMismatch,
     OutcomeSpace,
+    ZeroProbabilityEvent,
     condition,
     credal_condition,
     event_probability,
@@ -28,6 +29,7 @@ from credal import (
     probability_range,
     sample_l1_uniform,
     tv_distance,
+    urn_credal_set,
 )
 from credal.sets import MERGE_TOL
 from credal.tvuniform import coin_match_family
@@ -78,6 +80,13 @@ class TestEventMap:
         assert g.labels == ("c", "f")
         assert emap.preimage(g) == f & E          # pullback gives f & E
         assert emap.map_event(emap.preimage(g)) == g  # forward is onto
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_mass_distribution_is_refused_as_condition_refuses_it(self, exact):
+        sp = OutcomeSpace(list("abc"))
+        make = make_rational_distribution if exact else make_distribution
+        with pytest.raises(ZeroProbabilityEvent):
+            EventMap(sp.event(["a", "b"])).map_distribution(make(sp, [0, 0, 1]))
 
     def test_map_is_many_to_one_not_injective(self):
         sp = OutcomeSpace(list("abcd"))
@@ -175,3 +184,35 @@ class TestCredalCondition:
         assert conditioned.members[0].probs == (Fraction(1, 3), Fraction(2, 3))
         assert conditioned.members[1].probs == (Fraction(1, 2), Fraction(1, 2))
         assert conditioned.multiplicities == (2, 1)
+
+
+def restrict(d, event) -> list:
+    """``d``'s probabilities on the event's outcomes, in source order."""
+    return [d.probs[i] for i in event.indices]
+
+
+class TestOneConditioningRule:
+    # credal_condition's members are condition() followed by restriction,
+    # bit for bit: there is no second normalization anywhere.
+    @pytest.mark.parametrize("seed", range(20))
+    def test_float_members_are_restricted_conditionals_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        sp = OutcomeSpace(list(range(n)))
+        members = [sample_l1_uniform(sp, rng) for _ in range(50)]
+        E = sp.event(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        conditioned, emap = credal_condition(CredalSet(members), E)
+        assert len(conditioned) == len(members)
+        want = [np.asarray(restrict(condition(m, E), E)).tobytes() for m in members]
+        assert [m.probs.tobytes() for m in conditioned.members] == want
+        assert [emap.map_distribution(m).probs.tobytes() for m in members] == want
+
+    def test_exact_members_are_restricted_conditionals(self):
+        c = urn_credal_set(ball_total=12)
+        E = c.space.event(["red", "blue"])
+        conditioned, _ = credal_condition(c, E)
+        # Exact conditionals merge when equal, keeping the first one's place.
+        want = dict.fromkeys(tuple(restrict(condition(m, E), E))
+                             for m in c.members if m.prob(E) > 0)
+        assert [m.probs for m in conditioned.members] == list(want)
+        assert conditioned.total_multiplicity() == len(c) - 1  # (0, 12, 0) is dropped

@@ -986,6 +986,11 @@ class TestCountingMeasure:
             num = sum(c * mass(d, query & observed) for c, d in keep)
             assert m.posterior_predictive(observed, query) == oracle(num, den)
 
+    def test_build_measure_refuses_a_credal_set(self):
+        c = CredalSet([make_rational_distribution(OutcomeSpace(["H", "T"]), [1, 3])])
+        with pytest.raises(ConfigInvalid, match="CountingMeasure"):
+            build_measure(c)
+
     def test_events_of_another_space_are_rejected(self):
         sp = OutcomeSpace(["H", "T"])
         m = CountingMeasure(CredalSet([make_rational_distribution(sp, [1, 3])]))
@@ -994,9 +999,9 @@ class TestCountingMeasure:
             m.event_prob(pair.event(["H,H"]))
         # Lifted members live on the pair space, so single-draw events
         # no longer fit them.
+        lifted = CountingMeasure(CredalSet([iid_extension(d, 2) for d in m.credal_set]))
         with pytest.raises(SpaceMismatch):
-            m.posterior_predictive(sp.event(["H"]), sp.event(["H"]),
-                                   lift=lambda d: iid_extension(d, 2))
+            lifted.posterior_predictive(sp.event(["H"]), sp.event(["H"]))
 
 
 @pytest.fixture(scope="module")
@@ -1035,13 +1040,11 @@ class TestPosteriorPredictive:
             make_rational_distribution(sp, [Fraction(i, 4), 1 - Fraction(i, 4)])
             for i in range(5)
         ]
-        m = CountingMeasure(CredalSet(members))
+        m = CountingMeasure(CredalSet([iid_extension(d, 2) for d in members]))
         pair = product_space(sp, 2)
         first_h = pair.event([f"H,{c}" for c in sp.labels])
         second_h = pair.event([f"{c},H" for c in sp.labels])
-        got = m.posterior_predictive(
-            first_h, second_h, lift=lambda d: iid_extension(d, 2)
-        )
+        got = m.posterior_predictive(first_h, second_h)
         # sum p^2 / sum p over p in {0, 1/4, 1/2, 3/4, 1}
         want = Fraction(sum(Fraction(i, 4) ** 2 for i in range(5)), 1) / sum(
             Fraction(i, 4) for i in range(5)
