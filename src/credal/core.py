@@ -75,18 +75,37 @@ def _integer(name: str, value) -> int:
 
 
 class _Frozen:
-    """Base of the package's value classes, which updates read and share.
+    """Base of every value the package returns, which updates read and share.
 
     Assignment is refused.  A constructor sets its fields once through
     :meth:`_init`, which makes every numpy array it stores read-only: an
     array alone, or a tuple whose first element is an array (a tuple of
-    labels or members is never walked).
+    labels or members is never walked).  A plain record (a report or a
+    per-order summary) names its fields in ``__slots__`` and is built by
+    keyword through the inherited ``__init__``; its ``repr`` lists them,
+    leaving out arrays and dicts (``meta``).  Copies and unpickled values
+    are rebuilt through :meth:`_init` too, so they hold the same rule.
     """
 
     __slots__ = ()
 
+    def __init__(self, **fields):
+        cls = type(self)
+        if fields.keys() != set(cls.__slots__):
+            raise TypeError(f"{cls.__name__} needs exactly the fields {cls.__slots__}")
+        self._init(**fields)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        self._init(**state[1])
+
+    def __repr__(self) -> str:
+        shown = ((name, getattr(self, name)) for name in type(self).__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in shown
+                           if not isinstance(value, (np.ndarray, dict)))
+        return f"{type(self).__name__}({fields})"
 
     def _init(self, **fields) -> None:
         for name, value in fields.items():

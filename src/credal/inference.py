@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _integer
+from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _Frozen, _integer
 from .errors import ConfigInvalid, ImpossibleHistory, ZeroEvidence
 from .sets import CredalSet
 from .tvuniform import (
@@ -60,28 +59,40 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UrnState:
+class _Record(_Frozen):
+    """A record equal to, and hashed as, any record of its class with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class UrnState(_Record):
     """An urn of ``ball_total`` balls over known colors, unknown counts.
 
     ``history`` lists the colors seen so far (draws with replacement).
     """
 
-    colors: tuple[str, ...] = ("red", "yellow", "blue")
-    ball_total: int = 90
-    history: tuple[str, ...] = ()
+    __slots__ = ("colors", "ball_total", "history")
 
-    def __post_init__(self):
-        colors = tuple(self.colors)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "history", tuple(self.history))
+    def __init__(self, colors=("red", "yellow", "blue"), ball_total: int = 90, history=()):
+        colors, history = tuple(colors), tuple(history)
         if len(colors) < 1 or len(set(colors)) != len(colors):
             raise ConfigInvalid("colors must be distinct and non-empty")
-        if self.ball_total < 1:
+        ball_total = _integer("ball_total", ball_total)
+        if ball_total < 1:
             raise ConfigInvalid("ball_total must be >= 1")
-        unknown = [c for c in self.history if c not in colors]
+        unknown = [c for c in history if c not in colors]
         if unknown:
             raise ImpossibleHistory(f"history contains unknown colors {unknown}")
+        self._init(colors=colors, ball_total=ball_total, history=history)
 
     def with_draw(self, color: str) -> "UrnState":
         return UrnState(self.colors, self.ball_total, self.history + (color,))
@@ -197,8 +208,7 @@ def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HocsResult:
+class HocsResult(_Record):
     """Evidence ratio for a point null inside a family.
 
     ``ratio = null_likelihood / reference_prob``: how the null member's
@@ -210,13 +220,8 @@ class HocsResult:
     higher-order convergence phenomenon rather than a proved guarantee.
     """
 
-    null_point: float | int
-    event_labels: tuple
-    null_likelihood: float
-    reference_prob: float
-    ratio: float
-    mode: str
-    conjecture_conditional: bool = True
+    __slots__ = ("null_point", "event_labels", "null_likelihood", "reference_prob", "ratio",
+                 "mode", "conjecture_conditional")
 
 
 def hocs_ratio(measure, null, event: Event) -> HocsResult:
@@ -257,7 +262,8 @@ def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
         raise ZeroEvidence("event has reference probability zero")
     return [
         HocsResult(null_point=null, event_labels=event.labels, null_likelihood=float(like),
-                   reference_prob=ref, ratio=float(like) / ref, mode=mode)
+                   reference_prob=ref, ratio=float(like) / ref, mode=mode,
+                   conjecture_conditional=True)
         for null, like, ref in zip(nulls, likes, refs)
     ]
 
@@ -267,8 +273,7 @@ def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinomialTestReport:
+class BinomialTestReport(_Frozen):
     """Everything the head-count hypothesis test produces.
 
     For ``n`` tosses with ``k`` heads observed: the uniform-measure
@@ -278,15 +283,8 @@ class BinomialTestReport:
     ``meta`` is the measure's ``meta``: quadrature diagnostics and layout.
     """
 
-    n: int
-    k: int
-    z: float
-    reference: tuple[float, ...]
-    grid: np.ndarray = field(repr=False)
-    ratios: np.ndarray = field(repr=False)
-    density: np.ndarray = field(repr=False)
-    conjecture_conditional: bool = True
-    meta: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("n", "k", "z", "reference", "grid", "ratios", "density",
+                 "conjecture_conditional", "meta")
 
     def observed_reference(self) -> float:
         return self.reference[self.k]
@@ -355,5 +353,6 @@ def binomial_test(
         grid=grid,
         ratios=ratios,
         density=density,
+        conjecture_conditional=True,
         meta=measure.meta,
     )

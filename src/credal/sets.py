@@ -31,10 +31,11 @@ from .core import (
     OutcomeSpace,
     RationalDistribution,
     _Frozen,
+    _integer,
     _require_same_space,
     condition,
 )
-from .errors import AllMembersZero, IndexOutOfRange, LengthMismatch
+from .errors import AllMembersZero, ConfigInvalid, IndexOutOfRange, LengthMismatch
 
 __all__ = [
     "CredalSet",
@@ -77,11 +78,11 @@ class CredalSet(_Frozen):
         if multiplicities is None:
             multiplicities = (1,) * len(members)
         else:
-            multiplicities = tuple(int(k) for k in multiplicities)
+            multiplicities = tuple(_integer("a multiplicity", k) for k in multiplicities)
             if len(multiplicities) != len(members):
                 raise LengthMismatch("one multiplicity per member required")
             if any(k < 1 for k in multiplicities):
-                raise LengthMismatch("multiplicities must be positive")
+                raise ConfigInvalid("multiplicities must be positive")
         self._init(space=space, members=members, labels=labels,
                    multiplicities=multiplicities)
 

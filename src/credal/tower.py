@@ -49,7 +49,6 @@ threads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,8 +88,7 @@ STREAMS = (
 )
 
 
-@dataclass(frozen=True)
-class TowerConfig:
+class TowerConfig(_Frozen):
     """Recipe for a tower.
 
     ``base`` is what level 1 ranges over: a parametrized family (or its
@@ -109,30 +107,32 @@ class TowerConfig:
     uniformly drawn weight vectors.  ``seed`` seeds every random stream.
     """
 
-    base: ParamFamily | TvuMeasure | CountingMeasure | CredalSet
-    base_samples: int = 1601
-    order_samples: int = 1601
-    max_order: int = 5
-    seed: int = 0
-    base_mode: str = "tvu"
+    __slots__ = ("base", "base_samples", "order_samples", "max_order", "seed", "base_mode")
 
-    def __post_init__(self):
-        if not isinstance(self.base, (ParamFamily, TvuMeasure, CountingMeasure, CredalSet)):
+    def __init__(
+        self,
+        base: ParamFamily | TvuMeasure | CountingMeasure | CredalSet,
+        base_samples: int = 1601,
+        order_samples: int = 1601,
+        max_order: int = 5,
+        seed: int = 0,
+        base_mode: str = "tvu",
+    ):
+        if not isinstance(base, (ParamFamily, TvuMeasure, CountingMeasure, CredalSet)):
             raise ConfigInvalid(
-                f"base must be a family, measure, or credal set, got {type(self.base).__name__}"
+                f"base must be a family, measure, or credal set, got {type(base).__name__}"
             )
-        for name in ("base_samples", "order_samples", "max_order", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.base_samples < 1:
-            raise ConfigInvalid("base_samples must be >= 1")
-        if self.order_samples < 1:
-            raise ConfigInvalid("order_samples must be >= 1")
-        if self.max_order < 1:
-            raise ConfigInvalid("max_order must be >= 1")
-        if self.base_mode not in ("tvu", "grid"):
-            raise ConfigInvalid(f"unknown base_mode {self.base_mode!r}")
-        if not (0 <= self.seed < 2**64):
+        counts = {name: _integer(name, value) for name, value in (
+            ("base_samples", base_samples), ("order_samples", order_samples),
+            ("max_order", max_order), ("seed", seed))}
+        for name in ("base_samples", "order_samples", "max_order"):
+            if counts[name] < 1:
+                raise ConfigInvalid(f"{name} must be >= 1")
+        if base_mode not in ("tvu", "grid"):
+            raise ConfigInvalid(f"unknown base_mode {base_mode!r}")
+        if not (0 <= counts["seed"] < 2**64):
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
+        self._init(base=base, **counts, base_mode=base_mode)
 
 
 class Tower(_Frozen):
@@ -302,25 +302,16 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     return Tower(cfg, space, levels, params)
 
 
-@dataclass(frozen=True)
-class OrderStats:
+class OrderStats(_Frozen):
     """Summary of one order's implied probabilities for one event."""
 
-    order: int
-    n: int
-    mean: float
-    sd: float
-    vmin: float
-    vmax: float
-    max_dev_from_reference: float | None
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("order", "n", "mean", "sd", "vmin", "vmax", "max_dev_from_reference", "values")
 
 
 def _summary(order: int, values: np.ndarray) -> dict:
     """The fields every per-order report shares, from that order's values."""
     mean = stable_sum(values) / values.size
     sd = float(np.sqrt(stable_sum((values - mean) ** 2) / values.size))
-    values.setflags(write=False)
     return dict(order=order, n=int(values.size), mean=float(mean), sd=sd,
                 vmin=float(values.min()), vmax=float(values.max()), values=values)
 
@@ -344,8 +335,7 @@ def convergence_stats(
     ]
 
 
-@dataclass(frozen=True)
-class DilationOrder:
+class DilationOrder(_Frozen):
     """One order's conditional implied probabilities and their spread.
 
     ``weighted_mean`` aggregates the order as a whole: the ratio of the
@@ -355,15 +345,8 @@ class DilationOrder:
     was zero (their conditional value is undefined).
     """
 
-    order: int
-    n: int
-    n_excluded: int
-    mean: float
-    sd: float
-    weighted_mean: float
-    vmin: float
-    vmax: float
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("order", "n", "n_excluded", "mean", "sd", "weighted_mean", "vmin", "vmax",
+                 "values")
 
     def band_fraction(self, lo: float, hi: float) -> float:
         """Fraction of this order's values strictly inside (lo, hi)."""
@@ -373,14 +356,10 @@ class DilationOrder:
         return float(inside.mean())
 
 
-@dataclass(frozen=True)
-class DilationProfile:
+class DilationProfile(_Frozen):
     """Conditional implied probabilities of ``query`` given ``pre_event``."""
 
-    pre_event: Event
-    query_event: Event
-    n_dropped: int
-    orders: tuple[DilationOrder, ...]
+    __slots__ = ("pre_event", "query_event", "n_dropped", "orders")
 
     def order(self, i: int) -> DilationOrder:
         for o in self.orders:

@@ -5,19 +5,23 @@ star import or a reader of the docs would find it missing.  Likewise the
 benchmark's span recorder times layers by rebinding names in ``credal``
 modules and skips a name that is gone, so a layer it can no longer find
 reads 0 without failing the benchmark; the names it rebinds are checked
-here.  Finally every value class (spaces, events, distributions, sets,
-measures, the tower) is shared between updates, so each keeps one rule
-through one base, ``credal.core._Frozen``: it refuses assignment and
-holds only read-only arrays.
+here.  Finally every value the package returns (spaces, events,
+distributions, sets, measures, the tower, its config, and every record
+and report) is shared between updates, so each keeps one rule through
+one base, ``credal.core._Frozen``: it refuses assignment, holds only
+read-only arrays, and deep-copies and pickles into a value that keeps
+that rule.
 """
 
-import dataclasses
+import copy
 import importlib
 import importlib.util
+import pickle
 import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import credal
@@ -60,11 +64,35 @@ def test_every_traced_method_exists(name, span):
 
 
 def _is_value_class(obj):
-    return (isinstance(obj, type) and not dataclasses.is_dataclass(obj)
-            and not issubclass(obj, BaseException))
+    return isinstance(obj, type) and not issubclass(obj, BaseException)
 
 
 VALUE_CLASSES = {obj for obj in map(credal.__dict__.get, credal.__all__) if _is_value_class(obj)}
+
+
+def _values():
+    """One instance of every value class; the tower's base is a finite set, so it pickles."""
+    space = credal.OutcomeSpace(["a", "b"])
+    a = space.event(["a"])
+    dist = credal.make_distribution(space, [1, 3])
+    members = credal.CredalSet([dist, credal.make_distribution(space, [3, 1])])
+    family = credal.bernoulli_family()
+    measure = credal.build_measure(family)
+    config = credal.TowerConfig(members, base_samples=8, order_samples=8, max_order=2)
+    tower = credal.build_tower(config)
+    profile = credal.dilation_profile(tower, space.full_event(), a)
+    return [space, a, dist, credal.make_rational_distribution(space, [1, 3]), members,
+            credal.EventMap(a), family.box, family, measure, credal.CountingMeasure(members),
+            config, tower, credal.convergence_stats(tower, a)[0], profile, profile.orders[0],
+            credal.UrnState(history=["red"]), credal.binomial_test(10, 1),
+            credal.hocs_ratio(measure, 0.3, family.space.event(["H"]))]
+
+
+VALUES = _values()
+
+# A family's probability and thickness functions are closures built by its
+# constructor, which pickle cannot name; a measure holds its family.
+HOLDS_LOCAL_FUNCTIONS = {credal.ParamFamily, credal.TvuMeasure}
 
 
 def test_every_value_class_subclasses_frozen():
@@ -72,21 +100,61 @@ def test_every_value_class_subclasses_frozen():
 
 
 def test_every_value_class_refuses_assignment():
-    space = credal.OutcomeSpace(["a", "b"])
-    dist = credal.make_distribution(space, [1, 3])
-    members = credal.CredalSet([dist])
-    family = credal.bernoulli_family()
-    tower = credal.build_tower(credal.TowerConfig(family, base_samples=8, order_samples=8,
-                                                  max_order=2))
-    objs = [space, space.event(["a"]), dist, credal.make_rational_distribution(space, [1, 3]),
-            members, credal.EventMap(space.event(["a"])), family.box, family,
-            credal.build_measure(family), credal.CountingMeasure(members), tower]
-    assert {type(obj) for obj in objs} == VALUE_CLASSES
-    for obj in objs:
+    assert len(VALUES) == len(VALUE_CLASSES) and {type(obj) for obj in VALUES} == VALUE_CLASSES
+    for obj in VALUES:
         cls = type(obj)
         field = cls.__slots__[0]
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(obj, field, getattr(obj, field))
+
+
+def test_records_are_built_from_every_field_by_keyword():
+    report = next(obj for obj in VALUES if isinstance(obj, credal.BinomialTestReport))
+    fields = {name: getattr(report, name) for name in type(report).__slots__}
+    assert repr(type(report)(**fields)) == repr(report)
+    for wrong in ({k: v for k, v in fields.items() if k != "meta"}, {**fields, "extra": 1}):
+        with pytest.raises(TypeError, match="^BinomialTestReport needs exactly the fields"):
+            type(report)(**wrong)
+
+
+def _arrays(obj):
+    """Every array a value holds, through the values, tuples and lists it holds."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif type(obj).__module__.startswith("credal."):
+        for cls in type(obj).__mro__:
+            for name in getattr(cls, "__slots__", ()):
+                yield from _arrays(getattr(obj, name, None))
+        for value in getattr(obj, "__dict__", {}).values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def _assert_same_value(dup, obj):
+    assert dup is not obj and type(dup) is type(obj) and repr(dup) == repr(obj)
+    arrays = list(_arrays(dup))
+    assert [arr.tobytes() for arr in arrays] == [arr.tobytes() for arr in _arrays(obj)]
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=lambda obj: type(obj).__name__)
+def test_every_value_deep_copies(obj):
+    _assert_same_value(copy.deepcopy(obj), obj)
+
+
+@pytest.mark.parametrize("obj", [obj for obj in VALUES if type(obj) not in HOLDS_LOCAL_FUNCTIONS],
+                         ids=lambda obj: type(obj).__name__)
+def test_every_value_without_local_functions_pickles(obj):
+    _assert_same_value(pickle.loads(pickle.dumps(obj)), obj)
+
+
+@pytest.mark.parametrize("obj", [obj for obj in VALUES if type(obj) in HOLDS_LOCAL_FUNCTIONS],
+                         ids=lambda obj: type(obj).__name__)
+def test_families_and_their_measures_do_not_pickle(obj):
+    with pytest.raises((AttributeError, pickle.PicklingError), match="local"):
+        pickle.dumps(obj)
 
 
 def _held_arrays(base_mode):
@@ -95,6 +163,7 @@ def _held_arrays(base_mode):
                              base_mode=base_mode)
     tower = credal.build_tower(cfg)
     measure = credal.build_measure(family)
+    report = credal.binomial_test(10, 1)
     pre, match = family.space.event(["H1H2", "H1T2"]), family.space.event(["H1H2", "T1T2"])
     return {
         "Tower.base_params": tower.base_params,
@@ -109,6 +178,8 @@ def _held_arrays(base_mode):
            for s in credal.convergence_stats(tower, match)},
         **{f"DilationOrder[{o.order}].values": o.values
            for o in credal.dilation_profile(tower, pre, match).orders},
+        **{f"BinomialTestReport.{name}": getattr(report, name)
+           for name in ("grid", "ratios", "density")},
     }
 
 

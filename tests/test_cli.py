@@ -3,14 +3,18 @@
 import csv
 import hashlib
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import simd
 from credal.cli import main
 
 
@@ -381,30 +385,70 @@ class TestSeedResolution:
         assert main(["urn", "--out", str(tmp_path)]) == 2
 
 
-# SHA-256 of every data file of the quadrature path's commands.  The
-# outcome-mass pass and the likelihood grid evaluate only the head counts
-# that can carry mass; these digests pin that they write the bytes a pass
-# over every head count writes.
-QUADRATURE_GOLDENS = {
+# SHA-256 of every data file of the quadrature path's commands, by numpy
+# SIMD dispatch (see ``simd``).  The outcome-mass pass and the likelihood
+# grid evaluate only the head counts that can carry mass; the AVX-512
+# digests pin that they write the bytes a pass over every head count
+# writes.  The AVX2 and baseline kernels were recorded from the same code
+# and happen to write the same bytes as each other.
+_WITHOUT_AVX512 = {
     ("binomial-test", "--n", "400", "--k", "123"): {
-        "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
-        "hocs.csv": "25cedcccf100db1e9aec1eb56c71da1a1955660f767d9c407ddac5916451b22d",
-        "reference.csv": "d346f0732533ff7e68e7f9ad8b7795d035ae871b0800a6e133f3a40d698f16a2",
+        "density.csv": "2c9c47ab6c4e00a3c315e0bc129d3ebdc3a6ffb0fa0f73e9f76c43d600f61caa",
+        "hocs.csv": "85f53437a9e69fd4cececb580c485e6c56c5e6820dfa0f4cb00325ef72c13f79",
+        "reference.csv": "896b4eb5a199bdc258e3377432bf6ca8ef5f2b6722b3ef22efd224bb31108ed5",
     },
     ("binomial-test", "--n", "1000", "--k", "3"): {
-        "density.csv": "5b5bd95cc2ad1d9ee063036b1e61f86811ca98e65994d3713113057464a72e4b",
-        "hocs.csv": "c2e728a52571bb3c1868b341d19b1fe57d79212cb8d1a9233a127abf3aed3543",
-        "reference.csv": "ad29adae8a7bd11690886dfb402b3cc9868517734121170971fcb793103b7237",
+        "density.csv": "41df6f0780aba011429bcde676234767488f1942797dfe2642e97021533f6d23",
+        "hocs.csv": "ef1b942f6bace55b86ef9d84ec19ae7974306b35e078d62ec6849e58a5fbf30b",
+        "reference.csv": "fe4081fed58657781f5c898bad872484f4e63801978294f51179aa87423a46d4",
     },
     ("tvu-density", "--n", "400"): {
-        "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
+        "density.csv": "2c9c47ab6c4e00a3c315e0bc129d3ebdc3a6ffb0fa0f73e9f76c43d600f61caa",
     },
+}
+QUADRATURE_GOLDENS = {
+    simd.AVX512: {
+        ("binomial-test", "--n", "400", "--k", "123"): {
+            "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
+            "hocs.csv": "25cedcccf100db1e9aec1eb56c71da1a1955660f767d9c407ddac5916451b22d",
+            "reference.csv": "d346f0732533ff7e68e7f9ad8b7795d035ae871b0800a6e133f3a40d698f16a2",
+        },
+        ("binomial-test", "--n", "1000", "--k", "3"): {
+            "density.csv": "5b5bd95cc2ad1d9ee063036b1e61f86811ca98e65994d3713113057464a72e4b",
+            "hocs.csv": "c2e728a52571bb3c1868b341d19b1fe57d79212cb8d1a9233a127abf3aed3543",
+            "reference.csv": "ad29adae8a7bd11690886dfb402b3cc9868517734121170971fcb793103b7237",
+        },
+        ("tvu-density", "--n", "400"): {
+            "density.csv": "81550be47a0335d07d58ab74379c66312bcdb5794bd2e8fe9c42db7cded6d985",
+        },
+    },
+    simd.AVX2: _WITHOUT_AVX512,
+    simd.BASELINE: _WITHOUT_AVX512,
 }
 
 
-@pytest.mark.parametrize("argv", sorted(QUADRATURE_GOLDENS), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(_WITHOUT_AVX512), ids=" ".join)
 def test_quadrature_outputs_match_golden_digests(tmp_path, capsys, argv):
+    golden = simd.recorded(QUADRATURE_GOLDENS)[argv]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if p.name != "manifest.json"}
-    assert digests == QUADRATURE_GOLDENS[argv]
+    assert digests == golden
+
+
+@pytest.mark.parametrize("kernels", sorted(simd.STEERED))
+def test_goldens_hold_under_other_simd_kernels(kernels):
+    # The byte goldens rerun with numpy steered off AVX-512: each kernel
+    # set must find and match its own recorded digests.
+    disabled, key = simd.STEERED[kernels]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    got = subprocess.run([sys.executable, "-c", "import simd; print(simd.dispatch_key())"],
+                         env=env, cwd=tests, capture_output=True, text=True, check=True)
+    assert got.stdout.strip() == str(key)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_cli.py::test_quadrature_outputs_match_golden_digests",
+         "tests/test_tower.py::TestDrawWorkspace::test_levels_keep_their_bytes"],
+        env=env, cwd=tests.parent, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0 and "7 passed" in run.stdout, run.stdout[-3000:]

@@ -213,6 +213,20 @@ class TestUrnUpdate:
         with pytest.raises(ConfigInvalid):
             urn_update(UrnState(), mode="fast")
 
+    @pytest.mark.parametrize("balls", [10.5, 10.0, True, "10", None])
+    def test_ball_total_is_a_true_integer(self, balls):
+        # Before, 10.5 ended in a raw AttributeError inside urn_work and
+        # True ran as a one-ball urn.
+        with pytest.raises(ConfigInvalid, match="ball_total must be an integer"):
+            UrnState(ball_total=balls)
+        assert UrnState(ball_total=np.int64(10)).ball_total == 10
+
+    def test_states_are_values(self):
+        state = UrnState(colors=["a", "b"], ball_total=4, history=["a"])
+        assert state == UrnState(("a", "b"), 4, ("a",)) != UrnState(("a", "b"), 4)
+        assert {state, UrnState(("a", "b"), 4, ("a",))} == {state}
+        assert state.with_draw("b").history == ("a", "b") and type(state.ball_total) is int
+
     @pytest.mark.parametrize("colors", [("a", "b"), ("a", "b", "c")])
     def test_refused_by_the_reported_work(self, monkeypatch, colors):
         state = UrnState(colors=colors, ball_total=40, history=("a", "a"))

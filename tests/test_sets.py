@@ -16,6 +16,7 @@ import pytest
 
 from credal import (
     AllMembersZero,
+    ConfigInvalid,
     CredalSet,
     EventMap,
     LengthMismatch,
@@ -52,6 +53,15 @@ class TestCredalSet:
         b = make_distribution(OutcomeSpace([2, 3]), [1, 1])
         with pytest.raises(Exception):
             CredalSet([a, b])
+
+    @pytest.mark.parametrize("counts", [[1.7, 1], [2.9, 1], [True, 1], ["2", 1], [0, 1], [-1, 1]])
+    def test_multiplicities_are_positive_true_integers(self, counts):
+        # Before, int() truncated 1.7 to 1 and a zero count raised LengthMismatch.
+        space = OutcomeSpace([0, 1])
+        members = [make_distribution(space, [1, 1]), make_distribution(space, [1, 3])]
+        with pytest.raises(ConfigInvalid):
+            CredalSet(members, multiplicities=counts)
+        assert CredalSet(members, multiplicities=[np.int64(3), 1]).multiplicities == (3, 1)
 
     def test_probability_range(self):
         c = grid_coin_match_set(11)

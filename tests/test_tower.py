@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import simd
 from credal import (
     AllDropped,
     ConfigInvalid,
@@ -160,33 +161,44 @@ class TestDeterminism:
 
 
 class TestDrawWorkspace:
-    # SHA-256 of every level, recorded when each block drew its rows as one
-    # (block x S) array.  "sub-blocked" mixes 3000 base particles (10-row
-    # sub-blocks; 300 rows per order: a full block and a partial one) and
-    # then 300 (109-row sub-blocks); "one call" mixes 101 grid particles,
-    # few enough for a whole block in one sub-block.
+    # SHA-256 of every level, by numpy SIMD dispatch (see ``simd``), recorded
+    # when each block drew its rows as one (block x S) array.  "sub-blocked"
+    # mixes 3000 base particles (10-row sub-blocks; 300 rows per order: a
+    # full block and a partial one) and then 300 (109-row sub-blocks); "one
+    # call" mixes 101 grid particles, few enough for a whole block in one
+    # sub-block.  Only the sub-blocked base comes from a binomial measure,
+    # whose nodes depend on the exp and log kernels.
+    CASES = {
+        "sub-blocked": dict(base=binomial_family(10), base_samples=3000, order_samples=300,
+                            max_order=3, seed=3),
+        "one call": dict(base=coin_match_family(), base_samples=101, order_samples=300,
+                         max_order=3, seed=0, base_mode="grid"),
+    }
+    ONE_CALL = ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
+                "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
+                "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"]
+    WITHOUT_AVX512 = {
+        "sub-blocked": ["d6f8075d2c9bc599ff411840a285641e2fb1a596de45639cd0d821b7fa3971ce",
+                        "e27f45adb16b4e1bc736a09df36300205db6373b351b4f692617b649e7f9ec99",
+                        "b6f427b9383fc3f6ebe00565b7d59a3f30ac8f2e3aa26043f0b7c0b1db0f157b"],
+        "one call": ONE_CALL,
+    }
     GOLDEN = {
-        "sub-blocked": (
-            dict(base=binomial_family(10), base_samples=3000, order_samples=300,
-                 max_order=3, seed=3),
-            ["d13f253ab43ae1a846aca377a7a07113a1372bb5a51eb9ea9ad0c6045b660450",
-             "c473ee821e74e9a37e26e56db64f3257da51f31407737dad67745d01e77af4a3",
-             "622f911d74e1c2309aa737b905a91acb0c904cfc48384a2a2a6f8183af561919"],
-        ),
-        "one call": (
-            dict(base=coin_match_family(), base_samples=101, order_samples=300,
-                 max_order=3, seed=0, base_mode="grid"),
-            ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
-             "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
-             "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"],
-        ),
+        simd.AVX512: {
+            "sub-blocked": ["d13f253ab43ae1a846aca377a7a07113a1372bb5a51eb9ea9ad0c6045b660450",
+                            "c473ee821e74e9a37e26e56db64f3257da51f31407737dad67745d01e77af4a3",
+                            "622f911d74e1c2309aa737b905a91acb0c904cfc48384a2a2a6f8183af561919"],
+            "one call": ONE_CALL,
+        },
+        simd.AVX2: WITHOUT_AVX512,
+        simd.BASELINE: WITHOUT_AVX512,
     }
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_levels_keep_their_bytes(self, case, n_jobs):
-        kwargs, digests = self.GOLDEN[case]
-        tower = build_tower(TowerConfig(**kwargs), n_jobs=n_jobs)
+        digests = simd.recorded(self.GOLDEN)[case]
+        tower = build_tower(TowerConfig(**self.CASES[case]), n_jobs=n_jobs)
         assert [hashlib.sha256(v.tobytes()).hexdigest() for v in tower.levels] == digests
 
     @pytest.mark.parametrize("cells", [1, 7 * 3000, 10**9])
