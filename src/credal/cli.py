@@ -58,12 +58,18 @@ def _order_name(i: int) -> str:
 
 
 class _Run:
-    """Collects output files and writes the manifest at the end."""
+    """Creates the output directory first, so that a bad ``--out`` is refused
+    before any computation; collects output files; writes the manifest."""
 
     def __init__(self, args, command: str):
         self.args = args
         self.command = command
         self.out = Path(args.out)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"--out {args.out}: cannot create the directory "
+                                f"({exc.strerror or exc})") from None
         self.t0 = time.perf_counter()
         self.files: list[Path] = []
         self.diagnostics: dict = {}

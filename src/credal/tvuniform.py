@@ -19,13 +19,13 @@ Two regimes are supported:
   integrals ``(1/Z) * int rho(x) * f(x)(E) dx`` evaluated by adaptive
   tensor Gauss-Legendre quadrature over boxes, for any number of slots.
   The starting boxes are the product of each slot's panels, which break
-  at the slot's registered kinks.  Every box is halved along each slot
-  in turn, and the distance of the halves' sum from the whole-box rule
-  is that slot's error (Genz & Malik 1980).  Each round splits, along
-  its worst slot, every box whose summed error is at least its equal
-  share of the tolerance, in one batch.  A tolerance the quadrature
-  cannot reach within ``max_panels`` boxes raises
-  :class:`~credal.errors.QuadratureNotConverged`.
+  at the slot's registered kinks.  A box's rule is the tensor GL-8 rule;
+  the same rule with GL-4 along one slot checks it, and their distance
+  is that slot's error.  Each round splits every box whose summed error
+  is at least its equal share of the tolerance at the midpoint of its
+  worst slot, in one batch, and evaluates both children afresh.  A
+  tolerance the quadrature cannot reach within ``max_panels`` boxes
+  raises :class:`~credal.errors.QuadratureNotConverged`.
 
 The measure is a mixture of the family's distributions, so one vector
 over the outcomes answers every event: at construction it sums the
@@ -38,8 +38,8 @@ the family's ``outcome_span``, the outcomes that can hold more than
 ``OUTCOME_FLOOR`` of a node's mass (every outcome for a family that
 registers no span), into one reused workspace of ``BLOCK_ROWS x
 |outcomes|`` (about 1.6 MB at ``n = 400``).  For the binomial family the
-span is a Chernoff band: at ``n = 400`` the pass evaluates 1,446,912 of
-the 6,400 x 401 node-outcome cells.  Each event then costs ``|E|``
+span is a Chernoff band: at ``n = 400`` the pass evaluates 797,184 of
+the 3,200 x 401 node-outcome cells.  Each event then costs ``|E|``
 additions.  Every term is non-negative, so each sum is accurate to a few
 ulps of the total (Higham 1993, "The accuracy of floating point
 summation"), and the block size is a constant, so the reduction order
@@ -100,7 +100,9 @@ __all__ = [
     "iid_extension",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre nodes and weights on [-1, 1]: each quadrature box's rule,
+# and the coarser rule that checks it along one slot at a time.
+_GL8, _GL4 = (np.polynomial.legendre.leggauss(m) for m in (8, 4))
 
 # Parameter rows whose distributions are evaluated at a time when a node
 # set or a grid is reduced over the outcomes.  A constant, so that the
@@ -114,8 +116,10 @@ BLOCK_ROWS = 512
 # becomes 0.  The node masses sum to Z, so no outcome probability P loses
 # OUTCOME_FLOOR or more: about 20 orders of magnitude below half an ulp of
 # P (above 5e-17 P) when P > 1e-4, as for every binomial head count at
-# n <= 1447.  The loss can change P's last bit only by tipping a rounding
-# that lies within it; the tests check bit equality with a full pass.
+# n <= 2047, the largest n the default start admits (the smallest, at
+# n = 2047, is 3.13e-4).  The loss can change P's last bit only by tipping
+# a rounding that lies within it; the tests check bit equality with a full
+# pass.
 OUTCOME_FLOOR = 1e-40
 
 
@@ -457,70 +461,34 @@ def _panel_edges(breakpoints: np.ndarray, resolution: int) -> tuple[np.ndarray, 
 
 
 def _box_rules(family: ParamFamily, lo: np.ndarray, hi: np.ndarray):
-    """Tensor-product Gauss-Legendre 8 rule on each box ``[lo_b, hi_b]``
-    (rows of shape ``(B, d)``), in one density call.
+    """Tensor Gauss-Legendre 8 rule on each box ``[lo_b, hi_b]`` (rows of
+    shape ``(B, d)``), checked along each slot ``k`` by the same tensor
+    rule with GL-4 along ``k``, all in one density call.
 
-    Returns the nodes ``(B, 8**d, d)`` with slot 0's index varying
-    slowest, their weights and density values ``(B, 8**d)``, and each
-    box's integral.
+    Returns the GL-8 nodes ``(B, 8**d, d)`` with slot 0's index varying
+    slowest, their weights and density values ``(B, 8**d)``, each box's
+    GL-8 integral, and one error per slot ``(B, d)``: the distance of the
+    GL-4-along-``k`` integral from it.
     """
+    n, d = lo.shape
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x, w = c[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
-    d = lo.shape[1]
-    slots, idx = np.arange(d)[:, None], np.indices((8,) * d).reshape(d, -1)
-    xs, ws = x[:, slots, idx].transpose(0, 2, 1), w[:, slots, idx].prod(axis=1)
-    rho = _density_rows(family, xs.reshape(-1, d)).reshape(ws.shape)
-    return xs, ws, rho, (ws * rho).sum(axis=1)
+    xs, ws = [], []
+    for k in range(-1, d):  # GL-8 along every slot, then GL-4 along slot k
+        rules = [_GL4 if j == k else _GL8 for j in range(d)]
+        idx = np.indices([x.size for x, _ in rules]).reshape(d, -1)
+        axes = [(c[:, j, None] + half[:, j, None] * x[i], half[:, j, None] * w[i])
+                for j, ((x, w), i) in enumerate(zip(rules, idx))]
+        xs.append(np.stack([x for x, _ in axes], axis=2))
+        ws.append(np.prod([w for _, w in axes], axis=0))
+    rho = _density_rows(family, np.concatenate(xs, axis=1).reshape(-1, d)).reshape(n, -1)
+    cuts = np.cumsum([w.shape[1] for w in ws[:-1]])
+    value, *checks = (a.sum(axis=1) for a in np.split(np.concatenate(ws, 1) * rho, cuts, 1))
+    return xs[0], ws[0], rho[:, :cuts[0]], value, np.abs(np.stack(checks, 1) - value[:, None])
 
 
-# The fields of :func:`_halve_boxes`' result, each an array with one row per box.
-_LO, _HI, _NODES, _WEIGHTS, _RHO, _HALVES, _VALUE, _ERR = range(8)
-
-
-def _halve_boxes(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole) -> tuple:
-    """Every slot's halving of boxes ``[lo_b, hi_b]``, in one density call.
-
-    Halving a box along slot ``k`` applies the tensor rule to its two
-    halves along ``k``; that slot's error is the distance of their sum
-    from ``whole``, the box's single-rule integral.  A box's error is the
-    sum over its slots, and it keeps the halving of its worst slot.
-    Returns one array per field, a row per box: the kept halves' corners
-    ``lo`` and ``hi`` ``(B, 2, d)``, nodes ``(B, 2 * 8**d, d)``, weights
-    and density values ``(B, 2 * 8**d)``, the halves' integrals ``(B, 2)``,
-    their sum and the box's error estimate.
-    """
-    n, d = lo.shape
-    mid = (0.5 * (lo + hi))[:, None, None]
-    # (box, slot halved, half, d): the first half's upper face is mid.
-    cut = np.eye(d, dtype=bool)[:, None] & np.array([[True], [False]])
-    sub = np.where(cut[:, ::-1], mid, lo[:, None, None]), np.where(cut, mid, hi[:, None, None])
-    xs, ws, rho, halves = _box_rules(family, *(a.reshape(-1, d) for a in sub))
-    halves = halves.reshape(n, d, 2)
-    values = halves.sum(axis=2)
-    errs = np.abs(whole[:, None] - values)
-    keep = (np.arange(n), errs.argmax(axis=1))
-    sub_lo, sub_hi, halves, values = (a[keep] for a in (*sub, halves, values))
-    ws, rho = (a.reshape(n, d, -1)[keep] for a in (ws, rho))
-    return (sub_lo, sub_hi, xs.reshape(n, d, -1, d)[keep], ws, rho, halves, values,
-            errs.sum(axis=1))
-
-
-def _halve_in_chunks(family: ParamFamily, lo: np.ndarray, hi: np.ndarray, whole=None) -> list:
-    """:func:`_halve_boxes` in chunks of at most ``BLOCK_ROWS * 128`` node
-    coordinates (evaluations times ``d``, the size of its largest
-    temporaries: about 2 MB however many boxes), into one array per field.
-    ``whole`` defaults to each box's single-rule integral, chunk by chunk."""
-    n, d = lo.shape
-    chunk = max(1, BLOCK_ROWS * 128 // ((1 + 2 * d) * 8**d * d))
-    for c in range(0, n, chunk):
-        rows = slice(c, c + chunk)
-        part_whole = _box_rules(family, lo[rows], hi[rows])[3] if whole is None else whole[rows]
-        part = _halve_boxes(family, lo[rows], hi[rows], part_whole)
-        if c == 0:
-            fields = [np.empty((n, *a.shape[1:])) for a in part]
-        for field, a in zip(fields, part):
-            field[rows] = a
-    return fields
+# The fields of a set of boxes, each an array with one row per box: the
+# corners, then the fields of :func:`_box_rules`' result.
+_LO, _HI, _NODES, _WEIGHTS, _RHO, _VALUE, _ERRS = range(7)
 
 
 def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panels: int):
@@ -529,53 +497,69 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     The starting boxes are the product of each slot's panels: its
     breakpoint segments (kinks are always box faces) subdivided to
     roughly ``resolution`` panels in proportion to length.  Every box
-    carries the error estimate of :func:`_halve_boxes` and the halving
-    of its worst slot.  Until the summed error estimate drops below
-    ``tol`` relative to the integral, each round splits every box whose
-    error is at least its equal share of the budget, ``min(max error,
-    tol * |integral| / B)`` over ``B`` live boxes, worst first and at
-    most ``max_panels - B`` of them; each child takes its half integral
-    as its single-rule value.  Missing ``tol`` within ``max_panels``
-    boxes raises :class:`QuadratureNotConverged`.  Returns the nodes,
-    weights and density values in the boxes' lexicographic order of
-    lower corners, plus the diagnostics for ``meta``.
+    carries its tensor GL-8 rule and the error estimate of
+    :func:`_box_rules`, the sum of its slot errors.  Until the summed
+    error estimate drops below ``tol`` relative to the integral, each
+    round splits every box whose error is at least its equal share of
+    the budget, ``min(max error, tol * |integral| / B)`` over ``B`` live
+    boxes, worst first and at most ``max_panels - B`` of them, at the
+    midpoint of its worst slot, and evaluates both children afresh.
+    Missing ``tol`` within ``max_panels`` boxes raises
+    :class:`QuadratureNotConverged`.  Returns the nodes, weights and
+    density values in the boxes' lexicographic order of lower corners,
+    plus the diagnostics for ``meta``.
 
-    Boxes are held as arrays, one per field of :func:`_halve_boxes`.
-    The starting boxes are already in lexicographic order; a round
-    halves the split boxes' kept halves in chunks, as the start is
-    evaluated, and gathers the live boxes back into that order with
-    ``np.lexsort``.  The totals are summed afresh over the live boxes.
+    Boxes are held as arrays, one per field.  The start and each round's
+    children are evaluated in chunks of at most ``BLOCK_ROWS * 128`` node
+    coordinates (evaluations times ``d``, the size of the largest
+    temporaries: about 2 MB however many boxes).  The starting boxes are
+    already in lexicographic order; a round gathers the live boxes back
+    into that order with ``np.lexsort``.  The totals are summed afresh
+    over the live boxes.
     """
     d = family.ndim
     edges = [_panel_edges(_breakpoints(family, k), resolution) for k in range(d)]
     sizes = [lo.size for lo, _ in edges]
-    halving = 2 * d * 8**d  # density evaluations to halve one box along every slot
-    start = math.prod(sizes)
-    evaluations = start * (8**d + halving)
+    start, cost = math.prod(sizes), 8**d + 4 * d * 8 ** (d - 1)  # evaluations per box
+    evaluations, chunk = start * cost, max(1, BLOCK_ROWS * 128 // (cost * d))
     # The measure's outcome-mass pass evaluates at most every node's distribution.
-    cells = start * 2 * 8**d * len(family.space)
+    cells = start * 8**d * len(family.space)
     if max(evaluations, cells) > MAX_GRID_CELLS:
         raise ConfigInvalid(
             f"{sizes} starting panels per slot need {evaluations} density evaluations"
             f" and {cells} node-outcome cells, above {MAX_GRID_CELLS}; lower the resolution"
         )
+
+    def evaluate(lo: np.ndarray, hi: np.ndarray) -> list:
+        for c in range(0, len(lo), chunk):
+            rows = slice(c, c + chunk)
+            part = (lo[rows], hi[rows], *_box_rules(family, lo[rows], hi[rows]))
+            if c == 0:
+                fields = [np.empty((len(lo), *a.shape[1:])) for a in part]
+            for field, a in zip(fields, part):
+                field[rows] = a
+        return fields
+
     grid = np.indices(sizes).reshape(d, -1)
     lo = np.stack([e[0][g] for e, g in zip(edges, grid)], axis=1)
     hi = np.stack([e[1][g] for e, g in zip(edges, grid)], axis=1)
-    boxes = _halve_in_chunks(family, lo, hi)
+    boxes = evaluate(lo, hi)
     while True:
-        errs = boxes[_ERR]
+        errs = boxes[_ERRS].sum(axis=1)
         value, err, live = float(np.sum(boxes[_VALUE])), float(np.sum(errs)), errs.size
         scale = max(abs(value), 1e-300)
         if err <= tol * scale or live >= max_panels:
             break
         take = min(np.count_nonzero(errs >= min(errs.max(), tol * scale / live)), max_panels - live)
         split = np.argsort(-errs, kind="stable")[:take]
-        part = _halve_in_chunks(family, *(boxes[f][split].reshape(-1, *boxes[f].shape[2:])
-                                         for f in (_LO, _HI, _HALVES)))
-        evaluations += take * 2 * halving
+        lo, hi = boxes[_LO][split], boxes[_HI][split]
+        cut = np.eye(d, dtype=bool)[boxes[_ERRS][split].argmax(axis=1)]
+        mid = 0.5 * (lo + hi)
+        part = evaluate(np.concatenate([lo, np.where(cut, mid, lo)]),
+                        np.concatenate([np.where(cut, mid, hi), hi]))
+        evaluations += 2 * take * cost
         ids = np.delete(np.arange(live + 2 * take), split)
-        ids = ids[np.lexsort(np.concatenate([boxes[_LO], part[_LO]])[ids, 0].T[::-1])]
+        ids = ids[np.lexsort(np.concatenate([boxes[_LO], part[_LO]])[ids].T[::-1])]
         for f in range(len(boxes)):  # one field at a time; each dropped once gathered
             boxes[f], part[f] = np.concatenate([boxes[f], part[f]])[ids], None
     if err > tol * scale:
@@ -837,9 +821,10 @@ def build_measure(
     ``meta["panels"]`` counts the final boxes and ``meta["evaluations"]``
     the density evaluations.  Doubling ``resolution`` moves ``Z`` by less
     than ``tol`` by construction.  ``meta["err_estimate"]`` is the summed
-    halving error relative to ``Z``: an estimate, not a bound (at the
-    singular endpoint of a ``p**3`` reparametrization it undercounts the
-    true error about 4x).  ``resolution`` and ``max_panels`` must be
+    distance of each box's GL-8 rule from its GL-4 checks, relative to
+    ``Z``: an estimate, not a bound (at the singular endpoint of a
+    ``p**3`` reparametrization the true error is 1.65-1.76 times it, for
+    ``tol`` from 1e-6 to 1e-12).  ``resolution`` and ``max_panels`` must be
     integers and ``tol`` finite and positive; anything else raises
     :class:`ConfigInvalid`.  A finite :class:`CredalSet` has its own
     measure, :class:`CountingMeasure`, and is refused here.

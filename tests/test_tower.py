@@ -167,7 +167,9 @@ class TestDrawWorkspace:
     # full block and a partial one) and then 300 (109-row sub-blocks); "one
     # call" mixes 101 grid particles, few enough for a whole block in one
     # sub-block.  Only the sub-blocked base comes from a binomial measure,
-    # whose nodes depend on the exp and log kernels.
+    # whose nodes depend on the exp and log kernels; its digests were
+    # re-recorded when each quadrature box became one GL-8 rule, which moved
+    # the nodes the base is drawn from.
     CASES = {
         "sub-blocked": dict(base=binomial_family(10), base_samples=3000, order_samples=300,
                             max_order=3, seed=3),
@@ -178,16 +180,16 @@ class TestDrawWorkspace:
                 "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
                 "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"]
     WITHOUT_AVX512 = {
-        "sub-blocked": ["d6f8075d2c9bc599ff411840a285641e2fb1a596de45639cd0d821b7fa3971ce",
-                        "e27f45adb16b4e1bc736a09df36300205db6373b351b4f692617b649e7f9ec99",
-                        "b6f427b9383fc3f6ebe00565b7d59a3f30ac8f2e3aa26043f0b7c0b1db0f157b"],
+        "sub-blocked": ["8f259a237e2b4c8a0e2652195ea4087e6afd441df6d3e952b23504409c379369",
+                        "ba85f52725f1792b33f4701491b03a6cf79fde948257b979aded4deed057faec",
+                        "d93adbafe06f2e043244929b295f8d9c13ae22c48f12284e72f91891bbb2da36"],
         "one call": ONE_CALL,
     }
     GOLDEN = {
         simd.AVX512: {
-            "sub-blocked": ["d13f253ab43ae1a846aca377a7a07113a1372bb5a51eb9ea9ad0c6045b660450",
-                            "c473ee821e74e9a37e26e56db64f3257da51f31407737dad67745d01e77af4a3",
-                            "622f911d74e1c2309aa737b905a91acb0c904cfc48384a2a2a6f8183af561919"],
+            "sub-blocked": ["8c1fbee89c571a04c0da536c81d86b1fb2e649ac625e37aa256a2859756ad3cd",
+                            "2821d8f2c8a548e8f41e233fca27e3d3f2c049f146ae999e91da39686543cebe",
+                            "1f6c182bdd87475474c46b35c2260f4b5059efab3ca6db045c09efb2a353f33f"],
             "one call": ONE_CALL,
         },
         simd.AVX2: WITHOUT_AVX512,

@@ -13,7 +13,9 @@ Every load-bearing number is checked through two routes:
 """
 
 import functools
+import itertools
 import math
+import operator
 import re
 import tracemalloc
 from fractions import Fraction
@@ -102,6 +104,37 @@ def derivative_thickness(ps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def exact_tvu_masses(n: int) -> tuple[Fraction, list[Fraction]]:
+    """``(Z, m)`` of the uniform measure over ``binomial_family(n)``, exactly.
+
+    On the kink panel ``[j/n, (j+1)/n]`` the density times the pmf of ``k``
+    is ``n C(n-1, j) C(n, k) p^a (1-p)^(2n-1-a)`` with ``a = j + k``, whose
+    integral is ``[P(Bin(2n, (j+1)/n) > a) - P(Bin(2n, j/n) > a)] / (2n
+    C(2n-1, a))``: the incomplete beta function as a binomial tail.  Since
+    ``1 / (2n C(2n-1, a)) = a! (2n-1-a)! / (2n)!`` and every tail is an
+    integer over ``n^(2n)``, each ``m_k`` is one integer sum over the
+    panels, over ``(2n)! n^(2n)``.  Written from the formula alone, with no
+    floats and no library code.
+    """
+    big = 2 * n
+    fact = list(itertools.accumulate(range(1, big + 1), operator.mul, initial=1))
+    row = [math.comb(big, i) for i in range(big + 1)]
+
+    def tails(j):  # n^(2n) P(Bin(2n, j/n) >= a) for a = 0..2n+1
+        terms = [c * j**i * (n - j) ** (big - i) for i, c in enumerate(row)]
+        return [*itertools.accumulate(reversed(terms))][::-1] + [0]
+
+    num, upper = [0] * (n + 1), tails(0)
+    for j in range(n):
+        lower, upper = upper, tails(j + 1)
+        for k in range(n + 1):
+            a = j + k
+            num[k] += (n * math.comb(n - 1, j) * (upper[a + 1] - lower[a + 1])
+                       * fact[a] * fact[big - 1 - a])
+    m = [Fraction(math.comb(n, k) * v, fact[big] * n**big) for k, v in enumerate(num)]
+    return sum(m, Fraction(0)), m
+
+
 def fsum_reference(measure, values) -> float:
     """Exactly rounded quadrature sum over the same products as the library."""
     return math.fsum((measure.weights * measure.density * values).tolist())
@@ -136,16 +169,16 @@ def sqrt_family(ndim: int, calls: list | None = None) -> ParamFamily:
     )
 
 
-def record_halvings(monkeypatch) -> list:
-    """The number of boxes of each ``_halve_boxes`` call, appended as made."""
-    halve, halved = tvuniform._halve_boxes, []
+def record_box_rules(monkeypatch) -> list:
+    """The number of boxes of each ``_box_rules`` call, appended as made."""
+    rules, evaluated = tvuniform._box_rules, []
 
-    def spy(family, lo, hi, whole):
-        halved.append(len(lo))
-        return halve(family, lo, hi, whole)
+    def spy(family, lo, hi):
+        evaluated.append(len(lo))
+        return rules(family, lo, hi)
 
-    monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
-    return halved
+    monkeypatch.setattr(tvuniform, "_box_rules", spy)
+    return evaluated
 
 
 @functools.cache
@@ -208,12 +241,20 @@ def fd_only(fam: ParamFamily) -> ParamFamily:
                        outcome_span=fam.outcome_span_fn, name=fam.name, meta=fam.meta)
 
 
-def cube_chart(fam: ParamFamily) -> ParamFamily:
-    """A one-slot family traced by ``s = p**3``, with no registered thickness."""
+def cube_chart(fam: ParamFamily, closed_form: bool = False) -> ParamFamily:
+    """A one-slot family traced by ``s = p**3``, with no registered
+    thickness; or, with ``closed_form``, demo 04's chart, whose thickness is
+    ``fam``'s at ``p = s**(1/3)`` times ``dp/ds = p / (3 s)``."""
+    def thick(xs):
+        s = np.maximum(xs[:, 0], 1e-300)
+        p = s ** (1 / 3)
+        return fam.thickness_batch_fns[0](p[:, None]) * p / (3.0 * s)
+
     return ParamFamily(
         fam.box, fam.space,
         lambda xs, out, outcomes: fam.probs_batch_fn(xs ** (1 / 3), out, outcomes),
         kinks=[tuple(k**3 for k in fam.kinks[0])],
+        thickness_batch=[thick] if closed_form else None,
     )
 
 
@@ -395,6 +436,38 @@ class TestMeasure:
         assert measure.z == pytest.approx(z_quad, rel=1e-10)
         assert measure.z == pytest.approx(GOLDEN_Z, rel=1e-9)
 
+    def test_frozen_normalizer_is_the_exact_rational_one(self):
+        z, m = exact_tvu_masses(N)
+        assert z == Fraction("3.66021568") == Fraction(5719087, 1562500)
+        assert [float(m[k] / z) for k in GOLDEN_HEAD_PROBS] == pytest.approx(
+            list(GOLDEN_HEAD_PROBS.values()), rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_outcome_probs_match_the_exact_rationals(self, n):
+        # m_k and Z are sums of non-negative terms, so the pairwise sums add
+        # only a few ulps; the rest is each term's rounding in the log-space
+        # pmf and thickness, and GL-8 truncation, which is zero for n <= 8
+        # (on each panel the integrand is a polynomial of degree 2n - 1).
+        # The worst measured error is 3.0e-15 (n = 29; 2.3e-15 with 16
+        # halving nodes per panel) under all three SIMD kernel sets, so 1e-14
+        # leaves room for last bits and is five orders below the 1e-9 of the
+        # frozen golden checks.
+        z, m = exact_tvu_masses(n)
+        measure = build_measure(binomial_family(n))
+        exact = np.array([float(v / z) for v in m])
+        np.testing.assert_allclose(measure.outcome_probs(), exact, rtol=1e-14, atol=0)
+        assert measure.z == pytest.approx(float(z), rel=1e-14)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_err_estimate_is_within_a_factor_two_of_the_true_error(self, family, tol):
+        # Demo 04's s = p**3 chart has a singular endpoint and needs rounds.
+        # The true relative error of Z, against the exact Z(10), was 3.8x the
+        # halving estimate; the GL-4 check puts it at 1.65-1.76x.
+        m, z = build_measure(cube_chart(family, closed_form=True), tol=tol), exact_tvu_masses(N)[0]
+        true = float(abs(Fraction(m.z) - z) / z)
+        assert m.meta["panels"] > 24 and m.meta["err_estimate"] <= tol
+        assert 0.5 <= true / m.meta["err_estimate"] <= 2.0
+
     def test_head_probs_against_quad_and_golden(self, family, measure):
         coeff = [math.comb(N, k) for k in range(N + 1)]
         for k, golden in GOLDEN_HEAD_PROBS.items():
@@ -460,8 +533,10 @@ class TestMeasure:
         assert 0.0 <= meta["err_estimate"] <= meta["tol"]
         assert meta["resolution"] == 4
         assert meta["panels"] <= max_panels
-        assert meta["panels"] * 16 * 8 ** (ndim - 1) == measure.nodes.shape[0]
-        assert meta["evaluations"] >= meta["panels"] * (1 + 2 * ndim) * 8**ndim
+        assert meta["panels"] * 8**ndim == measure.nodes.shape[0]
+        # Each box costs its GL-8 rule and one GL-4 check per slot; a split
+        # box's children are evaluated afresh.
+        assert meta["evaluations"] >= meta["panels"] * (8**ndim + 4 * ndim * 8 ** (ndim - 1))
 
     def test_two_dimensional_singular_density_converges(self):
         m = build_measure(sqrt_family(2), resolution=8, tol=1e-9)
@@ -469,12 +544,12 @@ class TestMeasure:
         assert m.event_prob(m.family.space.event([0])) == pytest.approx(0.6, abs=1e-8)
 
     def test_panel_cap_raises_after_the_starting_boxes(self):
-        # 8 x 8 starting boxes, each costing one whole-box rule and two
-        # halves per slot of 8^2 nodes, against a cap of 8 boxes.
+        # 8 x 8 starting boxes, each costing its GL-8 rule of 8^2 nodes and
+        # one GL-4 check of 4 x 8 nodes per slot, against a cap of 8 boxes.
         calls = []
         with pytest.raises(QuadratureNotConverged):
             build_measure(sqrt_family(2, calls), resolution=8, tol=1e-9, max_panels=8)
-        assert sum(calls) <= 64 * (1 + 2 * 2) * 8**2
+        assert sum(calls) == 64 * (8**2 + 2 * 4 * 8)
 
     def test_two_dimensional_memory_stays_bounded(self):
         # A tensor grid refined by doubling every axis held 589,824 nodes
@@ -503,8 +578,8 @@ class TestMeasure:
     def test_one_dimensional_start_is_one_density_call(self):
         calls = []
         build_measure(sqrt_family(1, calls), resolution=2048, tol=1e-3)
-        # The starting boxes' whole-box rules, then all their halvings.
-        assert calls[:2] == [2048 * 8, 2048 * 16]
+        # Every starting box's GL-8 rule and its GL-4 check in one call.
+        assert calls[0] == 2048 * (8 + 4)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 10, 13, 400, 1100])
     @pytest.mark.parametrize("resolution", [5, 24, 100, 1000, 4096])
@@ -600,18 +675,18 @@ class TestMeasure:
         # Every box the splitting makes, keyed by its node bytes; the
         # measure's nodes, cut into boxes, must list the boxes that were
         # never split, sorted by lower corner with slot 0 first.
-        halve, corners = tvuniform._halve_boxes, {}
+        rules, corners = tvuniform._box_rules, {}
 
-        def spy(family, lo, hi, whole):
-            fields = halve(family, lo, hi, whole)
-            for corner, nodes in zip(fields[tvuniform._LO][:, 0], fields[tvuniform._NODES]):
+        def spy(family, lo, hi):
+            fields = rules(family, lo, hi)
+            for corner, nodes in zip(lo, fields[0]):
                 corners[nodes.tobytes()] = tuple(corner.tolist())
             return fields
 
-        monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
+        monkeypatch.setattr(tvuniform, "_box_rules", spy)
         m = build_measure(sqrt_family(2), resolution=8, tol=1e-9)
         assert m.meta["panels"] > 8 * 8
-        got = [corners[box.tobytes()] for box in m.nodes.reshape(-1, 2 * 8**2, 2)]
+        got = [corners[box.tobytes()] for box in m.nodes.reshape(-1, 8**2, 2)]
         assert len(got) == m.meta["panels"] == len(set(got))
         assert got == sorted(got)
 
@@ -623,37 +698,37 @@ class TestMeasure:
              "bernoulli", "coin-match"],
     )
     def test_stock_families_meet_tol_without_a_round(self, make, monkeypatch):
-        # Every box halved is a starting box: no round splits anything.
-        halved = record_halvings(monkeypatch)
+        # Every box evaluated is a starting box: no round splits anything.
+        evaluated = record_box_rules(monkeypatch)
         m = build_measure(make())
-        assert sum(halved) == m.meta["panels"]
-        assert m.meta["evaluations"] == m.meta["panels"] * (8 + 2 * 8)
+        assert sum(evaluated) == m.meta["panels"]
+        assert m.meta["evaluations"] == m.meta["panels"] * (8 + 4)
 
     def test_a_round_stops_at_the_panel_cap(self, monkeypatch):
         # 8 x 8 starting boxes: uncapped, the first round splits several;
         # with room for one more box, it splits one and the cap ends the search.
-        halved = record_halvings(monkeypatch)
+        evaluated = record_box_rules(monkeypatch)
         build_measure(sqrt_family(2), resolution=8, tol=1e-9)
-        assert halved[0] == 64 and halved[1] > 2
-        halved.clear()
+        assert evaluated[0] == 64 and evaluated[1] > 2
+        evaluated.clear()
         with pytest.raises(QuadratureNotConverged, match="at 65 panels"):
             build_measure(sqrt_family(2), resolution=8, tol=1e-9, max_panels=65)
-        assert halved == [64, 2]
+        assert evaluated == [64, 2]
 
     @pytest.mark.parametrize("ndim, resolution, tol", [(1, 2, 1e-12), (2, 4, 1e-8), (3, 4, 1e-6)])
     def test_err_estimate_is_summed_over_the_live_boxes(self, monkeypatch, ndim, resolution, tol):
         # Every box made, keyed by its node bytes: the final boxes' errors
         # over their values, each summed once, with no running total.
-        halve, boxes = tvuniform._halve_boxes, {}
+        rules, boxes = tvuniform._box_rules, {}
 
-        def spy(family, lo, hi, whole):
-            fields = halve(family, lo, hi, whole)
-            for nodes, value, err in zip(*(fields[f] for f in (
-                    tvuniform._NODES, tvuniform._VALUE, tvuniform._ERR))):
-                boxes[nodes.tobytes()] = value, err
+        def spy(family, lo, hi):
+            fields = rules(family, lo, hi)
+            nodes, _, _, values, errs = fields
+            for box, value, err in zip(nodes, values, errs.sum(axis=1)):
+                boxes[box.tobytes()] = value, err
             return fields
 
-        monkeypatch.setattr(tvuniform, "_halve_boxes", spy)
+        monkeypatch.setattr(tvuniform, "_box_rules", spy)
         m = build_measure(sqrt_family(ndim), resolution=resolution, tol=tol)
         assert m.meta["panels"] > resolution**ndim
         live = [boxes[b.tobytes()] for b in m.nodes.reshape(m.meta["panels"], -1, ndim)]
@@ -661,15 +736,15 @@ class TestMeasure:
         assert m.meta["err_estimate"] == np.sum(errs) / np.sum(values)
 
     def test_start_past_the_cell_cap_is_refused_before_any_density_call(self, monkeypatch):
-        # 1448 starting boxes of 16 nodes by 1449 outcomes pass 2**25 cells;
-        # n = 1447 keeps 33,524,096.
+        # 2048 starting boxes of 8 nodes by 2049 outcomes pass 2**25 cells;
+        # n = 2047 keeps 33,538,048.
         calls = []
         monkeypatch.setattr(tvuniform, "_density_rows", lambda *a: calls.append(a))
         with pytest.raises(ConfigInvalid, match="33554432"):
-            build_measure(binomial_family(1448))
+            build_measure(binomial_family(2048))
         assert calls == []
         monkeypatch.undo()
-        assert build_measure(binomial_family(1447)).meta["panels"] == 1447
+        assert build_measure(binomial_family(2047)).meta["panels"] == 2047
 
     @pytest.mark.parametrize("n", [10, 400, 1100])
     def test_binomial_pmf_matches_exact_rationals(self, n):
@@ -758,8 +833,8 @@ class TestMeasure:
             build_measure(family, tol=0.0)
         with pytest.raises(ConfigInvalid):
             build_measure(42)
-        with pytest.raises(ConfigInvalid):  # 24^3 starting boxes of 7 * 8^3 evaluations
-            build_measure(sqrt_family(3))
+        with pytest.raises(ConfigInvalid):  # 24^4 starting boxes of 3 * 8^4 evaluations
+            build_measure(sqrt_family(4))
 
     @pytest.mark.parametrize("bad", [
         {"tol": float("nan")}, {"tol": float("inf")}, {"resolution": 2.5},
@@ -811,7 +886,7 @@ def full_span(fam: ParamFamily) -> ParamFamily:
 
 
 class TestOutcomeSpan:
-    @pytest.mark.parametrize("n", [1, 2, 10, 30, 100, 400, 1000, 1447])
+    @pytest.mark.parametrize("n", [1, 2, 10, 30, 100, 400, 1000, 1447, 2047])
     def test_banded_outcome_masses_equal_a_full_pass_bitwise(self, n):
         banded = build_measure(binomial_family(n))
         full = TvuMeasure(full_span(banded.family), banded.nodes, banded.weights, banded.density)
@@ -820,7 +895,7 @@ class TestOutcomeSpan:
         assert banded.meta["outcome_cells"] <= full.meta["outcome_cells"]
 
     def test_outcome_cells_count_the_cells_the_pass_evaluates(self):
-        assert build_measure(binomial_family(400)).meta["outcome_cells"] == 1_446_912
+        assert build_measure(binomial_family(400)).meta["outcome_cells"] == 797_184
         m = build_measure(coin_match_family())  # registers no span
         assert m.meta["outcome_cells"] == m.nodes.shape[0] * 4
 
