@@ -25,9 +25,11 @@ Exit codes: 0 success; 2 usage or validation error; 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,8 +60,8 @@ def _order_name(i: int) -> str:
 
 
 class _Run:
-    """Creates the output directory first, so that a bad ``--out`` is refused
-    before any computation; collects output files; writes the manifest."""
+    """Creates the output directory and checks that it takes a file, so that a bad
+    ``--out`` is refused before any computation; collects files; writes the manifest."""
 
     def __init__(self, args, command: str):
         self.args = args
@@ -67,8 +69,11 @@ class _Run:
         self.out = Path(args.out)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
+            # Not ``os.access``: for root it calls /proc writable.
+            with tempfile.TemporaryFile(dir=self.out):
+                pass
         except OSError as exc:
-            raise ConfigInvalid(f"--out {args.out}: cannot create the directory "
+            raise ConfigInvalid(f"--out {args.out}: cannot write to the directory "
                                 f"({exc.strerror or exc})") from None
         self.t0 = time.perf_counter()
         self.files: list[Path] = []
@@ -432,10 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` shares, built on its first call (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors with exit 2
         return int(exc.code or 0)
     try:

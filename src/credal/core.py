@@ -243,7 +243,10 @@ class FiniteDistribution(_Frozen):
         return f"FiniteDistribution({{{body}}})"
 
     def prob(self, event: Event) -> float:
-        return event_probability(self, event)
+        _require_same_space(self.space, event.space)
+        if not event.indices:
+            return 0.0
+        return stable_sum(self.probs[list(event.indices)])
 
     def to_dict(self) -> dict:
         return {
@@ -297,16 +300,6 @@ class RationalDistribution(_Frozen):
         _require_same_space(self.space, event.space)
         return sum((self.probs[i] for i in event.indices), Fraction(0))
 
-    def condition(self, event: Event) -> "RationalDistribution":
-        mass = self.prob(event)
-        if mass == 0:
-            raise ZeroProbabilityEvent("conditioning event has probability zero")
-        keep = set(event.indices)
-        probs = tuple(
-            (p / mass if i in keep else Fraction(0)) for i, p in enumerate(self.probs)
-        )
-        return RationalDistribution(self.space, probs)
-
     def to_float(self) -> FiniteDistribution:
         return make_distribution(self.space, [float(p) for p in self.probs])
 
@@ -341,46 +334,37 @@ def make_rational_distribution(space: OutcomeSpace, weights) -> RationalDistribu
     return RationalDistribution(space, [x / total for x in w])
 
 
-def _as_prob_array(d) -> np.ndarray:
-    if isinstance(d, FiniteDistribution):
-        return d.probs
-    if isinstance(d, RationalDistribution):
-        return np.asarray([float(p) for p in d.probs], dtype=np.float64)
-    raise TypeError(f"expected a distribution, got {type(d).__name__}")
-
-
 def tv_distance(a, b) -> float:
-    """Total variation distance ``sup_E |a(E) - b(E)| = 0.5 * ||a - b||_1``."""
+    """Total variation distance ``sup_E |a(E) - b(E)| = 0.5 * ||a - b||_1``.
+
+    Either distribution may be exact; its probabilities are read as floats.
+    """
     _require_same_space(a.space, b.space)
-    pa, pb = _as_prob_array(a), _as_prob_array(b)
+    pa, pb = (np.asarray(d.probs, dtype=np.float64) for d in (a, b))
     return 0.5 * stable_sum(np.abs(pa - pb))
 
 
-def event_probability(d: FiniteDistribution, event: Event) -> float:
-    """Probability mass the distribution assigns to the event."""
-    _require_same_space(d.space, event.space)
-    if not event.indices:
-        return 0.0
-    return stable_sum(d.probs[list(event.indices)])
+def event_probability(d, event: Event):
+    """Probability mass the distribution assigns to the event: ``d.prob(event)``,
+    a float for a :class:`FiniteDistribution`, a ``Fraction`` for a
+    :class:`RationalDistribution`."""
+    return d.prob(event)
 
 
-def condition(d: FiniteDistribution, event: Event) -> FiniteDistribution:
+def condition(d, event: Event):
     """Bayes' rule: ``d`` given an event of positive probability.
 
-    The package's one conditioning rule.  The result lives on the same
-    outcome space with support inside the event;
+    The package's one conditioning rule, for float and exact
+    distributions alike: each probability inside the event is divided
+    once by ``d.prob(event)``, the rest become zero, and the result is
+    rebuilt as ``type(d)`` on the same outcome space.
     :class:`credal.sets.EventMap` restricts it to the event's outcomes.
-    A float result divides each probability once by the event's mass.
     """
-    if isinstance(d, RationalDistribution):
-        return d.condition(event)
-    mass = event_probability(d, event)
-    if mass <= 0.0:
+    mass = d.prob(event)
+    if mass <= 0:
         raise ZeroProbabilityEvent("conditioning event has probability zero")
-    out = np.zeros(len(d.space), dtype=np.float64)
-    idx = list(event.indices)
-    out[idx] = d.probs[idx] / mass
-    return FiniteDistribution(d.space, out)
+    keep = set(event.indices)
+    return type(d)(d.space, [p / mass if i in keep else 0 * p for i, p in enumerate(d.probs)])
 
 
 def sample_l1_uniform(space: OutcomeSpace, rng: np.random.Generator):

@@ -306,7 +306,6 @@ def binomial_test(
     n: int,
     k: int,
     *,
-    resolution: int = 24,
     grid_step: float = 0.001,
     measure: TvuMeasure | None = None,
 ) -> BinomialTestReport:
@@ -326,7 +325,7 @@ def binomial_test(
     if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
         raise ConfigInvalid(f"need a finite grid step in (0, 1], got {grid_step!r}")
     if measure is None:
-        measure = build_measure(binomial_family(n), resolution=resolution)
+        measure = build_measure(binomial_family(n))
     elif not (
         isinstance(measure, TvuMeasure)
         and len(measure.family.space) == n + 1

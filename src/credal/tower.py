@@ -55,7 +55,7 @@ import numpy as np
 from .core import MAX_GRID_CELLS, Event, _Frozen, _integer, _require_same_space, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
-from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, build_measure
+from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, _stratified_indices, build_measure
 
 __all__ = [
     "TowerConfig",
@@ -92,18 +92,18 @@ class TowerConfig(_Frozen):
     """Recipe for a tower.
 
     ``base`` is what level 1 ranges over: a parametrized family (or its
-    prebuilt measure), or a finite credal set as a
-    :class:`~credal.tvuniform.CountingMeasure`.  A bare
-    :class:`~credal.sets.CredalSet` means ``CountingMeasure(base)``, one
-    count per member; to weight members by their merge multiplicities,
-    pass a ``CountingMeasure`` built to count them.
+    prebuilt measure), or a finite :class:`~credal.sets.CredalSet`, whose
+    uniform measure counts each member once (to weight members by their
+    merge multiplicities, pass the set with each member repeated by its
+    multiplicity).  A :class:`~credal.tvuniform.CountingMeasure` is
+    refused: pass its ``credal_set``.
     ``base_mode`` selects how level 1 is populated: ``"tvu"`` draws
     ``base_samples`` particles from the uniform measure (its quadrature
-    nodes, or the credal set's members, by stratified inverse-CDF
-    sampling over their masses, so a heavy node is drawn more than
-    once), ``"grid"`` enumerates a uniform inclusive parameter grid of
-    ``base_samples`` points (or the credal set's members, each repeated
-    by its count).  Levels 2 and above each hold ``order_samples``
+    nodes by stratified inverse-CDF sampling over their masses, so a
+    heavy node is drawn more than once, or the set's members, each about
+    ``base_samples / m`` times), ``"grid"`` enumerates a uniform
+    inclusive parameter grid of ``base_samples`` points (or each of the
+    set's members once).  Levels 2 and above each hold ``order_samples``
     uniformly drawn weight vectors.  ``seed`` seeds every random stream.
     """
 
@@ -111,16 +111,17 @@ class TowerConfig(_Frozen):
 
     def __init__(
         self,
-        base: ParamFamily | TvuMeasure | CountingMeasure | CredalSet,
+        base: ParamFamily | TvuMeasure | CredalSet,
         base_samples: int = 1601,
         order_samples: int = 1601,
         max_order: int = 5,
         seed: int = 0,
         base_mode: str = "tvu",
     ):
-        if not isinstance(base, (ParamFamily, TvuMeasure, CountingMeasure, CredalSet)):
+        if not isinstance(base, (ParamFamily, TvuMeasure, CredalSet)):
+            hint = "; pass its .credal_set" if isinstance(base, CountingMeasure) else ""
             raise ConfigInvalid(
-                f"base must be a family, measure, or credal set, got {type(base).__name__}"
+                f"base must be a family, measure, or credal set, got {type(base).__name__}{hint}"
             )
         counts = {name: _integer(name, value) for name, value in (
             ("base_samples", base_samples), ("order_samples", order_samples),
@@ -268,24 +269,19 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     """
     if _integer("n_jobs", n_jobs) < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
-    base = CountingMeasure(cfg.base) if isinstance(cfg.base, CredalSet) else cfg.base
-    counting = isinstance(base, CountingMeasure)
+    base = cfg.base
+    finite = isinstance(base, CredalSet)
     family = base.family if isinstance(base, TvuMeasure) else base
-    space = base.credal_set.space if counting else family.space
-    base_rows = sum(base.counts) if counting and cfg.base_mode == "grid" else cfg.base_samples
+    space = base.space if finite else family.space
+    base_rows = len(base) if finite and cfg.base_mode == "grid" else cfg.base_samples
     _check_size(cfg, base_rows, len(space))
     base_gen, *level_gens = np.random.default_rng(cfg.seed).spawn(cfg.max_order)
 
-    if counting:
-        members = base.credal_set.members
-        rows = np.stack(
-            [np.asarray([float(p) for p in m.probs], dtype=np.float64) for m in members]
-        )
-        if cfg.base_mode == "grid":
-            idx = np.repeat(np.arange(len(members)), base.counts)
-        else:
-            idx = base.sample_members(base_gen, cfg.base_samples)
-        base_probs = rows[idx]
+    if finite:
+        m = len(base)
+        idx = (np.arange(m) if cfg.base_mode == "grid"
+               else _stratified_indices(np.full(m, 1 / m), base_gen, cfg.base_samples))
+        base_probs = np.stack([np.asarray(d.probs, dtype=np.float64) for d in base.members])[idx]
         params = idx.astype(np.float64)
     else:
         if cfg.base_mode == "grid":

@@ -316,8 +316,6 @@ class ParamFamily(_Frozen):
     def eval(self, x) -> FiniteDistribution:
         return FiniteDistribution(self.space, self.probs(x))
 
-    __call__ = eval
-
     def event_probs(self, xs: np.ndarray, event: Event) -> np.ndarray:
         """The event's probability at each row of ``xs``, ``BLOCK_ROWS`` rows at a time.
 
@@ -701,80 +699,54 @@ class TvuMeasure(_Frozen):
         return self.nodes[_stratified_indices(self._mass, rng, size), 0]
 
 
-def _counted_mass(c: CredalSet, counts) -> tuple[list[Fraction], type]:
-    """``sum_i counts_i * members_i``, one exact ``Fraction`` per outcome.
-
-    A float member converts exactly through ``Fraction(p)``.  Also
-    returns the type of every result drawn from the masses: ``Fraction``
-    when every member is exact, else ``float``, which rounds the exact
-    value once.
-    """
-    mass = [Fraction(0)] * len(c.space)
-    for count, member in zip(counts, c.members):
-        for o, p in enumerate(member.probs):
-            mass[o] += count * Fraction(p)
-    exact = all(isinstance(m, RationalDistribution) for m in c.members)
-    return mass, Fraction if exact else float
-
-
 class CountingMeasure(_Frozen):
     """Uniform counting measure over the members of a finite credal set.
 
     This is what TV-uniformity degenerates to when the credal set is
-    finite: every (distinct) member carries weight ``1/m`` exactly, kept
-    as :class:`fractions.Fraction` in ``weights``.  ``use_multiplicities=True``
-    weights members by their recorded merge multiplicity instead; the
-    integer weights are ``counts``.  Like :class:`TvuMeasure`, the measure
-    is a mixture of its members, so it holds one unnormalized mass per
-    outcome, ``m_o = sum_i counts_i * member_i(o)``, and their total
-    ``sum(counts)``, summed in exact arithmetic on the first query (a
-    tower over the set reads only ``counts`` and ``weights``).  An
-    event's probability is ``m[E] / sum(counts)``: a ``Fraction`` when
-    every member is exact, otherwise that exact value rounded once to a
-    float.
+    finite: each of the ``m`` members counts once, whatever its merge
+    multiplicity (to weight members by those, count the set with each
+    member repeated by its multiplicity).  Like :class:`TvuMeasure`, the
+    measure is a mixture of its members, so at construction it sums one
+    unnormalized mass per outcome, ``m_o = sum_i member_i(o)``, in exact
+    arithmetic (a float member converts exactly through ``Fraction(p)``).
+    An event's probability is ``m[E] / m``: a ``Fraction`` when every
+    member is exact, otherwise that exact value rounded once to a float.
+    A tower over the set reads its members and builds no measure.
     """
 
-    __slots__ = ("credal_set", "weights", "counts", "_total", "_summed")
+    __slots__ = ("credal_set", "_mass", "_result")
 
-    def __init__(self, credal_set: CredalSet, use_multiplicities: bool = False):
-        if use_multiplicities:
-            counts = credal_set.multiplicities
-        else:
-            counts = (1,) * len(credal_set)
-        total = sum(counts)
-        self._init(credal_set=credal_set, weights=tuple(Fraction(c, total) for c in counts),
-                   counts=counts, _total=total, _summed=None)
+    def __init__(self, credal_set: CredalSet):
+        mass = [Fraction(0)] * len(credal_set.space)
+        for member in credal_set.members:
+            for o, p in enumerate(member.probs):
+                mass[o] += Fraction(p)
+        exact = all(isinstance(m, RationalDistribution) for m in credal_set.members)
+        self._init(credal_set=credal_set, _mass=tuple(mass),
+                   _result=Fraction if exact else float)
 
     def __repr__(self) -> str:
         return f"CountingMeasure({len(self.credal_set)} members)"
 
-    def _held_mass(self) -> tuple[list[Fraction], type]:
-        """The members' :func:`_counted_mass`, summed on the first query."""
-        if self._summed is None:
-            self._init(_summed=_counted_mass(self.credal_set, self.counts))
-        return self._summed
-
     def event_prob(self, event: Event, exclude: int | None = None):
-        """Weighted-average probability of the event across members.
+        """Average probability of the event across members.
 
-        ``exclude`` removes one member and renormalizes the remaining
-        weights — the finite-set analogue of deleting a singleton whose
-        counting measure, unlike a continuum point, is positive.  It
-        subtracts that member's share from the held masses, so either
-        form costs ``|E|`` additions.
+        ``exclude`` removes one member and renormalizes over the rest —
+        the finite-set analogue of deleting a singleton whose counting
+        measure, unlike a continuum point, is positive.  It subtracts that
+        member's share from the held masses, so either form costs ``|E|``
+        additions.
         """
         _require_same_space(self.credal_set.space, event.space)
-        mass, result = self._held_mass()
-        num = sum((mass[o] for o in event.indices), Fraction(0))
-        den = self._total
+        num = sum((self._mass[o] for o in event.indices), Fraction(0))
+        den = len(self.credal_set)
         if exclude is not None:
             probs = self.credal_set.member(exclude).probs
-            count = self.counts[exclude]
-            num -= count * sum((Fraction(probs[o]) for o in event.indices), Fraction(0))
-            den -= count
+            num -= sum((Fraction(probs[o]) for o in event.indices), Fraction(0))
+            den -= 1
             if den == 0:
                 raise ZeroEvidence("cannot exclude the only member")
-        return result(num / den)
+        return self._result(num / den)
 
     def posterior_predictive(self, observed: Event, query: Event):
         """Conditional probability of ``query`` given ``observed``.
@@ -786,17 +758,12 @@ class CountingMeasure(_Frozen):
         in c.members]))``, whose events are ordered pairs of draws.
         """
         _require_same_space(self.credal_set.space, observed.space)
-        mass, result = self._held_mass()
         joint = query.intersect(observed)
-        den = sum((mass[o] for o in observed.indices), Fraction(0))
+        den = sum((self._mass[o] for o in observed.indices), Fraction(0))
         if den == 0:
             raise ZeroEvidence("observed event has probability zero in every member")
-        num = sum((mass[o] for o in joint.indices), Fraction(0))
-        return result(num / den)
-
-    def sample_members(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Indices of members drawn according to the counting weights (stratified)."""
-        return _stratified_indices(np.asarray([float(w) for w in self.weights]), rng, size)
+        num = sum((self._mass[o] for o in joint.indices), Fraction(0))
+        return self._result(num / den)
 
 
 def build_measure(

@@ -156,6 +156,40 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_computing(
     assert built == [] and (tmp_path / "file").read_text() == "kept"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs a /proc file system")
+def test_an_out_directory_that_takes_no_file_exits_2_before_computing(capsys, monkeypatch):
+    # /proc exists and takes no new file, even for root; the run used to
+    # compute everything and then end in FileNotFoundError, exit 3.
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    for name in ("build_measure", "build_tower"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["converge", "--out", "/proc"]) == 2
+    assert "--out /proc" in capsys.readouterr().err
+
+
+def test_the_probe_leaves_no_file_behind(tmp_path, capsys):
+    assert main(["urn", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "urn.csv"]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ["converge", "--base-samples", "40", "--order-samples", "40", "--max-order", "2"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    for name in ("table.csv", "stats.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 class TestConvergeCommand:
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         args = ["converge", "--base-samples", "200", "--order-samples", "200",
@@ -472,4 +506,4 @@ def test_goldens_hold_under_other_simd_kernels(kernels):
          "tests/test_cli.py::test_quadrature_outputs_match_golden_digests",
          "tests/test_tower.py::TestDrawWorkspace::test_levels_keep_their_bytes"],
         env=env, cwd=tests.parent, capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0 and "7 passed" in run.stdout, run.stdout[-3000:]
+    assert run.returncode == 0 and "11 passed" in run.stdout, run.stdout[-3000:]

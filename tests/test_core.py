@@ -184,16 +184,38 @@ class TestConditioning:
         ratio = c.probs[4] / c.probs[1]
         assert ratio == pytest.approx(d.probs[4] / d.probs[1], rel=1e-12)
 
+    def test_float_result_divides_each_probability_once_by_the_mass(self):
+        rng = np.random.default_rng(11)
+        sp = OutcomeSpace(list(range(9)))
+        for _ in range(50):
+            d = sample_l1_uniform(sp, rng)
+            idx = sorted(rng.choice(9, size=rng.integers(1, 9), replace=False).tolist())
+            want = np.zeros(9)
+            want[idx] = d.probs[idx] / stable_sum(d.probs[idx])
+            got = condition(d, sp.event_from_indices(idx))
+            assert type(got) is FiniteDistribution
+            assert got.probs.tobytes() == want.tobytes()
+
     def test_zero_probability_event_raises(self):
         sp = OutcomeSpace([0, 1, 2])
         d = make_distribution(sp, [1, 1, 0])
         with pytest.raises(ZeroProbabilityEvent):
             condition(d, sp.event([2]))
+        with pytest.raises(ZeroProbabilityEvent):
+            condition(make_rational_distribution(sp, [1, 1, 0]), sp.event([2]))
 
     def test_event_probability_empty_event(self):
         sp = OutcomeSpace([0, 1])
         d = make_distribution(sp, [1, 1])
         assert event_probability(d, Event(sp, [])) == 0.0
+
+    def test_event_probability_of_an_exact_distribution_is_exact(self):
+        sp = OutcomeSpace(["a", "b"])
+        d = make_rational_distribution(sp, [1, 3])
+        assert event_probability(d, sp.event(["a"])) == Fraction(1, 4)
+        assert event_probability(d, Event(sp, [])) == 0
+        with pytest.raises(SpaceMismatch):
+            event_probability(d, OutcomeSpace(["a", "c"]).event(["a"]))
 
 
 class TestRationalDistribution:
@@ -205,7 +227,8 @@ class TestRationalDistribution:
     def test_exact_conditioning(self):
         sp = OutcomeSpace(["r", "y", "b"])
         d = make_rational_distribution(sp, [2, 3, 5])
-        c = d.condition(sp.event(["y", "b"]))
+        c = condition(d, sp.event(["y", "b"]))
+        assert type(c) is RationalDistribution
         assert c.probs == (Fraction(0), Fraction(3, 8), Fraction(5, 8))
 
     def test_sum_must_be_exactly_one(self):

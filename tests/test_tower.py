@@ -14,11 +14,11 @@ import simd
 from credal import (
     AllDropped,
     ConfigInvalid,
-    CountingMeasure,
     CredalSet,
     IndexOutOfRange,
     OutcomeSpace,
     TowerConfig,
+    UrnState,
     bernoulli_family,
     binomial_family,
     build_measure,
@@ -27,6 +27,7 @@ from credal import (
     convergence_stats,
     dilation_profile,
     make_distribution,
+    urn_credal_set,
 )
 from credal import tower as tower_module
 
@@ -169,21 +170,38 @@ class TestDrawWorkspace:
     # sub-block.  Only the sub-blocked base comes from a binomial measure,
     # whose nodes depend on the exp and log kernels; its digests were
     # re-recorded when each quadrature box became one GL-8 rule, which moved
-    # the nodes the base is drawn from.
+    # the nodes the base is drawn from.  The two "finite" cases take their
+    # base from the 91 exact members of a 12-ball urn's credal set, drawn
+    # or enumerated; they were recorded when a tower wrapped such a set in a
+    # CountingMeasure and drew by its Fraction weights.
+    URN12 = urn_credal_set(UrnState(ball_total=12))
     CASES = {
         "sub-blocked": dict(base=binomial_family(10), base_samples=3000, order_samples=300,
                             max_order=3, seed=3),
         "one call": dict(base=coin_match_family(), base_samples=101, order_samples=300,
                          max_order=3, seed=0, base_mode="grid"),
+        "finite tvu": dict(base=URN12, base_samples=500, order_samples=300, max_order=3,
+                           seed=5, base_mode="tvu"),
+        "finite grid": dict(base=URN12, base_samples=500, order_samples=300, max_order=3,
+                            seed=5, base_mode="grid"),
     }
     ONE_CALL = ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
                 "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
                 "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"]
+    FINITE = {
+        "finite tvu": ["8a84d9b04085f2f9e3667879355991c680d01314479a8160eccc60f8f656ca11",
+                       "6d3d7f66ecc43221dc349b728b5e929f6ffb726328c591c530cd1750afa85fa6",
+                       "443df554ce7fd8683a3c3a759c3ff0edcc71bc6f1c4e76e78836f3487d3c6cdb"],
+        "finite grid": ["394821109e069faf26bc6e62b1ad5e06f5a970323cbceb1b1509d32c290941ac",
+                        "7e7d7165dd9366b2d07c8d291f45c0b6029ff1830c6165aa91fad7f5ad67fb22",
+                        "8ddccefff664eb7817832017f5dca9ba07a8569ddc9cd6cb051f7e06b6e4a182"],
+    }
     WITHOUT_AVX512 = {
         "sub-blocked": ["8f259a237e2b4c8a0e2652195ea4087e6afd441df6d3e952b23504409c379369",
                         "ba85f52725f1792b33f4701491b03a6cf79fde948257b979aded4deed057faec",
                         "d93adbafe06f2e043244929b295f8d9c13ae22c48f12284e72f91891bbb2da36"],
         "one call": ONE_CALL,
+        **FINITE,
     }
     GOLDEN = {
         simd.AVX512: {
@@ -191,6 +209,7 @@ class TestDrawWorkspace:
                             "2821d8f2c8a548e8f41e233fca27e3d3f2c049f146ae999e91da39686543cebe",
                             "1f6c182bdd87475474c46b35c2260f4b5059efab3ca6db045c09efb2a353f33f"],
             "one call": ONE_CALL,
+            **FINITE,
         },
         simd.AVX2: WITHOUT_AVX512,
         simd.BASELINE: WITHOUT_AVX512,
@@ -321,11 +340,15 @@ class TestBaseModes:
         np.testing.assert_allclose(tower.base_probs[:, 0], [0.2, 0.5, 0.9])
 
     def test_credal_set_multiplicity_expansion(self):
+        # A grid base enumerates each member once, so a set expanded by
+        # its multiplicities repeats each member by its count.
         sp = OutcomeSpace(["a", "b"])
         members = [make_distribution(sp, [w, 1 - w]) for w in (0.2, 0.9)]
         c = CredalSet(members, multiplicities=[3, 1])
-        tower = build_tower(TowerConfig(base=CountingMeasure(c, use_multiplicities=True),
-                                        max_order=1, base_mode="grid"))
+        once = build_tower(TowerConfig(base=c, max_order=1, base_mode="grid"))
+        np.testing.assert_allclose(once.base_probs[:, 0], [0.2, 0.9])
+        repeated = CredalSet([d for d, k in zip(c.members, c.multiplicities) for _ in range(k)])
+        tower = build_tower(TowerConfig(base=repeated, max_order=1, base_mode="grid"))
         np.testing.assert_allclose(tower.base_probs[:, 0], [0.2, 0.2, 0.2, 0.9])
 
     def test_prebuilt_measure_base(self):

@@ -952,21 +952,37 @@ class TestOutcomeSpan:
             coin_match_family().probs_matrix([[0.5]], outcomes=outcomes)
 
 
+def expanded(c: CredalSet) -> CredalSet:
+    """``c`` with each member repeated by its multiplicity."""
+    return CredalSet([d for d, k in zip(c.members, c.multiplicities) for _ in range(k)])
+
+
 class TestCountingMeasure:
-    def test_tower_base_never_sums_the_masses(self, monkeypatch):
-        calls, counted_mass = [], tvuniform._counted_mass
-        monkeypatch.setattr(tvuniform, "_counted_mass",
-                            lambda *args: calls.append(args) or counted_mass(*args))
+    def test_a_tower_over_a_set_builds_no_counting_measure(self, monkeypatch):
+        calls, init = [], CountingMeasure.__init__
+        monkeypatch.setattr(CountingMeasure, "__init__",
+                            lambda self, *args: calls.append(args) or init(self, *args))
+        c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=12))
+        for mode in ("tvu", "grid"):
+            build_tower(TowerConfig(base=c, base_samples=20, order_samples=20, max_order=2,
+                                    base_mode=mode))
+        assert calls == []
+
+    def test_a_counting_measure_base_is_refused(self):
+        c = urn_credal_set(UrnState(ball_total=3))
+        with pytest.raises(ConfigInvalid, match=r"\.credal_set"):
+            TowerConfig(base=CountingMeasure(c))
+
+    def test_queries_never_change_the_measure(self):
         c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=12))
         m = CountingMeasure(c)
-        build_tower(TowerConfig(base=m, base_samples=20, order_samples=20, max_order=2))
-        build_tower(TowerConfig(base=c, base_mode="grid", order_samples=20, max_order=2))
-        assert calls == []
+        fields = [getattr(m, name) for name in CountingMeasure.__slots__]
         # By symmetry every colour's mean share over the compositions is 1/3.
         events = [c.space.event(["r"]), c.space.event(["y", "b"])]
         assert [m.event_prob(e) for e in events] == [Fraction(1, 3), Fraction(2, 3)]
         assert m.event_prob(events[0], exclude=0) == Fraction(1, 3) * 91 / 90
-        assert len(calls) == 1  # summed once, on the first query
+        assert m.posterior_predictive(events[1], events[1]) == 1
+        assert all(getattr(m, name) is f for name, f in zip(CountingMeasure.__slots__, fields))
 
     def test_uniform_grid_degenerate_case_matches_continuum(self):
         # 101 exact members p = i/100 of a 1-toss family: the counting
@@ -999,15 +1015,16 @@ class TestCountingMeasure:
             m.event_prob(e, exclude=7)
 
     def test_multiplicity_weighting(self):
+        # Each member counts once; the set expanded by its multiplicities
+        # weights members by them.
         sp = OutcomeSpace(["H", "T"])
         a = make_rational_distribution(sp, [1, 0])
         b = make_rational_distribution(sp, [0, 1])
         c = CredalSet([a, b], multiplicities=[3, 1])
         e = sp.event(["H"])
         assert CountingMeasure(c).event_prob(e) == Fraction(1, 2)
-        assert CountingMeasure(c, use_multiplicities=True).event_prob(
-            e
-        ) == Fraction(3, 4)
+        assert CountingMeasure(expanded(c)).event_prob(e) == Fraction(3, 4)
+        assert CountingMeasure(expanded(c)).event_prob(e, exclude=3) == 1
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -1015,7 +1032,8 @@ class TestCountingMeasure:
         # Oracle: each probability summed member by member in exact
         # arithmetic, over the remaining members for ``exclude``; the
         # measure must return it exactly, or rounded once to a float
-        # when any member is a float.  Sets mix exact and float members.
+        # when any member is a float.  Sets mix exact and float members,
+        # and may hold a member more than once: each copy counts.
         k = data.draw(st.integers(2, 4), label="outcomes")
         sp = OutcomeSpace([f"o{i}" for i in range(k)])
         n = data.draw(st.integers(1, 5), label="members")
@@ -1026,11 +1044,11 @@ class TestCountingMeasure:
             (make_rational_distribution if kind else make_distribution)(sp, data.draw(weights))
             for kind in kinds
         ]
+        members += data.draw(st.lists(st.sampled_from(members), max_size=3), label="duplicates")
+        n = len(members)
         mults = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-        use_mults = data.draw(st.booleans(), label="use_multiplicities")
-        m = CountingMeasure(CredalSet(members, multiplicities=mults),
-                            use_multiplicities=use_mults)
-        counts = mults if use_mults else [1] * n
+        m = CountingMeasure(CredalSet(members, multiplicities=mults))
+        counts = [1] * n
 
         def subset():
             return sp.event_from_indices(data.draw(st.sets(st.integers(0, k - 1))))
@@ -1140,14 +1158,15 @@ class TestSampling:
         # more than L - 2 and fewer than L + 2 times.
         assert np.all(np.abs(counts - size * mass / mass.sum()) < 2)
 
-    def test_counting_measure_draws_follow_the_weights(self):
+    def test_a_towers_base_over_a_set_draws_each_member_equally(self):
+        # Multiplicities do not weight the draws: each member counts once.
         sp = OutcomeSpace(["a", "b"])
-        members = [make_rational_distribution(sp, [i, 4 - i]) for i in range(4)]
-        m = CountingMeasure(CredalSet(members, multiplicities=[5, 1, 3, 2]),
-                            use_multiplicities=True)
-        idx = m.sample_members(np.random.default_rng(3), 400)
-        counts = np.bincount(idx, minlength=4)
-        assert np.all(np.abs(counts - 400 * np.array([5, 1, 3, 2]) / 11) < 2)
+        members = [make_rational_distribution(sp, [i, 6 - i]) for i in range(7)]
+        c = CredalSet(members, multiplicities=[5, 1, 3, 2, 1, 1, 4])
+        for seed in range(5):
+            tower = build_tower(TowerConfig(base=c, base_samples=400, max_order=1, seed=seed))
+            counts = np.bincount(tower.base_params.astype(int), minlength=7)
+            assert np.all(np.abs(counts - 400 / 7) < 2)
 
     def test_draws_never_pass_the_end_or_land_on_zero_mass(self):
         # Density zero on the upper half of the box, so the last nodes
