@@ -33,10 +33,11 @@ print()
 
 # -- 1. The density: thickness / Z ------------------------------------------
 
+# Both functions take an (N, ndim) array of parameter rows.
+ps = np.array([0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0])
 print("  p      thickness   density")
-for p in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0):
-    t = tvu_density(family, p)
-    print(f" {p:4.2f}   {t:9.5f}   {measure.pdf(p):8.5f}")
+for p, t in zip(ps, tvu_density(family, ps[:, None])):
+    print(f" {p:4.2f}   {t:9.5f}   {t / measure.z:8.5f}")
 print()
 print("The density is largest at the endpoints (thickness -> n) and")
 print("flattest in the middle: near-deterministic coins are 'longer' in")
@@ -45,9 +46,8 @@ print()
 
 # -- 2. Finite differences recover the closed form --------------------------
 
-for p in (0.13, 0.37, 0.81):
-    fd = thickness(family, p, 0)
-    closed = tvu_density(family, p)
+ps = np.array([[0.13], [0.37], [0.81]])
+for (p,), fd, closed in zip(ps, thickness(family, ps, 0), tvu_density(family, ps)):
     print(f"thickness at p={p}: finite-difference {fd:.10f}  closed {closed:.10f}")
 print()
 

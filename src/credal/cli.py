@@ -42,7 +42,7 @@ from .inference import UrnState, binomial_test, urn_update, urn_work
 from .io import format_float, format_value, sha256_file, write_csv, write_json
 from .svg import write_line_chart
 from .tower import TowerConfig, build_tower, convergence_stats, dilation_profile
-from .tvuniform import _density_rows, binomial_family, build_measure, coin_match_family
+from .tvuniform import binomial_family, build_measure, coin_match_family, tvu_density
 
 __all__ = ["main"]
 
@@ -285,8 +285,12 @@ def _cmd_dilation(args) -> int:
     space = family.space
     pre = space.event(["H1H2", "H1T2"])      # coin 1 came up heads
     match = space.event(["H1H2", "T1T2"])    # the two coins agree
+    base = family
+    if args.base_mode == "tvu":
+        base = run.timed("measure", build_measure, family)
+        run.diagnostics["measure"] = base.meta
     cfg = TowerConfig(
-        base=family,
+        base=base,
         base_samples=args.grid,
         order_samples=args.samples,
         max_order=args.orders,
@@ -352,7 +356,7 @@ def _cmd_tvu_density(args) -> int:
     measure = run.timed("measure", build_measure, family, resolution=args.resolution)
     run.diagnostics["measure"] = measure.meta
     grid = np.linspace(0.0, 1.0, args.points)
-    density = run.timed("density", _density_rows, family, grid[:, None])
+    density = run.timed("density", tvu_density, family, grid[:, None])
     if args.format == "json":
         run.write(write_json, "density.json", {
             "n": args.n, "z": measure.z,

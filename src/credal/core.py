@@ -200,12 +200,7 @@ class Event(_Frozen):
         _require_same_space(self.space, other.space)
         return Event(self.space, set(self.indices) & set(other.indices))
 
-    def union(self, other: "Event") -> "Event":
-        _require_same_space(self.space, other.space)
-        return Event(self.space, set(self.indices) | set(other.indices))
-
     __and__ = intersect
-    __or__ = union
 
 
 def _require_same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
@@ -232,7 +227,7 @@ class FiniteDistribution(_Frozen):
         if np.any(probs < 0.0):
             raise NegativeWeight("probabilities must be non-negative")
         total = stable_sum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN total fails too
             raise ZeroTotal(f"probabilities sum to {total!r}, not 1")
         self._init(space=space, probs=probs.copy())
 
@@ -259,6 +254,14 @@ class FiniteDistribution(_Frozen):
         return cls(OutcomeSpace(payload["labels"]), payload["probs"])
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """``values`` as exact fractions; a NaN or an infinity raises :class:`ZeroTotal`."""
+    try:
+        return tuple(Fraction(v) for v in values)
+    except (ValueError, OverflowError) as exc:
+        raise ZeroTotal(f"values must be finite rationals: {exc}") from None
+
+
 class RationalDistribution(_Frozen):
     """An exact probability vector with :class:`fractions.Fraction` entries.
 
@@ -271,7 +274,7 @@ class RationalDistribution(_Frozen):
     __slots__ = ("space", "probs")
 
     def __init__(self, space: OutcomeSpace, probs):
-        probs = tuple(Fraction(p) for p in probs)
+        probs = _fractions(probs)
         if len(probs) != len(space):
             raise LengthMismatch(f"need {len(space)} probabilities, got {len(probs)}")
         if any(p < 0 for p in probs):
@@ -316,14 +319,14 @@ def make_distribution(space: OutcomeSpace, weights) -> FiniteDistribution:
     if np.any(w < 0.0):
         raise NegativeWeight("weights must be non-negative")
     total = stable_sum(w)
-    if total <= 0.0:
-        raise ZeroTotal("weights sum to zero")
+    if not 0.0 < total < np.inf:
+        raise ZeroTotal(f"weights must have a finite positive total, got {total!r}")
     return FiniteDistribution(space, w / total)
 
 
 def make_rational_distribution(space: OutcomeSpace, weights) -> RationalDistribution:
     """Exact-arithmetic counterpart of :func:`make_distribution`."""
-    w = [Fraction(x) for x in weights]
+    w = _fractions(weights)
     if len(w) != len(space):
         raise LengthMismatch(f"need {len(space)} weights, got {len(w)}")
     if any(x < 0 for x in w):

@@ -21,7 +21,7 @@ class NegativeWeight(CredalError):
 
 
 class ZeroTotal(CredalError):
-    """A weight vector summed to zero, so it cannot be normalized."""
+    """A weight vector whose total is zero or not finite, so it cannot be normalized."""
 
 
 class SpaceMismatch(CredalError):

@@ -35,9 +35,9 @@ from .sets import CredalSet
 from .tvuniform import (
     CountingMeasure,
     TvuMeasure,
-    _density_rows,
     binomial_family,
     build_measure,
+    tvu_density,
 )
 
 __all__ = [
@@ -343,7 +343,7 @@ def binomial_test(
     event = space.event([k])
     likes = family.event_probs(grid[:, None], event)
     ratios = likes / reference[k]
-    density = _density_rows(family, grid[:, None])
+    density = tvu_density(family, grid[:, None])
     return BinomialTestReport(
         n=n,
         k=k,

@@ -96,6 +96,7 @@ class CredalSet(_Frozen):
         return f"CredalSet({len(self.members)} members over {self.space!r})"
 
     def member(self, i: int):
+        i = _integer("a member index", i)
         if not 0 <= i < len(self.members):
             raise IndexOutOfRange(f"member index {i} out of range")
         return self.members[i]

@@ -175,12 +175,10 @@ class Tower(_Frozen):
         return len(self.levels)
 
     def n_particles(self, order: int) -> int:
-        self._check_order(order)
-        return self.levels[order - 1].shape[0]
-
-    def _check_order(self, order: int) -> None:
+        order = _integer("order", order)
         if not 1 <= order <= self.max_order:
             raise IndexOutOfRange(f"order {order} outside 1..{self.max_order}")
+        return self.levels[order - 1].shape[0]
 
     def implied_vectors(self, event: Event) -> tuple[np.ndarray, ...]:
         """Per-order vectors of implied probabilities for the event.
@@ -191,14 +189,6 @@ class Tower(_Frozen):
         _require_same_space(self.space, event.space)
         cols = list(event.indices)
         return tuple(v[:, cols].sum(axis=1) for v in self.levels)
-
-    def implied_probability(self, order: int, index: int, event: Event) -> float:
-        """Probability that particle ``index`` at ``order`` implies for the event."""
-        self._check_order(order)
-        vec = self.implied_vectors(event)[order - 1]
-        if not 0 <= index < vec.shape[0]:
-            raise IndexOutOfRange(f"particle {index} outside order {order}")
-        return float(vec[index])
 
 
 def _grid_params(family: ParamFamily, m: int) -> np.ndarray:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -210,11 +209,11 @@ class ParamFamily(_Frozen):
     a contiguous ``slice(start, stop)`` of the outcome indices: an ``(N,
     stop - start)`` matrix.  It is the family's one evaluation path;
     :meth:`probs_matrix` passes every outcome unless asked for a slice,
-    and :meth:`probs` reads a single point as a one-row batch.  ``out`` is
-    a writable, possibly strided float array of that shape, which the
-    stock families fill and return; a family may return a fresh array
-    instead.  Only the shape is checked: normalization is the family's
-    contract.  Optional registrations sharpen the geometry:
+    and :meth:`probs` checks a single point and reads it as a one-row
+    batch.  ``out`` is a writable, possibly strided float array of that
+    shape, which the stock families fill and return; a family may return
+    a fresh array instead.  Only the shape is checked: normalization is
+    the family's contract.  Optional registrations sharpen the geometry:
 
     * ``kinks[k]``: interior parameter values where the thickness in
       slot ``k`` is not smooth (quadrature panels never straddle them,
@@ -227,7 +226,7 @@ class ParamFamily(_Frozen):
       block of nodes; without it, every outcome.
 
     A slot without one takes finite differences over the same batches,
-    ``BLOCK_ROWS`` rows at a time; :func:`thickness` is its one-row case.
+    ``BLOCK_ROWS`` rows at a time: :func:`thickness`.
     """
 
     __slots__ = ("box", "space", "probs_batch_fn", "kinks", "thickness_batch_fns",
@@ -291,10 +290,7 @@ class ParamFamily(_Frozen):
 
         Only its shape is checked; normalization is the family's contract.
         """
-        x = _as_point(x, self.ndim)
-        if not self.box.contains(x):
-            raise IndexOutOfRange(f"parameter {x} outside the box")
-        return self.probs_matrix(np.array([x]))[0]
+        return self.probs_matrix(_checked_rows(self, [x]))[0]
 
     def probs_matrix(self, xs: np.ndarray, out: np.ndarray | None = None,
                      outcomes: slice | None = None) -> np.ndarray:
@@ -323,12 +319,7 @@ class ParamFamily(_Frozen):
         evaluated.  Every row must lie in the box; a row with a NaN does not.
         """
         _require_same_space(self.space, event.space)
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        if xs.shape[1] != self.ndim:
-            raise LengthMismatch(f"expected (N, {self.ndim}) parameter rows")
-        lo, hi = np.array(self.box.intervals).T
-        if not np.all((lo <= xs) & (xs <= hi)):
-            raise IndexOutOfRange("parameter rows reach outside the box")
+        xs = _checked_rows(self, xs)
         idx = event.indices
         span = slice(min(idx, default=0), max(idx, default=-1) + 1)
         cols = [i - span.start for i in idx]
@@ -336,6 +327,24 @@ class ParamFamily(_Frozen):
         for rows, _, _, probs in _prob_blocks(self, xs, span):
             out[rows] = probs[:, cols].sum(axis=1)
         return out
+
+
+def _checked_rows(family: ParamFamily, xs) -> np.ndarray:
+    """``xs`` as float64 ``(N, ndim)`` parameter rows, every one in the box.
+
+    The one check of the public evaluations: a wrong shape raises
+    :class:`LengthMismatch`, and a row outside the box, or holding a NaN,
+    raises :class:`IndexOutOfRange` naming the first such row.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if xs.ndim != 2 or xs.shape[1] != family.ndim:
+        raise LengthMismatch(f"expected (N, {family.ndim}) parameter rows, got shape {xs.shape}")
+    lo, hi = np.array(family.box.intervals).T
+    inside = (lo <= xs) & (xs <= hi)
+    if not inside.all():
+        i = int(np.argmin(inside.all(axis=1)))
+        raise IndexOutOfRange(f"parameter row {i}, {tuple(xs[i].tolist())}, lies outside the box")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -352,42 +361,31 @@ def _breakpoints(family: ParamFamily, k: int) -> np.ndarray:
     return np.array([a, *family.kinks[k], b])
 
 
-def thickness(family: ParamFamily, x, k: int = 0, h: float | None = None) -> float:
-    """Finite-difference estimate of the thickness in parameter slot ``k``.
+def thickness(family: ParamFamily, xs, k: int = 0) -> np.ndarray:
+    """Finite-difference thickness in parameter slot ``k`` at each ``(N, ndim)`` row of ``xs``.
 
-    Richardson-extrapolated one-sided differences are taken on each side
-    of ``x`` that has room, never stepping across a registered kink or
-    box boundary; the two sides are averaged when both exist, which at a
-    kink yields the mean of the one-sided limits.  ``h`` defaults to
-    ``1e-5`` times the slot's interval length; given, it must be a finite
-    real that fits inside it, and ``k`` must be an integer slot.  A side
-    whose Richardson correction ``|d2 - d1|`` passes a tenth of its
-    estimate ``|2 d2 - d1|`` raises :class:`StepTooLarge`: the step is too
-    coarse for the curvature there.  ``x`` runs as a one-row batch.
+    Richardson-extrapolated one-sided differences, with steps of ``1e-5``
+    times the slot's length, are taken on each side of a row that has
+    room, never stepping across a registered kink or box face; the two
+    sides are averaged when both exist, which at a kink yields the mean
+    of the one-sided limits.  A side whose Richardson correction ``|d2 -
+    d1|`` passes a tenth of its estimate ``|2 d2 - d1|`` raises
+    :class:`StepTooLarge`: the step is too coarse for the curvature there.
     """
-    x = _as_point(x, family.ndim)
-    if not family.box.contains(x):
-        raise IndexOutOfRange(f"parameter {x} outside the box")
     k = _integer("k", k)
     if not 0 <= k < family.ndim:
         raise IndexOutOfRange(f"no parameter slot {k}")
-    if h is not None:
-        a, b = family.box.intervals[k]
-        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not math.isfinite(h):
-            raise ConfigInvalid(f"h must be a finite real, got {h!r}")
-        if not 0.0 < h <= b - a:
-            raise StepTooLarge(f"step {h} does not fit in interval of length {b - a}")
-    return float(_fd_thickness(family, np.array([x]), k, None if h is None else float(h))[0])
+    return _fd_thickness(family, _checked_rows(family, xs), k)
 
 
-def _fd_thickness(family: ParamFamily, xs: np.ndarray, k: int, h: float | None = None):
-    """:func:`thickness` in slot ``k`` at each row of ``xs``, ``BLOCK_ROWS``
-    rows at a time: one ``probs_matrix`` call for the rows, and two for
-    each side, at ``min(h, room)`` and half that.  A refusal names the
-    first refused row, and its right side if both are refused.
+def _fd_thickness(family: ParamFamily, xs: np.ndarray, k: int) -> np.ndarray:
+    """:func:`thickness` unchecked, ``BLOCK_ROWS`` rows at a time: one
+    ``probs_matrix`` call for the rows, and two for each side, at ``min(h,
+    room)`` and half that.  A refusal names the first refused row, and its
+    right side if both are refused.
     """
     a, b = family.box.intervals[k]
-    h = 1e-5 * (b - a) if h is None else h
+    h = 1e-5 * (b - a)
     bps, snap, xk = _breakpoints(family, k), _KINK_SNAP * (b - a), xs[:, k]
     # Room on each side up to the nearest breakpoint past the snap zone; 0 if none.
     up, down = np.searchsorted(bps, xk + snap, "right"), np.searchsorted(bps, xk - snap) - 1
@@ -416,16 +414,19 @@ def _fd_thickness(family: ParamFamily, xs: np.ndarray, k: int, h: float | None =
     return out / np.count_nonzero(np.stack(rooms) > 0.0, axis=0)
 
 
-def tvu_density(family: ParamFamily, x) -> float:
-    """Unnormalized uniformity density: product of per-slot thicknesses."""
-    x = _as_point(x, family.ndim)
-    if not family.box.contains(x):
-        raise IndexOutOfRange(f"parameter {x} outside the box")
-    return float(_density_rows(family, [x])[0])
+def tvu_density(family: ParamFamily, xs) -> np.ndarray:
+    """Unnormalized uniformity density at each ``(N, ndim)`` row of ``xs``:
+    the product of the per-slot thicknesses, closed-form where registered.
+
+    Divided by a measure's ``z``, it is the normalized density.  A negative
+    or non-finite value raises :class:`DegenerateFamily`.
+    """
+    return _density_rows(family, _checked_rows(family, xs))
 
 
 def _density_rows(family: ParamFamily, xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    # Unchecked: a quadrature node lies in its box by construction, and a
+    # check could refuse one that rounding puts past a face of a tiny box.
     out = np.ones(xs.shape[0])
     for k, batch in enumerate(family.thickness_batch_fns):
         out *= _fd_thickness(family, xs, k) if batch is None else np.asarray(batch(xs), np.float64)
@@ -523,9 +524,13 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
     # The measure's outcome-mass pass evaluates at most every node's distribution.
     cells = start * 8**d * len(family.space)
     if max(evaluations, cells) > MAX_GRID_CELLS:
+        # Resolution 1 starts with the fewest boxes: one per kink segment of each slot.
+        least = math.prod(_panel_edges(_breakpoints(family, k), 1)[0].size for k in range(d))
+        fix = ("lower the resolution" if least * max(cost, cells // start) <= MAX_GRID_CELLS
+               else f"the kinks alone force {least} starting boxes, so no resolution fits")
         raise ConfigInvalid(
             f"{sizes} starting panels per slot need {evaluations} density evaluations"
-            f" and {cells} node-outcome cells, above {MAX_GRID_CELLS}; lower the resolution"
+            f" and {cells} node-outcome cells, above {MAX_GRID_CELLS}; {fix}"
         )
 
     def evaluate(lo: np.ndarray, hi: np.ndarray) -> list:
@@ -629,10 +634,6 @@ class TvuMeasure(_Frozen):
         return (
             f"TvuMeasure({self.family!r}, nodes={self.nodes.shape[0]}, Z={self.z:.9g})"
         )
-
-    def pdf(self, x) -> float:
-        """Normalized density at ``x``."""
-        return tvu_density(self.family, x) / self.z
 
     def _integrate(self, values) -> float:
         """The quadrature sum ``sum(weights * density * values)``.

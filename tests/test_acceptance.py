@@ -239,9 +239,8 @@ def test_criterion_6_property_batteries():
 
     # (d) Finite-difference thickness within 1e-6 of the closed form
     # away from kinks.
-    for p0 in (0.05, 0.26, 0.49, 0.83):
-        fd = thickness(family, p0, 0)
-        closed = float(family.thickness_batch_fns[0](np.array([[p0]]))[0])
+    ps = np.array([[0.05], [0.26], [0.49], [0.83]])
+    for (p0,), fd, closed in zip(ps, thickness(family, ps, 0), family.thickness_batch_fns[0](ps)):
         assert abs(fd - closed) < 1e-6, f"p={p0}: {fd} vs {closed}"
 
 

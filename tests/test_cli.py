@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import simd
-from credal import cli
+from credal import TowerConfig, build_tower, cli, coin_match_family, dilation_profile
 from credal.cli import main
 
 
@@ -279,6 +279,27 @@ class TestDilationCommand:
             assert [float(r["value"]) for r in rows] == o["values"]
         assert len(profile) == sum(len(o["values"]) for o in payload["orders"]) == 21 + 40 + 40
 
+    def test_tvu_base_records_its_measure(self, tmp_path, capsys):
+        # The CLI builds the measure in its own stage, with the call the tower
+        # would make, so the data equal a library tower over the family.
+        assert main(["dilation", "--base-mode", "tvu", "--grid", "31", "--samples", "40",
+                     "--orders", "3", "--seed", "7", "--out", str(tmp_path)]) == 0
+        family = coin_match_family()
+        tower = build_tower(TowerConfig(family, base_samples=31, order_samples=40, max_order=3,
+                                        seed=7, base_mode="tvu"))
+        space = family.space
+        profile = dilation_profile(tower, space.event(["H1H2", "H1T2"]),
+                                   space.event(["H1H2", "T1T2"]))
+        rows = read_csv(tmp_path / "profile.csv")
+        assert [float(r["value"]) for r in rows] == [
+            float(v) for o in profile.orders for v in o.values]
+        summary = read_csv(tmp_path / "summary.csv")
+        assert [float(r["weighted_mean"]) for r in summary] == [
+            o.weighted_mean for o in profile.orders]
+        diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["measure"]["converged"] is True
+        assert {"measure", "tower", "stats"} <= set(diagnostics["stages"])
+
     def test_stdout_mentions_range(self, tmp_path, capsys):
         main(["dilation", "--samples", "60", "--orders", "2",
               "--out", str(tmp_path)])
@@ -332,9 +353,12 @@ def test_oversized_requests_exit_2_before_allocating(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["binomial-test", "converge", "tvu-density"])
 def test_n_past_the_measure_cap_exits_2(tmp_path, capsys, command):
-    # 8192 starting panels of 16 nodes by 8193 outcomes pass 2**25 cells.
+    # 8192 starting panels of 8 nodes by 8193 outcomes pass 2**25 cells, and
+    # the 8191 kinks force them at every resolution.
     assert main([command, "--n", "8192", "--out", str(tmp_path)]) == 2
-    assert "33554432" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "33554432" in err and "the kinks alone force 8192 starting boxes" in err
+    assert "lower the resolution" not in err
 
 
 @pytest.mark.parametrize("argv, name, sizes", [

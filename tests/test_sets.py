@@ -63,6 +63,14 @@ class TestCredalSet:
             CredalSet(members, multiplicities=counts)
         assert CredalSet(members, multiplicities=[np.int64(3), 1]).multiplicities == (3, 1)
 
+    @pytest.mark.parametrize("i", [1.5, True, "1"])
+    def test_member_index_is_a_true_integer(self, i):
+        # Before, member(1.5) raised a raw TypeError and member(True) was member 1.
+        c = grid_coin_match_set(3)
+        with pytest.raises(ConfigInvalid, match="member index must be an integer"):
+            c.member(i)
+        assert c.member(np.int64(1)) is c.members[1]
+
     def test_probability_range(self):
         c = grid_coin_match_set(11)
         e = c.space.event(["H1H2", "T1H2"])  # coin 2 heads: probability p

@@ -283,20 +283,24 @@ class TestStructure:
             assert v.max() <= hi + 1e-12
 
     def test_implied_probability_indexing(self, small_tower):
+        # Particle j of order i implies implied_vectors(E)[i - 1][j]: its row's column sum.
         fam, tower = small_tower
         e = fam.space.event([1])
-        v = tower.implied_probability(2, 7, e)
-        assert v == tower.implied_vectors(e)[1][7]
-        with pytest.raises(IndexOutOfRange):
-            tower.implied_probability(9, 0, e)
-        with pytest.raises(IndexOutOfRange):
-            tower.implied_probability(1, 400, e)
+        vecs = tower.implied_vectors(e)
+        assert vecs[1][7] == tower.levels[1][7, 1]
+        assert [v.shape for v in vecs] == [(tower.n_particles(i),) for i in range(1, 5)]
 
     def test_n_particles(self, small_tower):
         _, tower = small_tower
         assert tower.max_order == 4
         assert tower.n_particles(1) == 400
-        assert tower.n_particles(4) == 400
+        assert tower.n_particles(np.int64(4)) == 400
+        for order in (0, 5):
+            with pytest.raises(IndexOutOfRange):
+                tower.n_particles(order)
+        for order in (1.5, True, "2"):
+            with pytest.raises(ConfigInvalid, match="order must be an integer"):
+                tower.n_particles(order)
 
 
 class TestBaseModes:

@@ -32,6 +32,7 @@ from credal import (
     CredalSet,
     DegenerateFamily,
     IndexOutOfRange,
+    LengthMismatch,
     OutcomeSpace,
     ParamBox,
     ParamFamily,
@@ -56,7 +57,7 @@ from credal import (
     urn_credal_set,
 )
 from credal import tvuniform
-from credal.tvuniform import BLOCK_ROWS, _breakpoints, _density_rows, _panel_edges
+from credal.tvuniform import BLOCK_ROWS, _breakpoints, _panel_edges
 
 N = 10
 KINKS = [k / N for k in range(1, N)]
@@ -281,22 +282,20 @@ def measure(family):
 
 class TestThickness:
     def test_registered_matches_independent_closed_form(self, family):
-        for p in np.linspace(0.001, 0.999, 211):
-            got = tvu_density(family, p)
+        ps = np.linspace(0.001, 0.999, 211)
+        for p, got in zip(ps, tvu_density(family, ps[:, None])):
             assert got == pytest.approx(panel_thickness(p), rel=1e-12)
 
     def test_finite_difference_matches_analytic_off_kinks(self, family):
-        for p in (0.05, 0.123, 0.31, 0.49, 0.77, 0.95):
-            fd = thickness(family, p, 0)
+        ps = [0.05, 0.123, 0.31, 0.49, 0.77, 0.95]
+        for p, fd in zip(ps, thickness(family, np.array(ps)[:, None], 0)):
             assert fd == pytest.approx(panel_thickness(p), abs=1e-6)
 
     def test_finite_difference_at_kink_averages_one_sided_limits(self, family):
         # The thickness is continuous at kinks (both one-sided limits
         # agree), so the averaged estimate must still match.
-        for k in (0.1, 0.5, 0.9):
-            assert thickness(family, k, 0) == pytest.approx(
-                panel_thickness(k), abs=1e-6
-            )
+        for k, fd in zip((0.1, 0.5, 0.9), thickness(family, [[0.1], [0.5], [0.9]])):
+            assert fd == pytest.approx(panel_thickness(k), abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 400])
     def test_closed_form_matches_derivative_l1_sum(self, n):
@@ -308,35 +307,47 @@ class TestThickness:
         np.testing.assert_allclose(got, derivative_thickness(ps, n), rtol=1e-12, atol=0)
 
     def test_endpoints_equal_n_exactly(self, family):
-        assert tvu_density(family, 0.0) == float(N)
-        assert tvu_density(family, 1.0) == float(N)
+        assert tvu_density(family, [[0.0], [1.0]]).tolist() == [float(N), float(N)]
 
     def test_point_density_is_the_batch_path_bitwise(self, family):
-        points = [0.0, *KINKS, 0.05, 0.123, 0.37, 0.6180339887, 0.999, 1.0]
-        batch = _density_rows(family, np.array(points)[:, None])
-        assert [tvu_density(family, p).hex() for p in points] == [v.hex() for v in batch]
+        # Each row's value, read alone or in any batch, is the same bits:
+        # closed form (binomial) and finite differences (fd_only) alike.
+        points = np.array([0.0, *KINKS, 0.05, 0.123, 0.37, 0.6180339887, 0.999, 1.0])
+        order = np.random.default_rng(3).permutation(points.size)
+        for fam in (family, fd_only(family)):
+            for read in (lambda xs: tvu_density(fam, xs), lambda xs: thickness(fam, xs)):
+                batch = read(points[:, None])
+                alone = [read([[p]])[0].hex() for p in points]
+                assert alone == [v.hex() for v in batch]
+                assert read(points[order][:, None]).tolist() == batch[order].tolist()
 
     def test_endpoint_finite_difference_is_one_sided(self, family):
-        assert thickness(family, 0.0, 0) == pytest.approx(float(N), abs=1e-3)
-        assert thickness(family, 1.0, 0) == pytest.approx(float(N), abs=1e-3)
-
-    def test_step_too_large(self, family):
-        with pytest.raises(StepTooLarge):
-            thickness(family, 0.5, 0, h=1.5)
+        np.testing.assert_allclose(thickness(family, [[0.0], [1.0]], 0), [N, N], atol=1e-3)
 
     def test_param_outside_box(self, family):
         with pytest.raises(IndexOutOfRange):
-            thickness(family, 1.5, 0)
+            thickness(family, [[1.5]], 0)
 
     @pytest.mark.parametrize("x", [1.5, -3.0, float("nan")])
-    def test_points_outside_the_box_raise(self, family, measure, x):
+    def test_points_outside_the_box_raise(self, family, x):
+        # One bad row anywhere in a batch refuses it, on every checked entry.
         event = family.space.event([2])
-        for read in (lambda: tvu_density(family, x), lambda: measure.pdf(x),
-                     lambda: family.event_probs([[0.5], [x]], event)):
-            with pytest.raises(IndexOutOfRange):
+        rows = [[0.0], [0.5], [x], [1.0]]
+        for read in (lambda: tvu_density(family, rows), lambda: thickness(family, rows),
+                     lambda: family.event_probs(rows, event), lambda: family.probs(x)):
+            with pytest.raises(IndexOutOfRange, match="outside the box"):
                 read()
-        assert tvu_density(family, 0.0) == tvu_density(family, 1.0) == float(N)
+        assert tvu_density(family, [[0.0], [1.0]]).tolist() == [float(N)] * 2
         np.testing.assert_array_equal(family.event_probs([[0.0], [1.0]], event), [0.0, 0.0])
+
+    @pytest.mark.parametrize("rows", [[0.5, 0.6], [[[0.5]]], [[0.5, 0.5]]],
+                             ids=["flat", "3-d", "two-slot"])
+    def test_rows_of_the_wrong_shape_raise(self, family, rows):
+        event = family.space.event([2])
+        for read in (lambda: tvu_density(family, rows), lambda: thickness(family, rows),
+                     lambda: family.event_probs(rows, event)):
+            with pytest.raises(LengthMismatch, match=r"expected \(N, 1\) parameter rows"):
+                read()
 
     def test_fd_on_unregistered_family_matches_chain_rule(self, family):
         # Same family driven through s = p^3 without registered
@@ -345,7 +356,7 @@ class TestThickness:
         for s in (0.2, 0.5, 0.9):
             p = s ** (1 / 3)
             want = panel_thickness(p) * p / (3.0 * s)
-            assert thickness(fam_s, s, 0) == pytest.approx(want, rel=1e-5)
+            assert thickness(fam_s, [[s]], 0)[0] == pytest.approx(want, rel=1e-5)
 
     def test_fd_refuses_a_step_too_coarse_for_the_curvature(self, family):
         # Near s = 0 the s = p^3 family's thickness (30,450.6 at s = 1e-6,
@@ -355,10 +366,10 @@ class TestThickness:
         fam_s = cube_chart(family)
         for s in (1e-6, 1e-5):
             with pytest.raises(StepTooLarge, match=rf"step 1e-05 in slot 0 at \({s},\)"):
-                thickness(fam_s, s, 0)
+                thickness(fam_s, [[s]], 0)
         p = 1e-4 ** (1 / 3)
         want = panel_thickness(p) * p / (3.0 * 1e-4)
-        assert thickness(fam_s, 1e-4, 0) == pytest.approx(want, rel=2e-3)
+        assert thickness(fam_s, [[1e-4]], 0)[0] == pytest.approx(want, rel=2e-3)
         with pytest.raises(StepTooLarge):
             build_measure(fam_s)
 
@@ -388,18 +399,18 @@ class TestThickness:
                 kept.append(p)
             except StepTooLarge as exc:
                 refused.append((p, str(exc)))
-        assert [v.hex() for v in _density_rows(fam, np.array(kept)[:, None])] == want
+        assert [v.hex() for v in tvu_density(fam, np.array(kept)[:, None])] == want
         # Only the s = p^3 chart refuses, and only next to its singular end.
         assert all(p <= 1e-5 for p, _ in refused) and (make is cube_chart) == bool(refused)
         for p, message in refused:
             with pytest.raises(StepTooLarge, match=re.escape(message)):
-                _density_rows(fam, [[p]])
+                tvu_density(fam, [[p]])
 
     @pytest.mark.parametrize("rows, named", [([1e-6, 1e-5], 1e-6), ([1e-5, 1e-6], 1e-5),
                                              ([0.5] * 600 + [1e-5, 1e-6], 1e-5)])
     def test_batch_refusal_names_the_first_refused_row(self, family, rows, named):
         with pytest.raises(StepTooLarge, match=rf"step 1e-05 in slot 0 at \({named},\) is too"):
-            _density_rows(cube_chart(family), np.array(rows)[:, None])
+            tvu_density(cube_chart(family), np.array(rows)[:, None])
 
     def test_fd_density_makes_five_family_calls_per_block(self, monkeypatch):
         calls, sizes = [], []
@@ -423,11 +434,12 @@ class TestThickness:
         for rows, made in sizes:
             assert made <= 5 * -(-rows // BLOCK_ROWS)
 
-    @pytest.mark.parametrize("k, h", [(0.5, None), ("0", None), (True, None), (0, "1e-5"),
-                                      (0, float("nan")), (0, float("inf")), (0, True)])
-    def test_a_bad_slot_or_step_is_a_typed_error(self, family, k, h):
-        with pytest.raises(ConfigInvalid):
-            thickness(family, 0.3, k, h)
+    @pytest.mark.parametrize("k, error", [(0.5, ConfigInvalid), ("0", ConfigInvalid),
+                                          (True, ConfigInvalid), (1, IndexOutOfRange),
+                                          (-1, IndexOutOfRange)])
+    def test_a_bad_slot_is_a_typed_error(self, family, k, error):
+        with pytest.raises(error):
+            thickness(family, [[0.3]], k)
 
 
 class TestMeasure:
@@ -740,7 +752,7 @@ class TestMeasure:
         # n = 2047 keeps 33,538,048.
         calls = []
         monkeypatch.setattr(tvuniform, "_density_rows", lambda *a: calls.append(a))
-        with pytest.raises(ConfigInvalid, match="33554432"):
+        with pytest.raises(ConfigInvalid, match="33554432.*the kinks alone force 2048 starting"):
             build_measure(binomial_family(2048))
         assert calls == []
         monkeypatch.undo()
@@ -797,7 +809,7 @@ class TestMeasure:
             assert a == pytest.approx(b, rel=5e-4)
 
     def test_pdf_is_normalized_density(self, family, measure):
-        assert measure.pdf(0.25) == pytest.approx(
+        assert tvu_density(family, [[0.25]])[0] / measure.z == pytest.approx(
             panel_thickness(0.25) / measure.z, rel=1e-9
         )
 
@@ -813,7 +825,7 @@ class TestMeasure:
         negative = ParamFamily(flat.box, flat.space, flat.probs_batch_fn,
                                thickness_batch=[lambda xs: -np.ones(xs.shape[0])])
         with pytest.raises(DegenerateFamily):
-            tvu_density(negative, 0.5)
+            tvu_density(negative, [[0.5]])
 
     @pytest.mark.parametrize("n", [0, 65_536])
     def test_binomial_family_refuses_n_past_one_block_of_cells(self, n):
@@ -833,7 +845,8 @@ class TestMeasure:
             build_measure(family, tol=0.0)
         with pytest.raises(ConfigInvalid):
             build_measure(42)
-        with pytest.raises(ConfigInvalid):  # 24^4 starting boxes of 3 * 8^4 evaluations
+        # 24^4 starting boxes of 3 * 8^4 evaluations; one box would fit.
+        with pytest.raises(ConfigInvalid, match="lower the resolution$"):
             build_measure(sqrt_family(4))
 
     @pytest.mark.parametrize("bad", [
@@ -852,7 +865,7 @@ class TestSimpleFamilies:
     def test_coin_match_density_and_marginal(self):
         fam = coin_match_family()
         m = build_measure(fam)
-        assert tvu_density(fam, 0.37) == 1.0
+        assert tvu_density(fam, [[0.37]]).tolist() == [1.0]
         assert m.z == pytest.approx(1.0, rel=1e-12)
         H1 = fam.space.event(["H1H2", "H1T2"])
         assert m.event_prob(H1) == pytest.approx(0.5, rel=1e-12)
@@ -972,6 +985,13 @@ class TestCountingMeasure:
         c = urn_credal_set(UrnState(ball_total=3))
         with pytest.raises(ConfigInvalid, match=r"\.credal_set"):
             TowerConfig(base=CountingMeasure(c))
+
+    @pytest.mark.parametrize("exclude", [True, 1.0])
+    def test_excluded_member_is_a_true_integer(self, exclude):
+        # Before, exclude=True silently excluded member 1.
+        c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=3))
+        with pytest.raises(ConfigInvalid, match="member index must be an integer"):
+            CountingMeasure(c).event_prob(c.space.event(["r"]), exclude=exclude)
 
     def test_queries_never_change_the_measure(self):
         c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=12))
