@@ -318,7 +318,8 @@ def make_distribution(space: OutcomeSpace, weights) -> FiniteDistribution:
         raise LengthMismatch(f"need {len(space)} weights, got shape {w.shape}")
     if np.any(w < 0.0):
         raise NegativeWeight("weights must be non-negative")
-    total = stable_sum(w)
+    with np.errstate(over="ignore"):  # an overflowing total is refused just below
+        total = stable_sum(w)
     if not 0.0 < total < np.inf:
         raise ZeroTotal(f"weights must have a finite positive total, got {total!r}")
     return FiniteDistribution(space, w / total)

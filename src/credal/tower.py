@@ -29,13 +29,20 @@ mean, which is why the base is drawn from the measure.
 The weight matrices ``W_i`` are never held.  A level is built in blocks
 of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
 rows as standard exponentials, multiplies them onto ``V_(i-1)`` and
-divides by their row sums, a few rows at a time through one reused
-workspace of at most ``max(DRAW_CELLS, S_(i-1))`` draws.  Building level
-``i`` costs S_i · S_(i-1) · |outcomes| multiply-adds, and beyond the
-levels themselves it holds one such workspace per worker thread,
-however many particles a level mixes over.  Every later event query is
-a column sum, so a tower over many outcomes queried for one event does
-more work than one matrix-vector chain per event would.
+divides by their row sums, a few rows at a time.  A level mixes over
+the ``S_(i-1)`` rows of the level below, except level 2 over a sampled
+base: the base repeats rows (a heavy node or member is drawn several
+times, in one run), and a flat Dirichlet over ``S`` particles, summed
+over runs of equal particles, is ``Dirichlet(c_1, ..., c_D)`` over the
+``D`` distinct ones (the aggregation property; Ferguson 1973), just as
+a sum of ``c`` standard exponentials is ``Gamma(c, 1)``.  So level 2
+mixes the ``D`` distinct base rows, each weight one ``Gamma(c_u)`` draw,
+and its law is unchanged.  Building level ``i`` costs
+S_i · (width mixed over) · |outcomes| multiply-adds, and beyond the
+levels themselves it holds one reused workspace of at most
+``max(DRAW_CELLS, width)`` draws per worker thread.  Every later event
+query is a column sum, so a tower over many outcomes queried for one
+event does more work than one matrix-vector chain per event would.
 
 Determinism: ``default_rng(seed).spawn(max_order)`` gives one stream per
 order; order 1 takes the base's stratification offsets from the first,
@@ -84,7 +91,10 @@ STREAMS = (
     f"ceil(S_i / {BLOCK_ROWS}) block streams from stream i, and block b draws "
     f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) in row order, each row S_(i-1) "
     "standard exponentials: the same sequence as one (rows x S_(i-1)) "
-    "standard_exponential array"
+    "standard_exponential array; order 2 over a base with repeated rows instead "
+    "draws, per row, one standard_gamma(c_u) for each of the D distinct base rows "
+    "(c_u the run length of row u), in row order: the same sequence as one "
+    "(rows x D) standard_gamma array"
 )
 
 
@@ -104,7 +114,9 @@ class TowerConfig(_Frozen):
     ``base_samples / m`` times), ``"grid"`` enumerates a uniform
     inclusive parameter grid of ``base_samples`` points (or each of the
     set's members once).  Levels 2 and above each hold ``order_samples``
-    uniformly drawn weight vectors.  ``seed`` seeds every random stream.
+    uniformly drawn weight vectors; over a base that repeats rows, level
+    2 draws one weight per distinct row, a ``Gamma(c)`` for a row drawn
+    ``c`` times, which is the same law.  ``seed`` seeds every random stream.
     """
 
     __slots__ = ("base", "base_samples", "order_samples", "max_order", "seed", "base_mode")
@@ -143,21 +155,23 @@ class Tower(_Frozen):
     the order-``i`` particles as distributions over the outcome space;
     ``levels[0]`` is ``base_probs``.  ``meta`` records the layout:
     ``level_sizes``, ``bytes_held`` (the levels' bytes), ``block_rows``,
+    ``mixed_over`` (how many weights each row of levels 2 and up draws),
     ``workspace_bytes`` (one worker's draw workspace, the largest over
     levels) and ``streams`` (how each level's random stream is derived).
     """
 
     __slots__ = ("config", "space", "levels", "base_params", "meta")
 
-    def __init__(self, config, space, levels, base_params):
+    def __init__(self, config, space, levels, base_params, mixed_over):
         levels = tuple(np.asarray(v, dtype=np.float64) for v in levels)
         self._init(config=config, space=space, levels=levels, base_params=base_params, meta={
             "level_sizes": [v.shape[0] for v in levels],
             "bytes_held": sum(v.nbytes for v in levels),
             "block_rows": BLOCK_ROWS,
+            "mixed_over": mixed_over,
             "workspace_bytes": max(
-                (_draw_rows(prev.shape[0], v.shape[0]) * prev.shape[0] * 8
-                 for prev, v in zip(levels, levels[1:])),
+                (_draw_rows(width, v.shape[0]) * width * 8
+                 for width, v in zip(mixed_over, levels[1:])),
                 default=0,
             ),
             "streams": STREAMS,
@@ -198,20 +212,23 @@ def _grid_params(family: ParamFamily, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
-def _draw_rows(prev_rows: int, rows: int) -> int:
-    """Rows per sub-block when mixing ``rows`` particles over ``prev_rows``:
-    ``DRAW_CELLS`` cells' worth, at least one row and at most one block."""
-    return max(1, min(DRAW_CELLS // prev_rows, BLOCK_ROWS, rows))
+def _draw_rows(width: int, rows: int) -> int:
+    """Rows per sub-block when each of ``rows`` particles draws ``width``
+    weights: ``DRAW_CELLS`` cells' worth, at least one row and at most one block."""
+    return max(1, min(DRAW_CELLS // width, BLOCK_ROWS, rows))
 
 
-def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
-    """``rows`` flat-Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
+def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.ndarray:
+    """``rows`` Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
 
+    The weights are flat over ``prev``'s S rows, or ``Dirichlet(shape)``
+    when ``shape`` gives one positive parameter per row of ``prev``.
     Block ``b`` fills rows ``[b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)`` from
     the ``b``-th stream spawned off ``gen_parent``, in sub-blocks of
-    ``_draw_rows`` rows: it draws a sub-block's standard exponentials
-    ``x`` into one reused (sub-block × S) workspace, in row order, and
-    writes ``(x @ prev) / x.sum(1)``.  Filling the workspace draws the
+    ``_draw_rows`` rows: it draws a sub-block's standard exponentials (or
+    ``standard_gamma(shape)`` variates) ``x`` into one reused
+    (sub-block × S) workspace, in row order, and writes
+    ``(x @ prev) / x.sum(1)``.  Filling the workspace draws the
     same sequence as one (block × S) array would, and each row's product
     and sum are computed alone, so the values do not depend on the
     sub-block height.  Each block writes only its own rows, so the result
@@ -229,7 +246,11 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool) -> np.ndarray:
         end = min((b + 1) * BLOCK_ROWS, rows)
         for lo in range(b * BLOCK_ROWS, end, step):
             block = out[lo:min(lo + step, end)]
-            x = gens[b].standard_exponential(out=workspace[:block.shape[0]])
+            x = workspace[:block.shape[0]]
+            if shape is None:
+                gens[b].standard_exponential(out=x)
+            else:
+                gens[b].standard_gamma(shape, out=x)
             np.einsum("ij,kj->ik", x, prev_t, out=block)
             block /= x.sum(axis=1)[:, None]
 
@@ -241,9 +262,9 @@ def _check_size(cfg: TowerConfig, base_rows: int, outcomes: int) -> None:
     """Refuse a tower whose levels pass ``MAX_GRID_CELLS`` cells.
 
     That bounds the weight draws too: a worker thread holds one workspace
-    of ``_draw_rows(S_(i-1), S_i) * S_(i-1) <= max(DRAW_CELLS, S_(i-1))``
-    cells, and the level mixed over is held, so ``S_(i-1)`` is at most
-    ``MAX_GRID_CELLS / outcomes``.
+    of ``_draw_rows(W, S_i) * W <= max(DRAW_CELLS, S_(i-1))`` cells, for a
+    width ``W <= S_(i-1)`` mixed over, and the level below is held, so
+    ``S_(i-1)`` is at most ``MAX_GRID_CELLS / outcomes``.
     """
     held = (base_rows + (cfg.max_order - 1) * cfg.order_samples) * outcomes
     if held > MAX_GRID_CELLS:
@@ -279,13 +300,21 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
         else:
             measure = base if isinstance(base, TvuMeasure) else build_measure(family)
             params = measure.sample_params(base_gen, cfg.base_samples)
-        base_probs = family.probs_matrix(np.asarray(params)[:, None])
+        base_probs = family.probs_matrix(params[:, None])
 
-    levels = [base_probs]
+    # A stratified draw repeats a row in one run; level 2 mixes each run's
+    # row once, weighted by a Gamma of the run's length (see the module doc).
+    starts = np.flatnonzero(np.r_[True, params[1:] != params[:-1]])
+    prev, shape = base_probs, None
+    if starts.size < params.size:
+        prev, shape = base_probs[starts], np.diff(np.r_[starts, params.size]).astype(np.float64)
+    levels, mixed_over = [base_probs], []
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         for gen in level_gens:
-            levels.append(_mix_level(gen, cfg.order_samples, levels[-1], pool))
-    return Tower(cfg, space, levels, params)
+            mixed_over.append(prev.shape[0])
+            levels.append(_mix_level(gen, cfg.order_samples, prev, pool, shape))
+            prev, shape = levels[-1], None
+    return Tower(cfg, space, levels, params, mixed_over)
 
 
 class OrderStats(_Frozen):

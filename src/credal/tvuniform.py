@@ -182,24 +182,6 @@ class ParamBox(_Frozen):
     def __repr__(self) -> str:
         return f"ParamBox({list(self.intervals)!r})"
 
-    def contains(self, x) -> bool:
-        x = _as_point(x, self.ndim)
-        return all(a <= xi <= b for xi, (a, b) in zip(x, self.intervals))
-
-    def clip(self, x) -> tuple:
-        x = _as_point(x, self.ndim)
-        return tuple(min(max(xi, a), b) for xi, (a, b) in zip(x, self.intervals))
-
-
-def _as_point(x, ndim: int) -> tuple:
-    if np.isscalar(x):
-        pt = (float(x),)
-    else:
-        pt = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
-    if len(pt) != ndim:
-        raise LengthMismatch(f"expected a {ndim}-dimensional parameter, got {len(pt)}")
-    return pt
-
 
 class ParamFamily(_Frozen):
     """A parametrized family of distributions over a fixed outcome space.

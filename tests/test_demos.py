@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, with
+numpy's RuntimeWarnings raised as errors as the test suite raises them."""
 
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning")
 
 
 def test_all_six_demos_are_found():
@@ -19,8 +21,8 @@ def test_all_six_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -31,7 +33,7 @@ def test_readme_quick_start_runs(tmp_path):
     block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)
     assert block, "README has no python quick-start block"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", block.group(1)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, "-c", block.group(1)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.splitlines()[1]) == pytest.approx(3.66021568, rel=1e-9)

@@ -108,15 +108,19 @@ class TestDeterminism:
             assert v1.tobytes() == v2.tobytes()
 
     def test_thread_count_never_changes_values(self):
+        # The 128 draws repeat some of the measure's nodes, so level 2 takes
+        # Gamma weights over the 110 distinct rows, in 3 blocks.
         fam = binomial_family(6)
         cfg = TowerConfig(base=fam, base_samples=128, order_samples=600, max_order=3, seed=2)
         t1 = build_tower(cfg, n_jobs=1)
-        t4 = build_tower(cfg, n_jobs=4)
-        for v1, v4 in zip(t1.levels, t4.levels):
-            assert v1.tobytes() == v4.tobytes()
+        assert t1.meta["mixed_over"] == [110, 600]
         e = fam.space.event([1])
-        for v1, v4 in zip(t1.implied_vectors(e), t4.implied_vectors(e)):
-            assert v1.tobytes() == v4.tobytes()
+        for n_jobs in (2, 4):
+            tn = build_tower(cfg, n_jobs=n_jobs)
+            for v1, vn in zip(t1.levels, tn.levels):
+                assert v1.tobytes() == vn.tobytes()
+            for v1, vn in zip(t1.implied_vectors(e), tn.implied_vectors(e)):
+                assert v1.tobytes() == vn.tobytes()
 
     def test_different_seeds_differ(self):
         fam = bernoulli_family()
@@ -173,7 +177,11 @@ class TestDrawWorkspace:
     # the nodes the base is drawn from.  The two "finite" cases take their
     # base from the 91 exact members of a 12-ball urn's credal set, drawn
     # or enumerated; they were recorded when a tower wrapped such a set in a
-    # CountingMeasure and drew by its Fraction weights.
+    # CountingMeasure and drew by its Fraction weights.  The two drawn bases
+    # ("sub-blocked", "finite tvu") repeat rows, so their levels 2 and 3 were
+    # re-recorded when level 2 came to mix the distinct base rows with one
+    # Gamma weight each; "one call" and "finite grid" repeat none and keep
+    # the exponential draws they were recorded with.
     URN12 = urn_credal_set(UrnState(ball_total=12))
     CASES = {
         "sub-blocked": dict(base=binomial_family(10), base_samples=3000, order_samples=300,
@@ -190,24 +198,24 @@ class TestDrawWorkspace:
                 "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"]
     FINITE = {
         "finite tvu": ["8a84d9b04085f2f9e3667879355991c680d01314479a8160eccc60f8f656ca11",
-                       "6d3d7f66ecc43221dc349b728b5e929f6ffb726328c591c530cd1750afa85fa6",
-                       "443df554ce7fd8683a3c3a759c3ff0edcc71bc6f1c4e76e78836f3487d3c6cdb"],
+                       "a35753df4ba43389a38d97cd713d2b3d95709fc1090596bbc449bc3c9bcadee1",
+                       "97d659f4bd91b04b2e92e2ef2c835d90915585298006b7b29dc469184502041c"],
         "finite grid": ["394821109e069faf26bc6e62b1ad5e06f5a970323cbceb1b1509d32c290941ac",
                         "7e7d7165dd9366b2d07c8d291f45c0b6029ff1830c6165aa91fad7f5ad67fb22",
                         "8ddccefff664eb7817832017f5dca9ba07a8569ddc9cd6cb051f7e06b6e4a182"],
     }
     WITHOUT_AVX512 = {
         "sub-blocked": ["8f259a237e2b4c8a0e2652195ea4087e6afd441df6d3e952b23504409c379369",
-                        "ba85f52725f1792b33f4701491b03a6cf79fde948257b979aded4deed057faec",
-                        "d93adbafe06f2e043244929b295f8d9c13ae22c48f12284e72f91891bbb2da36"],
+                        "92e529c5bb2c8942913e03f3f1e95de91cf7784b1dfc5820732105fe589e3ba2",
+                        "36dda6d9e89851670824cfcc3b27f9eb2366f53c034530cb6e4cd3d404f2eb49"],
         "one call": ONE_CALL,
         **FINITE,
     }
     GOLDEN = {
         simd.AVX512: {
             "sub-blocked": ["8c1fbee89c571a04c0da536c81d86b1fb2e649ac625e37aa256a2859756ad3cd",
-                            "2821d8f2c8a548e8f41e233fca27e3d3f2c049f146ae999e91da39686543cebe",
-                            "1f6c182bdd87475474c46b35c2260f4b5059efab3ca6db045c09efb2a353f33f"],
+                            "a3ce4fc306229f52b7128b7c5f130ec2f0d8a233f76fa91b16d1db05b4b17fa4",
+                            "f26fcca7170d4fef5f28daa3d7da76f977c645e4e373a341de016609e8ad4c83"],
             "one call": ONE_CALL,
             **FINITE,
         },
@@ -229,6 +237,21 @@ class TestDrawWorkspace:
                           max_order=3, base_mode="grid", seed=8)
         want = [v.tobytes() for v in build_tower(cfg).levels]
         monkeypatch.setattr(tower_module, "DRAW_CELLS", cells)
+        assert [v.tobytes() for v in build_tower(cfg, n_jobs=2).levels] == want
+
+    @pytest.mark.parametrize("cells", [lambda d: 1, lambda d: 7 * d, lambda d: 10**9],
+                             ids=["1", "7D", "1000000000"])
+    def test_sub_block_height_never_changes_gamma_draws(self, monkeypatch, cells):
+        # The same over a drawn base, whose level 2 mixes its D distinct
+        # rows with Gamma weights: one row at a time, 7-row sub-blocks,
+        # and whole blocks in one call.
+        cfg = TowerConfig(base=binomial_family(4), base_samples=3000, order_samples=300,
+                          max_order=3, seed=8)
+        tower = build_tower(cfg)
+        d = tower.meta["mixed_over"][0]
+        assert d < 3000
+        want = [v.tobytes() for v in tower.levels]
+        monkeypatch.setattr(tower_module, "DRAW_CELLS", cells(d))
         assert [v.tobytes() for v in build_tower(cfg, n_jobs=2).levels] == want
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -259,14 +282,33 @@ class TestStructure:
 
     def test_meta_records_the_layout(self, small_tower):
         _, tower = small_tower
-        assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows",
+        assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows", "mixed_over",
                                    "workspace_bytes", "streams"}
         assert tower.meta["level_sizes"] == [400, 400, 400, 400]
         assert tower.meta["bytes_held"] == sum(v.nbytes for v in tower.levels)
         assert tower.meta["block_rows"] == 256
-        # 2**15 // 400 = 81 rows of 400 draws
-        assert tower.meta["workspace_bytes"] == 81 * 400 * 8
+        # 400 draws repeat 208 distinct nodes.  Level 2's 2**15 // 208 = 157
+        # rows of 208 Gamma draws outsize levels 3 and 4's 81 rows of 400.
+        assert tower.meta["mixed_over"] == [208, 400, 400]
+        assert tower.meta["workspace_bytes"] == 157 * 208 * 8
         assert "spawn" in tower.meta["streams"]
+        assert "standard_gamma(c_u)" in tower.meta["streams"]
+
+    def test_meta_records_the_widths_mixed_over(self):
+        # The benchmark's converge shape: 3000 draws over the n = 10
+        # measure repeat 240 distinct nodes, which level 2 mixes; levels 3
+        # to 5 mix all 3000 rows below.  Level 2's workspace, 2**15 // 240
+        # = 136 rows of 240 Gamma draws, is the largest; counted over the
+        # 3000 base rows it would read as 10 rows of 3000.
+        m = build_measure(binomial_family(10))
+        tower = build_tower(TowerConfig(base=m, base_samples=3000, order_samples=3000))
+        assert tower.meta["mixed_over"] == [240, 3000, 3000, 3000]
+        assert np.unique(tower.base_params).size == 240
+        assert tower.meta["workspace_bytes"] == 136 * 240 * 8
+        grid = build_tower(TowerConfig(base=m.family, base_samples=101, order_samples=50,
+                                       max_order=3, base_mode="grid"))
+        assert grid.meta["mixed_over"] == [101, 50]
+        assert grid.meta["workspace_bytes"] == 50 * 101 * 8
 
     def test_full_event_chain_stays_at_one(self, small_tower):
         fam, tower = small_tower
@@ -361,6 +403,51 @@ class TestBaseModes:
         cfg = TowerConfig(base=m, base_samples=50, max_order=2, order_samples=50, seed=1)
         tower = build_tower(cfg)
         assert tower.base_probs.shape == (50, 5)
+
+
+def _exponential_level_2(tower: tower_module.Tower) -> np.ndarray:
+    """Level 2 drawn unaggregated: each row S standard exponentials over all
+    S base rows, in the block stream layout (how every level 2 was drawn
+    before repeated base rows were aggregated)."""
+    cfg, base = tower.config, tower.levels[0]
+    gen = np.random.default_rng(cfg.seed).spawn(cfg.max_order)[1]
+    rows, block = cfg.order_samples, tower.meta["block_rows"]
+    out = []
+    for b, g in enumerate(gen.spawn(-(-rows // block))):
+        x = g.standard_exponential((min(block, rows - b * block), base.shape[0]))
+        out.append((x / x.sum(axis=1, keepdims=True)) @ base)
+    return np.vstack(out)
+
+
+class TestAggregatedLevel2:
+    # A flat Dirichlet over S particles, summed over runs of equal ones, is
+    # Dirichlet(run lengths) over the distinct ones, so the Gamma-weighted
+    # level 2 has the unaggregated level's law.  Per seed, both are drawn
+    # over the same base; the order-2 mean and sd of each event's values
+    # must agree over the seeds within four standard errors of their
+    # paired differences.
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("base, events", [
+        (binomial_family(10), [[0], [5]]),
+        (TestDrawWorkspace.URN12, [["red"], ["blue"]]),
+    ], ids=["binomial 10", "12-ball urn"])
+    def test_order_2_matches_the_unaggregated_law(self, base, events):
+        diffs = []
+        for seed in self.SEEDS:
+            tower = build_tower(TowerConfig(base=base, base_samples=3000, order_samples=3000,
+                                            max_order=2, seed=seed))
+            assert tower.meta["mixed_over"][0] < 3000
+            oracle = _exponential_level_2(tower)
+            row = []
+            for labels in events:
+                cols = list(tower.space.event(labels).indices)
+                new, old = tower.levels[1][:, cols].sum(1), oracle[:, cols].sum(1)
+                row += [new.mean() - old.mean(), new.std() - old.std()]
+            diffs.append(row)
+        diffs = np.array(diffs)
+        se = diffs.std(axis=0, ddof=1) / np.sqrt(len(self.SEEDS))
+        assert np.all(np.abs(diffs.mean(axis=0)) <= 4.0 * se), (diffs.mean(axis=0), se)
 
 
 class TestConvergence:

@@ -1245,12 +1245,6 @@ class TestParamBox:
         with pytest.raises(ConfigInvalid):
             ParamBox([(0.0, math.inf)])
 
-    def test_contains_and_clip(self):
-        box = ParamBox([(0.0, 1.0), (-1.0, 1.0)])
-        assert box.contains((0.5, 0.0))
-        assert not box.contains((1.5, 0.0))
-        assert box.clip((2.0, -3.0)) == (1.0, -1.0)
-
     def test_kinks_must_be_interior(self):
         with pytest.raises(ConfigInvalid):
             ParamFamily(
