@@ -18,7 +18,6 @@ Run:  python3 demos/05_hypothesis_ratio.py
 import numpy as np
 
 from credal import (
-    CountingMeasure,
     CredalSet,
     binomial_family,
     build_measure,
@@ -67,7 +66,7 @@ print()
 flip = OutcomeSpace(["H", "T"])
 coins = [make_rational_distribution(flip, [w, 10 - w]) for w in (3, 5, 7)]
 pairs = [iid_extension(c, 2) for c in coins]
-triple = CountingMeasure(CredalSet(pairs, labels=["0.3", "0.5", "0.7"]))
+triple = CredalSet(pairs, labels=["0.3", "0.5", "0.7"])  # scored by its counting measure
 both_heads = pairs[0].space.event(["H,H"])
 r = hocs_ratio(triple, 1, both_heads)  # null: the fair coin (index 1)
 print("finite family of three coins, event 'two heads in a row':")

@@ -23,98 +23,19 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .core import (
-    Event,
-    FiniteDistribution,
-    OutcomeSpace,
-    RationalDistribution,
-    condition,
-    event_probability,
-    make_distribution,
-    make_rational_distribution,
-    sample_l1_uniform,
-    stable_sum,
-    tv_distance,
-)
-from .errors import (
-    AllDropped,
-    AllMembersZero,
-    ConfigInvalid,
-    CredalError,
-    DegenerateFamily,
-    ImpossibleHistory,
-    IndexOutOfRange,
-    LengthMismatch,
-    NegativeWeight,
-    QuadratureNotConverged,
-    SpaceMismatch,
-    StepTooLarge,
-    ZeroEvidence,
-    ZeroProbabilityEvent,
-    ZeroTotal,
-)
-from .inference import (
-    BinomialTestReport,
-    HocsResult,
-    UrnState,
-    binomial_test,
-    hocs_curve,
-    hocs_ratio,
-    urn_compositions,
-    urn_credal_set,
-    urn_update,
-    urn_work,
-)
-from .sets import CredalSet, EventMap, credal_condition, probability_range
-from .tower import (
-    DilationOrder,
-    DilationProfile,
-    OrderStats,
-    Tower,
-    TowerConfig,
-    build_tower,
-    convergence_stats,
-    dilation_profile,
-)
-from .tvuniform import (
-    CountingMeasure,
-    ParamBox,
-    ParamFamily,
-    TvuMeasure,
-    bernoulli_family,
-    binomial_family,
-    build_measure,
-    coin_match_family,
-    iid_extension,
-    product_space,
-    thickness,
-    tvu_density,
-)
+from . import core, errors, inference, sets, tower, tvuniform
+from .core import *
+from .errors import *
+from .inference import *
+from .sets import *
+from .tower import *
+from .tvuniform import *
 
-__all__ = [
-    "__version__",
-    # core
-    "OutcomeSpace", "Event", "FiniteDistribution", "RationalDistribution",
-    "make_distribution", "make_rational_distribution", "tv_distance",
-    "event_probability", "condition", "sample_l1_uniform", "stable_sum",
-    # sets
-    "CredalSet", "EventMap", "credal_condition", "probability_range",
-    # tvuniform
-    "ParamBox", "ParamFamily", "TvuMeasure", "CountingMeasure",
-    "thickness", "tvu_density", "build_measure", "binomial_family",
-    "bernoulli_family", "coin_match_family", "product_space",
-    "iid_extension",
-    # tower
-    "TowerConfig", "Tower", "build_tower", "convergence_stats",
-    "dilation_profile", "OrderStats", "DilationOrder", "DilationProfile",
-    # inference
-    "UrnState", "urn_update", "urn_work", "urn_compositions", "urn_credal_set",
-    "HocsResult", "hocs_ratio", "hocs_curve",
-    "BinomialTestReport", "binomial_test",
-    # errors
-    "CredalError", "LengthMismatch", "NegativeWeight", "ZeroTotal",
-    "SpaceMismatch", "IndexOutOfRange", "ZeroProbabilityEvent",
-    "AllMembersZero", "AllDropped", "ConfigInvalid", "StepTooLarge",
-    "DegenerateFamily", "ZeroEvidence", "ImpossibleHistory",
-    "QuadratureNotConverged",
-]
+# Each module's __all__ is its public interface; the package republishes them.
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += sets.__all__
+__all__ += tvuniform.__all__
+__all__ += tower.__all__
+__all__ += inference.__all__
+__all__ += errors.__all__

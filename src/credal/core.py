@@ -117,7 +117,27 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
 
-class OutcomeSpace(_Frozen):
+class _Record(_Frozen):
+    """A value equal to, and hashed as, any value of its class with equal fields.
+
+    The package's one equality rule.  The fields are the ``__slots__``
+    unless a class narrows :meth:`_fields`; a value that holds an array
+    does not subclass it, and compares by identity.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class OutcomeSpace(_Record):
     """An ordered finite set of distinct outcome labels."""
 
     __slots__ = ("labels", "_index")
@@ -134,11 +154,8 @@ class OutcomeSpace(_Frozen):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OutcomeSpace) and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
+    def _fields(self) -> tuple:
+        return (self.labels,)  # the index is derived from the labels
 
     def __repr__(self) -> str:
         return f"OutcomeSpace({list(self.labels)!r})"
@@ -160,7 +177,7 @@ class OutcomeSpace(_Frozen):
         return Event(self, indices=range(len(self.labels)))
 
 
-class Event(_Frozen):
+class Event(_Record):
     """A subset of an outcome space, kept as sorted outcome indices."""
 
     __slots__ = ("space", "indices")
@@ -174,16 +191,6 @@ class Event(_Frozen):
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Event)
-            and self.space == other.space
-            and self.indices == other.indices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.indices))
 
     def __repr__(self) -> str:
         return f"Event({list(self.labels)!r})"
@@ -262,7 +269,7 @@ def _fractions(values) -> tuple[Fraction, ...]:
         raise ZeroTotal(f"values must be finite rationals: {exc}") from None
 
 
-class RationalDistribution(_Frozen):
+class RationalDistribution(_Record):
     """An exact probability vector with :class:`fractions.Fraction` entries.
 
     Used where the package promises exact arithmetic (urn posteriors,
@@ -282,16 +289,6 @@ class RationalDistribution(_Frozen):
         if sum(probs) != 1:
             raise ZeroTotal(f"probabilities sum to {sum(probs)}, not 1")
         self._init(space=space, probs=probs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalDistribution)
-            and self.space == other.space
-            and self.probs == other.probs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.probs))
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -7,6 +7,13 @@ specific failure modes in tracebacks.
 
 from __future__ import annotations
 
+__all__ = [
+    "CredalError", "LengthMismatch", "NegativeWeight", "ZeroTotal", "SpaceMismatch",
+    "IndexOutOfRange", "ZeroProbabilityEvent", "AllMembersZero", "AllDropped", "ConfigInvalid",
+    "StepTooLarge", "DegenerateFamily", "QuadratureNotConverged", "ZeroEvidence",
+    "ImpossibleHistory",
+]
+
 
 class CredalError(ValueError):
     """Base class for all validation and domain errors in this package."""

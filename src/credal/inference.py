@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _Frozen, _integer
+from .core import (MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _Frozen, _integer,
+                   _Record, _require_same_space)
 from .errors import ConfigInvalid, ImpossibleHistory, ZeroEvidence
 from .sets import CredalSet
 from .tvuniform import (
@@ -59,21 +60,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _Record(_Frozen):
-    """A record equal to, and hashed as, any record of its class with equal fields."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
 class UrnState(_Record):
     """An urn of ``ball_total`` balls over known colors, unknown counts.
 
@@ -99,13 +85,14 @@ class UrnState(_Record):
 
 
 def urn_compositions(ball_total: int, n_colors: int):
-    """All ways ``ball_total`` indistinct balls split into ``n_colors`` counts."""
+    """All ways ``ball_total`` indistinct balls split into ``n_colors`` counts, lazily."""
+    ball_total, n_colors = _integer("ball_total", ball_total), _integer("n_colors", n_colors)
     if ball_total < 1 or n_colors < 1:
         raise ConfigInvalid("need ball_total >= 1 and n_colors >= 1")
     # Stars and bars: choose cut points among ball_total + n_colors - 1 slots.
-    for cuts in itertools.combinations(range(ball_total + n_colors - 1), n_colors - 1):
-        bounds = (-1, *cuts, ball_total + n_colors - 1)
-        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+    slots = ball_total + n_colors - 1
+    return (tuple(b - a - 1 for a, b in itertools.pairwise((-1, *cuts, slots)))
+            for cuts in itertools.combinations(range(slots), n_colors - 1))
 
 
 def urn_update(state: UrnState, mode: str = "exact"):
@@ -228,8 +215,8 @@ def hocs_ratio(measure, null, event: Event) -> HocsResult:
     """Score a point null against the uniform measure over its family.
 
     This is :func:`hocs_curve` at the one null ``null``: a parameter
-    point of a :class:`TvuMeasure` or a member index of a
-    :class:`CountingMeasure`.
+    point of a :class:`TvuMeasure` or a member index of a finite
+    :class:`CredalSet`.
     """
     return hocs_curve(measure, event, [null])[0]
 
@@ -240,10 +227,14 @@ def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
     For a :class:`TvuMeasure` the nulls are parameter points; the
     likelihoods come from one blocked ``family.event_probs`` call and
     the reference from one ``event_prob``, which deleting one point of
-    the continuum leaves unchanged.  For a :class:`CountingMeasure` the
-    nulls are member indices (integers, not ``bool``s); each member is
-    excluded from its own reference and the remaining weights
-    renormalized (a singleton has positive counting measure).
+    the continuum leaves unchanged.  For a finite :class:`CredalSet` the
+    nulls are member indices (integers, not ``bool``s) and the measure is
+    its counting measure, in which a member has positive mass: member
+    ``i`` is scored against the other ``m - 1`` members' mean,
+    ``(total - mass_i) / (m - 1)``, from the members' exact event masses
+    ``sum(Fraction(p_o) for o in event)``, each summed once, and rounded
+    once to a float.  A :class:`CountingMeasure` is refused; pass its
+    ``.credal_set``.
     """
     if isinstance(measure, TvuMeasure):
         points = np.asarray(nulls, dtype=float)
@@ -251,13 +242,20 @@ def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
         refs = [measure.event_prob(event)] * len(points)
         nulls = [p if np.isscalar(p) else tuple(p) for p in points]
         mode = "continuum"
-    elif isinstance(measure, CountingMeasure):
+    elif isinstance(measure, CredalSet):
+        _require_same_space(measure.space, event.space)
         nulls = [_integer("a finite-mode null", i) for i in nulls]
-        likes = [float(measure.credal_set.member(i).prob(event)) for i in nulls]
-        refs = [float(measure.event_prob(event, exclude=i)) for i in nulls]
+        likes = [float(measure.member(i).prob(event)) for i in nulls]
+        if len(measure) == 1:
+            raise ZeroEvidence("a one-member set leaves no member to refer a null to")
+        masses = [sum((Fraction(d.probs[o]) for o in event.indices), Fraction(0))
+                  for d in measure.members]
+        total, rest = sum(masses), len(masses) - 1
+        refs = [float((total - masses[i]) / rest) for i in nulls]
         mode = "finite-excluded"
     else:
-        raise ConfigInvalid(f"unsupported measure type {type(measure).__name__}")
+        hint = "; pass its .credal_set" if isinstance(measure, CountingMeasure) else ""
+        raise ConfigInvalid(f"unsupported measure type {type(measure).__name__}{hint}")
     if any(ref <= 0.0 for ref in refs):
         raise ZeroEvidence("event has reference probability zero")
     return [
@@ -320,6 +318,7 @@ def binomial_test(
     count is exactly zero, so the curve's endpoints are exact zeros.  A
     grid of more than ``MAX_GRID_CELLS`` rows raises :class:`ConfigInvalid`.
     """
+    n, k = _integer("n", n), _integer("k", k)
     if not 0 <= k <= n:
         raise ConfigInvalid(f"need 0 <= k <= n, got k={k}, n={n}")
     if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):

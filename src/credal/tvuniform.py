@@ -711,25 +711,15 @@ class CountingMeasure(_Frozen):
     def __repr__(self) -> str:
         return f"CountingMeasure({len(self.credal_set)} members)"
 
-    def event_prob(self, event: Event, exclude: int | None = None):
-        """Average probability of the event across members.
+    def event_prob(self, event: Event):
+        """Average probability of the event across members, ``m[E] / m``.
 
-        ``exclude`` removes one member and renormalizes over the rest —
-        the finite-set analogue of deleting a singleton whose counting
-        measure, unlike a continuum point, is positive.  It subtracts that
-        member's share from the held masses, so either form costs ``|E|``
-        additions.
+        The finite-mode evidence ratio, which removes its null member from
+        the reference, is :func:`~credal.inference.hocs_curve` over the set.
         """
         _require_same_space(self.credal_set.space, event.space)
         num = sum((self._mass[o] for o in event.indices), Fraction(0))
-        den = len(self.credal_set)
-        if exclude is not None:
-            probs = self.credal_set.member(exclude).probs
-            num -= sum((Fraction(probs[o]) for o in event.indices), Fraction(0))
-            den -= 1
-            if den == 0:
-                raise ZeroEvidence("cannot exclude the only member")
-        return self._result(num / den)
+        return self._result(num / len(self.credal_set))
 
     def posterior_predictive(self, observed: Event, query: Event):
         """Conditional probability of ``query`` given ``observed``.
@@ -836,6 +826,7 @@ def binomial_family(n: int) -> ParamFamily:
     spare for rounding); every other head count has probability below
     ``OUTCOME_FLOOR`` at every row.
     """
+    n = _integer("n", n)
     if not 1 <= n < MAX_GRID_CELLS // BLOCK_ROWS:
         raise ConfigInvalid(f"need 1 <= n and one block of {BLOCK_ROWS} x (n + 1) cells "
                             f"within {MAX_GRID_CELLS}, got n={n}")
@@ -952,7 +943,7 @@ def coin_match_family() -> ParamFamily:
 
 def product_space(base: OutcomeSpace, draws: int) -> OutcomeSpace:
     """Outcome space of ``draws`` ordered draws with labels joined by ``","``."""
-    if draws < 1:
+    if _integer("draws", draws) < 1:
         raise ConfigInvalid("need draws >= 1")
     combos = itertools.product(base.labels, repeat=draws)
     return OutcomeSpace([",".join(str(c) for c in combo) for combo in combos])
@@ -965,8 +956,6 @@ def iid_extension(member, draws: int):
     over the lifted members answers multi-draw questions (see
     :meth:`CountingMeasure.posterior_predictive`).
     """
-    if draws < 1:
-        raise ConfigInvalid("need draws >= 1")
     space = product_space(member.space, draws)
     return type(member)(
         space, [math.prod(c) for c in itertools.product(member.probs, repeat=draws)]

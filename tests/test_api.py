@@ -1,7 +1,8 @@
 """Public API guard: every exported name resolves.
 
 A deleted function can leave its name in an ``__all__``, where only a
-star import or a reader of the docs would find it missing.  Likewise the
+star import or a reader of the docs would find it missing.  The package
+declares no name itself: it republishes each module's ``__all__``.  Likewise the
 benchmark's span recorder times layers by rebinding names in ``credal``
 modules and skips a name that is gone, so a layer it can no longer find
 reads 0 without failing the benchmark; the names it rebinds are checked
@@ -10,11 +11,14 @@ distributions, sets, measures, the tower, its config, and every record
 and report) is shared between updates, so each keeps one rule through
 one base, ``credal.core._Frozen``: it refuses assignment, holds only
 read-only arrays, and deep-copies and pickles into a value that keeps
-that rule.
+that rule.  Equality is declared once too, on ``credal.core._Record``:
+the values without arrays compare and hash by their fields, every other
+value by identity.
 """
 
 import copy
 import importlib
+import itertools
 import importlib.util
 import pickle
 import pkgutil
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 
 import credal
-from credal.core import _Frozen
+from credal.core import _Frozen, _Record
 
 MODULES = [credal] + [
     importlib.import_module(f"credal.{info.name}") for info in pkgutil.iter_modules(credal.__path__)
@@ -37,6 +41,23 @@ def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+INTERFACES = [credal.core, credal.sets, credal.tvuniform, credal.tower, credal.inference,
+              credal.errors]
+
+
+def test_the_package_republishes_each_module_interface():
+    assert credal.__all__ == ["__version__"] + [n for m in INTERFACES for n in m.__all__]
+    for module in INTERFACES:
+        assert all(getattr(credal, name) is getattr(module, name) for name in module.__all__)
+
+
+def test_star_import_binds_exactly_the_package_interface():
+    namespace = {}
+    exec("from credal import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(credal.__all__)
+    assert "MERGE_TOL" in namespace and len(credal.__all__) == 62
 
 
 def _spans():
@@ -115,6 +136,41 @@ def test_records_are_built_from_every_field_by_keyword():
     for wrong in ({k: v for k, v in fields.items() if k != "meta"}, {**fields, "extra": 1}):
         with pytest.raises(TypeError, match="^BinomialTestReport needs exactly the fields"):
             type(report)(**wrong)
+
+
+RECORD_CLASSES = {credal.OutcomeSpace, credal.Event, credal.RationalDistribution,
+                  credal.UrnState, credal.HocsResult}
+
+
+def test_equality_is_declared_once():
+    assert set(_Record.__subclasses__()) == RECORD_CLASSES
+    declared = [f"{cls.__qualname__}.{attr}" for module in MODULES for cls in vars(module).values()
+                if isinstance(cls, type) and cls.__module__ == module.__name__
+                for attr in ("__eq__", "__hash__") if attr in vars(cls)]
+    assert declared == ["_Record.__eq__", "_Record.__hash__"]
+
+
+@pytest.mark.parametrize("obj", [obj for obj in VALUES if isinstance(obj, _Record)],
+                         ids=lambda obj: type(obj).__name__)
+def test_records_compare_and_hash_by_value(obj):
+    for dup in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert dup is not obj and dup == obj and hash(dup) == hash(obj)
+
+
+@pytest.mark.parametrize("obj", [obj for obj in VALUES if not isinstance(obj, _Record)],
+                         ids=lambda obj: type(obj).__name__)
+def test_other_values_compare_by_identity(obj):
+    assert type(obj).__eq__ is object.__eq__ and type(obj).__hash__ is object.__hash__
+    assert obj == obj and copy.deepcopy(obj) != obj
+
+
+def test_no_value_equals_a_value_of_another_class():
+    assert {type(obj) for obj in VALUES if isinstance(obj, _Record)} == RECORD_CLASSES
+    space = VALUES[0]
+    relabeled = type("Relabeled", (credal.OutcomeSpace,), {"__slots__": ()})(space.labels)
+    values = [*VALUES, relabeled]
+    assert [(type(a), type(b)) for a, b in itertools.permutations(values, 2)
+            if type(a) is not type(b) and a == b] == []
 
 
 def _arrays(obj):

@@ -30,6 +30,8 @@ from credal import (
     Event,
     ImpossibleHistory,
     IndexOutOfRange,
+    OutcomeSpace,
+    SpaceMismatch,
     TvuMeasure,
     UrnState,
     ZeroEvidence,
@@ -40,6 +42,7 @@ from credal import (
     hocs_curve,
     hocs_ratio,
     iid_extension,
+    make_rational_distribution,
     product_space,
     urn_compositions,
     urn_credal_set,
@@ -376,7 +379,7 @@ class TestHocsRatio:
             make_rational_distribution(sp, [w, 1 - w])
             for w in (Fraction(0), Fraction(1, 2), Fraction(1))
         ]
-        m = CountingMeasure(CredalSet(members))
+        m = CredalSet(members)
         e = sp.event(["H"])
         r = hocs_ratio(m, 1, e)  # null = the fair member
         assert r.mode == "finite-excluded"
@@ -426,7 +429,7 @@ def coins():
 
     sp = OutcomeSpace(["H", "T"])
     members = [make_rational_distribution(sp, [w, 4 - w]) for w in range(5)]
-    return CountingMeasure(CredalSet(members)), sp.event(["H"])
+    return CredalSet(members), sp.event(["H"])
 
 
 class TestFiniteNulls:
@@ -470,9 +473,53 @@ class TestFiniteNulls:
             assert r.reference_prob == (10 - i) / 16
             assert r.ratio == (i / 4) / ((10 - i) / 16)
 
-    def test_unsupported_measure(self, family):
+    def test_unsupported_measure(self, family, coins):
         with pytest.raises(ConfigInvalid):
             hocs_curve(family, family.space.event([1]), [0.5])
+        c, e = coins
+        with pytest.raises(ConfigInvalid, match=r"pass its \.credal_set"):
+            hocs_curve(CountingMeasure(c), e, [0])
+
+    def test_a_one_member_set_has_no_reference(self, coins):
+        c, e = coins
+        with pytest.raises(ZeroEvidence):
+            hocs_ratio(CredalSet(c.members[:1]), 0, e)
+
+    def test_events_of_another_space_are_refused(self, coins):
+        c, e = coins
+        with pytest.raises(SpaceMismatch):
+            hocs_curve(c, product_space(c.space, 2).event(["H,H"]), [])
+
+
+_COIN = OutcomeSpace(["H", "T"])
+_FAIR = make_rational_distribution(_COIN, [1, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: binomial_family(2.5),
+    lambda: binomial_family(True),
+    lambda: binomial_test(10, 1.0),
+    lambda: binomial_test(10.0, 1),
+    lambda: binomial_test(10, True),
+    lambda: product_space(_COIN, 1.5),
+    lambda: iid_extension(_FAIR, 2.0),
+    lambda: iid_extension(_FAIR, True),
+    lambda: urn_compositions(2.5, 2),
+    lambda: urn_compositions(3, 2.0),
+], ids=["family-2.5", "family-True", "test-k-1.0", "test-n-10.0", "test-k-True",
+        "product-1.5", "lift-2.0", "lift-True", "urn-2.5", "colors-2.0"])
+def test_integer_arguments_must_be_true_integers(call):
+    # A float or a bool used to raise a bare TypeError or to count as 1;
+    # the refusal comes at the call, before any work.
+    with pytest.raises(ConfigInvalid, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_are_counts():
+    assert binomial_family(np.int64(4)).space == binomial_family(4).space
+    assert iid_extension(_FAIR, np.int64(2)) == iid_extension(_FAIR, 2)
+    assert list(urn_compositions(np.int64(3), np.int64(2))) == list(urn_compositions(3, 2))
+    assert binomial_test(np.int64(10), np.int64(1)).k == 1
 
 
 class TestBinomialTestReport:

@@ -48,6 +48,8 @@ from credal import (
     build_measure,
     build_tower,
     coin_match_family,
+    hocs_curve,
+    hocs_ratio,
     iid_extension,
     make_distribution,
     make_rational_distribution,
@@ -988,10 +990,11 @@ class TestCountingMeasure:
 
     @pytest.mark.parametrize("exclude", [True, 1.0])
     def test_excluded_member_is_a_true_integer(self, exclude):
-        # Before, exclude=True silently excluded member 1.
+        # The member a finite-mode ratio excludes from its reference is its
+        # null; True or 1.0 must not exclude member 1.
         c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=3))
-        with pytest.raises(ConfigInvalid, match="member index must be an integer"):
-            CountingMeasure(c).event_prob(c.space.event(["r"]), exclude=exclude)
+        with pytest.raises(ConfigInvalid, match="null must be an integer"):
+            hocs_ratio(c, exclude, c.space.event(["r"]))
 
     def test_queries_never_change_the_measure(self):
         c = urn_credal_set(UrnState(colors=("r", "y", "b"), ball_total=12))
@@ -1000,7 +1003,7 @@ class TestCountingMeasure:
         # By symmetry every colour's mean share over the compositions is 1/3.
         events = [c.space.event(["r"]), c.space.event(["y", "b"])]
         assert [m.event_prob(e) for e in events] == [Fraction(1, 3), Fraction(2, 3)]
-        assert m.event_prob(events[0], exclude=0) == Fraction(1, 3) * 91 / 90
+        assert m.posterior_predictive(events[0], events[1]) == 0
         assert m.posterior_predictive(events[1], events[1]) == 1
         assert all(getattr(m, name) is f for name, f in zip(CountingMeasure.__slots__, fields))
 
@@ -1026,13 +1029,13 @@ class TestCountingMeasure:
             make_rational_distribution(sp, [w, 1 - w])
             for w in (Fraction(0), Fraction(1, 2), Fraction(1))
         ]
-        m = CountingMeasure(CredalSet(members))
+        c = CredalSet(members)
         e = sp.event(["H"])
-        assert m.event_prob(e) == Fraction(1, 2)
-        assert m.event_prob(e, exclude=1) == Fraction(1, 2)
-        assert m.event_prob(e, exclude=2) == Fraction(1, 4)
+        assert CountingMeasure(c).event_prob(e) == Fraction(1, 2)
+        # A finite-mode null is excluded from its own reference.
+        assert [r.reference_prob for r in hocs_curve(c, e, [1, 2])] == [0.5, 0.25]
         with pytest.raises(IndexOutOfRange):
-            m.event_prob(e, exclude=7)
+            hocs_ratio(c, 7, e)
 
     def test_multiplicity_weighting(self):
         # Each member counts once; the set expanded by its multiplicities
@@ -1044,15 +1047,16 @@ class TestCountingMeasure:
         e = sp.event(["H"])
         assert CountingMeasure(c).event_prob(e) == Fraction(1, 2)
         assert CountingMeasure(expanded(c)).event_prob(e) == Fraction(3, 4)
-        assert CountingMeasure(expanded(c)).event_prob(e, exclude=3) == 1
+        assert hocs_ratio(expanded(c), 3, e).reference_prob == 1
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_mass_vector_matches_brute_force_over_members(self, data):
         # Oracle: each probability summed member by member in exact
-        # arithmetic, over the remaining members for ``exclude``; the
-        # measure must return it exactly, or rounded once to a float
-        # when any member is a float.  Sets mix exact and float members,
+        # arithmetic; the measure must return it exactly, or rounded once
+        # to a float when any member is a float.  Over the members other
+        # than a null, the same sum is hocs_curve's reference, rounded
+        # once to a float.  Sets mix exact and float members,
         # and may hold a member more than once: each copy counts.
         k = data.draw(st.integers(2, 4), label="outcomes")
         sp = OutcomeSpace([f"o{i}" for i in range(k)])
@@ -1067,7 +1071,8 @@ class TestCountingMeasure:
         members += data.draw(st.lists(st.sampled_from(members), max_size=3), label="duplicates")
         n = len(members)
         mults = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-        m = CountingMeasure(CredalSet(members, multiplicities=mults))
+        cset = CredalSet(members, multiplicities=mults)
+        m = CountingMeasure(cset)
         counts = [1] * n
 
         def subset():
@@ -1085,10 +1090,14 @@ class TestCountingMeasure:
         assert type(got) is (Fraction if exact else float)
         assert got == oracle(sum(c * mass(d, e) for c, d in keep), sum(counts))
         if n > 1:
-            j = data.draw(st.integers(0, n - 1), label="exclude")
+            j = data.draw(st.integers(0, n - 1), label="null")
             rest = keep[:j] + keep[j + 1:]
-            want = oracle(sum(c * mass(d, e) for c, d in rest), sum(c for c, _ in rest))
-            assert m.event_prob(e, exclude=j) == want
+            want = float(sum(c * mass(d, e) for c, d in rest) / sum(c for c, _ in rest))
+            if want == 0:
+                with pytest.raises(ZeroEvidence):
+                    hocs_ratio(cset, j, e)
+            else:
+                assert hocs_ratio(cset, j, e).reference_prob == want
 
         observed, query = subset(), subset()
         den = sum(c * mass(d, observed) for c, d in keep)
