@@ -189,8 +189,8 @@ def _parse_events(text: str, n: int) -> list[int]:
 
 def _cmd_converge(args) -> int:
     run = _Run(args, "converge")
-    events = _parse_events(args.events, args.n)
     family = binomial_family(args.n)
+    events = _parse_events(args.events, args.n)
     measure = run.timed("measure", build_measure, family, resolution=args.resolution)
     cfg = TowerConfig(
         base=measure,

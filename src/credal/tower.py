@@ -27,9 +27,9 @@ Rubin 1981).  The top order therefore settles on the base sample's
 mean, which is why the base is drawn from the measure.
 
 The weight matrices ``W_i`` are never held.  A level is built in blocks
-of ``BLOCK_ROWS`` rows: a block draws its unnormalized flat-Dirichlet
-rows as standard exponentials, multiplies them onto ``V_(i-1)`` and
-divides by their row sums, a few rows at a time.  A level mixes over
+of ``BLOCK_ROWS`` rows: a block draws its unnormalized weights for
+``DRAW_ROWS`` rows of ``V_(i-1)`` at a time, accumulates their products
+with those rows and their totals, and divides once.  A level mixes over
 the ``S_(i-1)`` rows of the level below, except level 2 over a sampled
 base: the base repeats rows (a heavy node or member is drawn several
 times, in one run), and a flat Dirichlet over ``S`` particles, summed
@@ -37,20 +37,19 @@ over runs of equal particles, is ``Dirichlet(c_1, ..., c_D)`` over the
 ``D`` distinct ones (the aggregation property; Ferguson 1973), just as
 a sum of ``c`` standard exponentials is ``Gamma(c, 1)``.  So level 2
 mixes the ``D`` distinct base rows, each weight one ``Gamma(c_u)`` draw,
-and its law is unchanged.  Building level ``i`` costs
-S_i · (width mixed over) · |outcomes| multiply-adds, and beyond the
-levels themselves it holds one reused workspace of at most
-``max(DRAW_CELLS, width)`` draws per worker thread.  Every later event
-query is a column sum, so a tower over many outcomes queried for one
-event does more work than one matrix-vector chain per event would.
+and its law is unchanged.  Building level ``i`` costs S_i · (width
+mixed over) · (|outcomes| + 1) multiply-adds and holds, beyond the
+levels, one workspace of at most 2**15 draws per worker thread.  Every
+later event query is a column sum, so a tower over many outcomes queried
+for one event does more work than one matrix-vector chain per event would.
 
 Determinism: ``default_rng(seed).spawn(max_order)`` gives one stream per
 order; order 1 takes the base's stratification offsets from the first,
 and order ``i`` spawns one child stream per block from the ``i``-th (see
 ``STREAMS``).  A block's values depend only on its stream, and
-``einsum`` fixes their summation order, so results are byte-identical
-for a given configuration whatever the number of worker threads or BLAS
-threads.
+``einsum`` sums them in fixed chunks, so results are byte-identical for
+a configuration and SIMD dispatch whatever the number of worker threads
+or BLAS threads.
 """
 
 from __future__ import annotations
@@ -79,22 +78,22 @@ __all__ = [
 # which stream draws which row.
 BLOCK_ROWS = 256
 
-# Draws per sub-block: a block fills its rows a few at a time through one
-# workspace of about this many float64 cells (256 KB), so the draws held
-# stay bounded whatever the number of particles mixed over.
-DRAW_CELLS = 2**15
+# Rows of the level below per weight chunk: a block draws their weights
+# into one workspace of at most DRAW_ROWS x BLOCK_ROWS = 2**15 float64
+# cells (256 KB), whatever the number of particles mixed over.
+DRAW_ROWS = 128
 
 STREAMS = (
     "rng.spawn(max_order): stream 1 draws one uniform offset per order-1 particle "
     "(stratified inverse CDF over the measure's node masses or the set's weights; "
     "unused by a grid base); order i spawns "
     f"ceil(S_i / {BLOCK_ROWS}) block streams from stream i, and block b draws "
-    f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) in row order, each row S_(i-1) "
-    "standard exponentials: the same sequence as one (rows x S_(i-1)) "
-    "standard_exponential array; order 2 over a base with repeated rows instead "
-    "draws, per row, one standard_gamma(c_u) for each of the D distinct base rows "
-    "(c_u the run length of row u), in row order: the same sequence as one "
-    "(rows x D) standard_gamma array"
+    f"rows [{BLOCK_ROWS}b, {BLOCK_ROWS}(b + 1)) weight-major, {DRAW_ROWS} rows of "
+    "level i - 1 at a time: the same sequence as one C-order (S_(i-1) x rows) "
+    "random array U, row r weighting row u below by -log(1 - U[u, r]); order 2 "
+    "over a base with repeated rows instead weights each of its D distinct rows "
+    "u by standard_gamma(c_u), c_u the run length of row u, drawn the same way: "
+    "one (D x rows) standard_gamma array with shape c[:, None]"
 )
 
 
@@ -156,6 +155,7 @@ class Tower(_Frozen):
     ``levels[0]`` is ``base_probs``.  ``meta`` records the layout:
     ``level_sizes``, ``bytes_held`` (the levels' bytes), ``block_rows``,
     ``mixed_over`` (how many weights each row of levels 2 and up draws),
+    ``draw_rows`` (rows of the level below per weight chunk),
     ``workspace_bytes`` (one worker's draw workspace, the largest over
     levels) and ``streams`` (how each level's random stream is derived).
     """
@@ -169,8 +169,9 @@ class Tower(_Frozen):
             "bytes_held": sum(v.nbytes for v in levels),
             "block_rows": BLOCK_ROWS,
             "mixed_over": mixed_over,
+            "draw_rows": DRAW_ROWS,
             "workspace_bytes": max(
-                (_draw_rows(width, v.shape[0]) * width * 8
+                (min(DRAW_ROWS, width) * min(BLOCK_ROWS, v.shape[0]) * 8
                  for width, v in zip(mixed_over, levels[1:])),
                 default=0,
             ),
@@ -212,47 +213,44 @@ def _grid_params(family: ParamFamily, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
-def _draw_rows(width: int, rows: int) -> int:
-    """Rows per sub-block when each of ``rows`` particles draws ``width``
-    weights: ``DRAW_CELLS`` cells' worth, at least one row and at most one block."""
-    return max(1, min(DRAW_CELLS // width, BLOCK_ROWS, rows))
-
-
 def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.ndarray:
     """``rows`` Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
 
     The weights are flat over ``prev``'s S rows, or ``Dirichlet(shape)``
     when ``shape`` gives one positive parameter per row of ``prev``.
-    Block ``b`` fills rows ``[b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)`` from
-    the ``b``-th stream spawned off ``gen_parent``, in sub-blocks of
-    ``_draw_rows`` rows: it draws a sub-block's standard exponentials (or
-    ``standard_gamma(shape)`` variates) ``x`` into one reused
-    (sub-block × S) workspace, in row order, and writes
-    ``(x @ prev) / x.sum(1)``.  Filling the workspace draws the
-    same sequence as one (block × S) array would, and each row's product
-    and sum are computed alone, so the values do not depend on the
-    sub-block height.  Each block writes only its own rows, so the result
-    is independent of the pool's thread count.  ``einsum`` (never BLAS,
-    whose sums depend on its thread count) fixes each product's summation
-    order.
+    Block ``b`` fills its rows from the ``b``-th stream spawned off
+    ``gen_parent``, weight-major: for each chunk of ``DRAW_ROWS`` rows of
+    ``prev`` it draws their weights for every row of the block into one
+    reused (chunk × block) workspace ``x``, flat ones as ``log(1 - U)``
+    (minus standard exponentials, so ``prev`` is negated to keep every
+    product non-negative and a zero ``+0.0``) and Dirichlet ones as
+    ``standard_gamma(shape)``, and adds ``[prev | 1].T @ x`` to an
+    accumulator whose last row is the weights' total; the block's rows
+    are the products over that total.  ``einsum`` (never BLAS, whose sums
+    depend on its thread count) sums each chunk in order, so the values
+    depend on ``BLOCK_ROWS`` and ``DRAW_ROWS``, never on the thread count.
     """
     gens = gen_parent.spawn(-(-rows // BLOCK_ROWS))
-    prev_t = np.ascontiguousarray(prev.T)
-    out = np.empty((rows, prev.shape[1]), dtype=np.float64)
-    step = _draw_rows(prev.shape[0], rows)
+    width, outcomes = prev.shape
+    sign = -1.0 if shape is None else 1.0
+    prev1 = np.full((width, outcomes + 1), sign)
+    np.multiply(prev, sign, out=prev1[:, :-1])
+    out = np.empty((rows, outcomes), dtype=np.float64)
 
     def fill(b: int) -> None:
-        workspace = np.empty((step, prev.shape[0]), dtype=np.float64)
-        end = min((b + 1) * BLOCK_ROWS, rows)
-        for lo in range(b * BLOCK_ROWS, end, step):
-            block = out[lo:min(lo + step, end)]
-            x = workspace[:block.shape[0]]
+        block = out[b * BLOCK_ROWS:(b + 1) * BLOCK_ROWS]
+        workspace = np.empty((min(DRAW_ROWS, width), block.shape[0]), dtype=np.float64)
+        acc, part = np.zeros((2, outcomes + 1, block.shape[0]), dtype=np.float64)
+        for lo in range(0, width, DRAW_ROWS):
+            x = workspace[:min(DRAW_ROWS, width - lo)]
             if shape is None:
-                gens[b].standard_exponential(out=x)
+                np.log(np.subtract(1.0, gens[b].random(out=x), out=x), out=x)
             else:
-                gens[b].standard_gamma(shape, out=x)
-            np.einsum("ij,kj->ik", x, prev_t, out=block)
-            block /= x.sum(axis=1)[:, None]
+                gens[b].standard_gamma(shape[lo:lo + DRAW_ROWS, None], out=x)
+            np.einsum("ji,jk->ki", x, prev1[lo:lo + DRAW_ROWS], out=part)
+            acc += part
+        np.divide(acc[:-1], acc[-1], out=part[:-1])
+        block[:] = part[:-1].T
 
     list(pool.map(fill, range(len(gens))))
     return out
@@ -261,10 +259,9 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.
 def _check_size(cfg: TowerConfig, base_rows: int, outcomes: int) -> None:
     """Refuse a tower whose levels pass ``MAX_GRID_CELLS`` cells.
 
-    That bounds the weight draws too: a worker thread holds one workspace
-    of ``_draw_rows(W, S_i) * W <= max(DRAW_CELLS, S_(i-1))`` cells, for a
-    width ``W <= S_(i-1)`` mixed over, and the level below is held, so
-    ``S_(i-1)`` is at most ``MAX_GRID_CELLS / outcomes``.
+    The weight draws need no bound of their own: a worker thread holds
+    one workspace of ``min(DRAW_ROWS, W) * min(BLOCK_ROWS, S_i) <= 2**15``
+    cells for any width ``W`` mixed over.
     """
     held = (base_rows + (cfg.max_order - 1) * cfg.order_samples) * outcomes
     if held > MAX_GRID_CELLS:

@@ -229,6 +229,18 @@ class TestConvergeCommand:
         assert main(["converge", "--events", "0,99",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_n_is_reported_as_such(self, tmp_path, capsys, n):
+        # converge names the bad --n as binomial-test and tvu-density do,
+        # not as an --events range of 0..n.
+        errors = []
+        for command in ("converge", "binomial-test", "tvu-density"):
+            assert main([command, "--n", n, "--out", str(tmp_path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert f"got n={n}" in errors[0]
+        assert errors[0] == errors[1] == errors[2]
+        assert not list(tmp_path.iterdir())
+
     def test_repeated_events_exit_2(self, tmp_path, capsys):
         assert main(["converge", "--events", "1,1", "--out", str(tmp_path)]) == 2
         assert "repeat" in capsys.readouterr().err

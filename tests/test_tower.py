@@ -32,6 +32,32 @@ from credal import (
 from credal import tower as tower_module
 
 
+def _streamed_level(cfg: TowerConfig, order: int, prev: np.ndarray,
+                    shape: np.ndarray | None = None) -> np.ndarray:
+    """Level ``order`` mixed from ``prev`` as ``tower.STREAMS`` documents it:
+    block ``b`` draws one C-order (S x block rows) array from its stream,
+    flat weights ``-log(1 - U)`` or ``standard_gamma(shape[:, None])``."""
+    gen = np.random.default_rng(cfg.seed).spawn(cfg.max_order)[order - 1]
+    rows, block = cfg.order_samples, tower_module.BLOCK_ROWS
+    out = []
+    for b, g in enumerate(gen.spawn(-(-rows // block))):
+        n = min(block, rows - b * block)
+        if shape is None:
+            x = -np.log(1.0 - g.random((prev.shape[0], n)))
+        else:
+            x = g.standard_gamma(np.broadcast_to(shape[:, None], (shape.size, n)))
+        out.append((x / x.sum(axis=0)).T @ prev)
+    return np.vstack(out)
+
+
+def _distinct_runs(tower: tower_module.Tower) -> tuple[np.ndarray, np.ndarray]:
+    """The base's distinct rows, one per run of equal particles, and the
+    runs' lengths: what level 2 mixes over a base with repeats."""
+    params = tower.base_params
+    starts = np.flatnonzero(np.r_[True, params[1:] != params[:-1]])
+    return tower.levels[0][starts], np.diff(np.r_[starts, params.size]).astype(np.float64)
+
+
 @pytest.fixture(scope="module")
 def small_tower():
     fam = binomial_family(10)
@@ -89,13 +115,14 @@ class TestConfig:
 
     def test_long_draw_rows_fit_one_small_workspace(self):
         # Each row draws 2**17 + 1 weights, one block 2**25 + 256 in all, but a
-        # thread holds one row's draws at a time, and the levels fit the cap.
+        # thread holds one 128-row chunk of a block's draws at a time, and the
+        # levels fit the cap.
         base = 2**17 + 1
         cfg = TowerConfig(base=bernoulli_family(), base_samples=base, order_samples=256,
                           max_order=2, base_mode="grid")
         tower = build_tower(cfg)
         assert tower.meta["level_sizes"] == [base, 256]
-        assert tower.meta["workspace_bytes"] == base * 8
+        assert tower.meta["workspace_bytes"] == 2**15 * 8
 
 
 class TestDeterminism:
@@ -136,16 +163,9 @@ class TestDeterminism:
         cfg = TowerConfig(base=fam, base_samples=5, order_samples=300, max_order=3,
                           base_mode="grid", seed=4)
         tower = build_tower(cfg)
-        rows = tower.meta["block_rows"]
-        _, *level_gens = np.random.default_rng(cfg.seed).spawn(cfg.max_order)
-        for gen, prev, level in zip(level_gens, tower.levels, tower.levels[1:]):
-            blocks = gen.spawn(-(-level.shape[0] // rows))
-            x = np.vstack([
-                g.standard_exponential((min(rows, level.shape[0] - b * rows), prev.shape[0]))
-                for b, g in enumerate(blocks)
-            ])
-            w = x / x.sum(axis=1, keepdims=True)
-            np.testing.assert_allclose(level, w @ prev, rtol=0, atol=1e-14)
+        for order, (prev, level) in enumerate(zip(tower.levels, tower.levels[1:]), start=2):
+            np.testing.assert_allclose(level, _streamed_level(cfg, order, prev),
+                                       rtol=0, atol=1e-14)
 
     def test_openblas_threads_never_change_cli_bytes(self, tmp_path):
         # At 600 particles a BLAS matmul in place of einsum already gives
@@ -166,22 +186,21 @@ class TestDeterminism:
 
 
 class TestDrawWorkspace:
-    # SHA-256 of every level, by numpy SIMD dispatch (see ``simd``), recorded
-    # when each block drew its rows as one (block x S) array.  "sub-blocked"
-    # mixes 3000 base particles (10-row sub-blocks; 300 rows per order: a
-    # full block and a partial one) and then 300 (109-row sub-blocks); "one
-    # call" mixes 101 grid particles, few enough for a whole block in one
-    # sub-block.  Only the sub-blocked base comes from a binomial measure,
-    # whose nodes depend on the exp and log kernels; its digests were
-    # re-recorded when each quadrature box became one GL-8 rule, which moved
-    # the nodes the base is drawn from.  The two "finite" cases take their
-    # base from the 91 exact members of a 12-ball urn's credal set, drawn
-    # or enumerated; they were recorded when a tower wrapped such a set in a
-    # CountingMeasure and drew by its Fraction weights.  The two drawn bases
-    # ("sub-blocked", "finite tvu") repeat rows, so their levels 2 and 3 were
-    # re-recorded when level 2 came to mix the distinct base rows with one
-    # Gamma weight each; "one call" and "finite grid" repeat none and keep
-    # the exponential draws they were recorded with.
+    # SHA-256 of every level, by numpy SIMD dispatch (see ``simd``).
+    # "sub-blocked" mixes 3000 base particles into 300 rows per order (a
+    # full block and a partial one), and those 300 into the next 300; "one
+    # call" mixes 101 grid particles, fewer than one chunk of DRAW_ROWS.
+    # Only the sub-blocked base comes from a binomial measure, whose nodes
+    # depend on the exp and log kernels; its level-1 digests were recorded
+    # when each quadrature box became one GL-8 rule.  The two "finite" cases
+    # take their base from the 91 exact members of a 12-ball urn's credal
+    # set, drawn or enumerated.  The two drawn bases ("sub-blocked",
+    # "finite tvu") repeat rows, so their level 2 mixes the distinct base
+    # rows with one Gamma weight each.  Levels 2 and 3 of every case were
+    # re-recorded when each block came to draw its weights weight-major, in
+    # chunks of DRAW_ROWS rows below, flat ones as log(1 - U): the log
+    # kernel and the einsum kernel's FMA make every case but "finite grid"
+    # dispatch-dependent there.  Level 1 keeps its digests.
     URN12 = urn_credal_set(UrnState(ball_total=12))
     CASES = {
         "sub-blocked": dict(base=binomial_family(10), base_samples=3000, order_samples=300,
@@ -193,31 +212,33 @@ class TestDrawWorkspace:
         "finite grid": dict(base=URN12, base_samples=500, order_samples=300, max_order=3,
                             seed=5, base_mode="grid"),
     }
-    ONE_CALL = ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
-                "449d18f6a625eca3a5448dd43d814c1f817698f7ab0675cfe1ae80e54e54eca8",
-                "fc0e11e2e3bef0d2cc7ef2cd668a846e88c91adf217491b5c09ba787c4d00059"]
-    FINITE = {
-        "finite tvu": ["8a84d9b04085f2f9e3667879355991c680d01314479a8160eccc60f8f656ca11",
-                       "a35753df4ba43389a38d97cd713d2b3d95709fc1090596bbc449bc3c9bcadee1",
-                       "97d659f4bd91b04b2e92e2ef2c835d90915585298006b7b29dc469184502041c"],
-        "finite grid": ["394821109e069faf26bc6e62b1ad5e06f5a970323cbceb1b1509d32c290941ac",
-                        "7e7d7165dd9366b2d07c8d291f45c0b6029ff1830c6165aa91fad7f5ad67fb22",
-                        "8ddccefff664eb7817832017f5dca9ba07a8569ddc9cd6cb051f7e06b6e4a182"],
-    }
+    FINITE_GRID = ["394821109e069faf26bc6e62b1ad5e06f5a970323cbceb1b1509d32c290941ac",
+                   "06fbee3d74c3f3007c54ef3aac22ec723ee76c965175e3bd50aac71817e459ff",
+                   "7cd298dff7fb5149a8a2a3d738412c0bc8711749f96a8932a21e9504b9e6e9f9"]
     WITHOUT_AVX512 = {
         "sub-blocked": ["8f259a237e2b4c8a0e2652195ea4087e6afd441df6d3e952b23504409c379369",
-                        "92e529c5bb2c8942913e03f3f1e95de91cf7784b1dfc5820732105fe589e3ba2",
-                        "36dda6d9e89851670824cfcc3b27f9eb2366f53c034530cb6e4cd3d404f2eb49"],
-        "one call": ONE_CALL,
-        **FINITE,
+                        "d07c891556c159e54ba75c382f7a191b0e4681daf3781c55e5d48896b4c87136",
+                        "ad77abf4dedcce77f0f31dfb4a84e6b93eef542ed8b3622dee0af1deb7e7776f"],
+        "one call": ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
+                     "24948a2a3febe5e306c8cb03b657c95a7de6423249c8f8142d34bac76cc51e74",
+                     "18daddd6a79eb273dbba097aeb73749af84a14023ac96ff788e76a87b4da5309"],
+        "finite tvu": ["8a84d9b04085f2f9e3667879355991c680d01314479a8160eccc60f8f656ca11",
+                       "79b90b7fd24c8b5d23b1fe98f85e2c7fb3b6e8e23968c10d0ed3b9ee32e89f09",
+                       "bc94f5e91890134aa0b327b376ba7c3e068492256ba88d25784a42fb756baec8"],
+        "finite grid": FINITE_GRID,
     }
     GOLDEN = {
         simd.AVX512: {
             "sub-blocked": ["8c1fbee89c571a04c0da536c81d86b1fb2e649ac625e37aa256a2859756ad3cd",
-                            "a3ce4fc306229f52b7128b7c5f130ec2f0d8a233f76fa91b16d1db05b4b17fa4",
-                            "f26fcca7170d4fef5f28daa3d7da76f977c645e4e373a341de016609e8ad4c83"],
-            "one call": ONE_CALL,
-            **FINITE,
+                            "faa97d6b0d060767e73f06a58c52bb1708ce1f5abaca4a9ffd1aabd59c22d2f3",
+                            "20df689b7b089116b920d1ed9f540edae2f4303ad2326a7f48e40f06ae5636a5"],
+            "one call": ["3bda025a68340f81fd0d345380670250c62c43362f0b2ed2b0ebae1c67a1836f",
+                         "5445f3a775b0e1fa7fdaab04b7c33ea50db7949c9b6221acdad0c463ce28898f",
+                         "29a41a6aec4902c66d346dae75ffdb6e03b314a267b5d365849aa42fa7bfd1e8"],
+            "finite tvu": ["8a84d9b04085f2f9e3667879355991c680d01314479a8160eccc60f8f656ca11",
+                           "79b90b7fd24c8b5d23b1fe98f85e2c7fb3b6e8e23968c10d0ed3b9ee32e89f09",
+                           "a1abc7cc88e5ddbc4384f6607f6001f7199303049496d8074ad7814e2b610f59"],
+            "finite grid": FINITE_GRID,
         },
         simd.AVX2: WITHOUT_AVX512,
         simd.BASELINE: WITHOUT_AVX512,
@@ -229,30 +250,6 @@ class TestDrawWorkspace:
         digests = simd.recorded(self.GOLDEN)[case]
         tower = build_tower(TowerConfig(**self.CASES[case]), n_jobs=n_jobs)
         assert [hashlib.sha256(v.tobytes()).hexdigest() for v in tower.levels] == digests
-
-    @pytest.mark.parametrize("cells", [1, 7 * 3000, 10**9])
-    def test_sub_block_height_never_changes_values(self, monkeypatch, cells):
-        # One row at a time, 7-row sub-blocks, and whole blocks in one call.
-        cfg = TowerConfig(base=binomial_family(4), base_samples=3000, order_samples=300,
-                          max_order=3, base_mode="grid", seed=8)
-        want = [v.tobytes() for v in build_tower(cfg).levels]
-        monkeypatch.setattr(tower_module, "DRAW_CELLS", cells)
-        assert [v.tobytes() for v in build_tower(cfg, n_jobs=2).levels] == want
-
-    @pytest.mark.parametrize("cells", [lambda d: 1, lambda d: 7 * d, lambda d: 10**9],
-                             ids=["1", "7D", "1000000000"])
-    def test_sub_block_height_never_changes_gamma_draws(self, monkeypatch, cells):
-        # The same over a drawn base, whose level 2 mixes its D distinct
-        # rows with Gamma weights: one row at a time, 7-row sub-blocks,
-        # and whole blocks in one call.
-        cfg = TowerConfig(base=binomial_family(4), base_samples=3000, order_samples=300,
-                          max_order=3, seed=8)
-        tower = build_tower(cfg)
-        d = tower.meta["mixed_over"][0]
-        assert d < 3000
-        want = [v.tobytes() for v in tower.levels]
-        monkeypatch.setattr(tower_module, "DRAW_CELLS", cells(d))
-        assert [v.tobytes() for v in build_tower(cfg, n_jobs=2).levels] == want
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_build_peak_stays_near_the_levels(self, n_jobs):
@@ -273,6 +270,72 @@ class TestDrawWorkspace:
         assert peak <= tower.meta["bytes_held"] + 2**20
 
 
+class TestMixingKernel:
+    # A level mixes DRAW_ROWS rows of the level below at a time, for every row
+    # of a block.  "grid" mixes 1000 = 7 x 128 + 104 rows (a partial last
+    # chunk) into 300 (a partial last block); "repeated" is a drawn base, so
+    # level 2 mixes its D distinct rows with Gamma weights.  Chunk heights
+    # 1, 7, the default and one above every width are patched in.
+    CASES = {
+        "grid": dict(base=binomial_family(4), base_samples=1000, order_samples=300,
+                     max_order=3, base_mode="grid", seed=8),
+        "repeated": dict(base=binomial_family(4), base_samples=3000, order_samples=300,
+                         max_order=3, seed=8),
+    }
+    HEIGHTS = [1, 7, 128, 10**9]
+
+    @pytest.mark.parametrize("draw_rows", HEIGHTS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_thread_counts_never_change_values(self, monkeypatch, case, draw_rows):
+        monkeypatch.setattr(tower_module, "DRAW_ROWS", draw_rows)
+        cfg = TowerConfig(**self.CASES[case])
+        want = build_tower(cfg, n_jobs=1)
+        for n_jobs in (2, 3):
+            got = build_tower(cfg, n_jobs=n_jobs)
+            assert [v.tobytes() for v in got.levels] == [v.tobytes() for v in want.levels]
+        for v in want.levels:
+            np.testing.assert_allclose(v.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("draw_rows", [1, 7, 10**9])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_chunk_height_only_moves_rounding(self, monkeypatch, case, draw_rows):
+        # A value is a sum of fixed chunk partials, so the chunk height sets
+        # its rounding, never its draws.
+        cfg = TowerConfig(**self.CASES[case])
+        want = build_tower(cfg).levels
+        monkeypatch.setattr(tower_module, "DRAW_ROWS", draw_rows)
+        got = build_tower(cfg, n_jobs=2).levels
+        assert got[0].tobytes() == want[0].tobytes()
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("draw_rows", [1, 7, 10**9])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_draws_follow_the_stream(self, monkeypatch, case, draw_rows):
+        monkeypatch.setattr(tower_module, "DRAW_ROWS", draw_rows)
+        cfg = TowerConfig(**self.CASES[case])
+        tower = build_tower(cfg, n_jobs=2)
+        prev, shape = tower.levels[0], None
+        if case == "repeated":
+            prev, shape = _distinct_runs(tower)
+            assert shape.size == tower.meta["mixed_over"][0] < 3000
+        for order, level in enumerate(tower.levels[1:], start=2):
+            np.testing.assert_allclose(level, _streamed_level(cfg, order, prev, shape),
+                                       rtol=0, atol=1e-14)
+            prev, shape = level, None
+
+    @pytest.mark.parametrize("base_mode", ["grid", "tvu"])
+    def test_an_outcome_no_base_row_reaches_stays_a_positive_zero(self, base_mode):
+        # Flat weights are drawn as log(1 - U) <= 0; a zero mixed with them
+        # must not come out as -0.0.  In "tvu" mode level 2 takes Gamma weights.
+        space = OutcomeSpace(["a", "b", "never"])
+        members = [make_distribution(space, p) for p in ([0.5, 0.5, 0.0], [0.2, 0.8, 0.0])]
+        cfg = TowerConfig(base=CredalSet(members), base_samples=10, order_samples=5,
+                          max_order=3, base_mode=base_mode)
+        for v in build_tower(cfg).levels:
+            assert v[:, 2].tobytes() == np.zeros(v.shape[0]).tobytes()
+
+
 class TestStructure:
     def test_level_rows_are_distributions(self, small_tower):
         _, tower = small_tower
@@ -283,28 +346,29 @@ class TestStructure:
     def test_meta_records_the_layout(self, small_tower):
         _, tower = small_tower
         assert set(tower.meta) == {"level_sizes", "bytes_held", "block_rows", "mixed_over",
-                                   "workspace_bytes", "streams"}
+                                   "draw_rows", "workspace_bytes", "streams"}
         assert tower.meta["level_sizes"] == [400, 400, 400, 400]
         assert tower.meta["bytes_held"] == sum(v.nbytes for v in tower.levels)
         assert tower.meta["block_rows"] == 256
-        # 400 draws repeat 208 distinct nodes.  Level 2's 2**15 // 208 = 157
-        # rows of 208 Gamma draws outsize levels 3 and 4's 81 rows of 400.
+        assert tower.meta["draw_rows"] == 128
+        # 400 draws repeat 208 distinct nodes.  Every level mixes over more
+        # than 128 rows into full 256-row blocks: 128 x 256 draws at a time.
         assert tower.meta["mixed_over"] == [208, 400, 400]
-        assert tower.meta["workspace_bytes"] == 157 * 208 * 8
+        assert tower.meta["workspace_bytes"] == 128 * 256 * 8
         assert "spawn" in tower.meta["streams"]
         assert "standard_gamma(c_u)" in tower.meta["streams"]
 
     def test_meta_records_the_widths_mixed_over(self):
         # The benchmark's converge shape: 3000 draws over the n = 10
         # measure repeat 240 distinct nodes, which level 2 mixes; levels 3
-        # to 5 mix all 3000 rows below.  Level 2's workspace, 2**15 // 240
-        # = 136 rows of 240 Gamma draws, is the largest; counted over the
-        # 3000 base rows it would read as 10 rows of 3000.
+        # to 5 mix all 3000 rows below.  Each level draws 128 rows below x
+        # 256 block rows at a time; a grid of 101 into 50 rows draws all
+        # 101 x 50 at once.
         m = build_measure(binomial_family(10))
         tower = build_tower(TowerConfig(base=m, base_samples=3000, order_samples=3000))
         assert tower.meta["mixed_over"] == [240, 3000, 3000, 3000]
         assert np.unique(tower.base_params).size == 240
-        assert tower.meta["workspace_bytes"] == 136 * 240 * 8
+        assert tower.meta["workspace_bytes"] == 128 * 256 * 8
         grid = build_tower(TowerConfig(base=m.family, base_samples=101, order_samples=50,
                                        max_order=3, base_mode="grid"))
         assert grid.meta["mixed_over"] == [101, 50]
@@ -407,15 +471,15 @@ class TestBaseModes:
 
 def _exponential_level_2(tower: tower_module.Tower) -> np.ndarray:
     """Level 2 drawn unaggregated: each row S standard exponentials over all
-    S base rows, in the block stream layout (how every level 2 was drawn
-    before repeated base rows were aggregated)."""
+    S base rows, in the block stream layout, weight-major: block ``b`` draws
+    one (S x block rows) array."""
     cfg, base = tower.config, tower.levels[0]
     gen = np.random.default_rng(cfg.seed).spawn(cfg.max_order)[1]
     rows, block = cfg.order_samples, tower.meta["block_rows"]
     out = []
     for b, g in enumerate(gen.spawn(-(-rows // block))):
-        x = g.standard_exponential((min(block, rows - b * block), base.shape[0]))
-        out.append((x / x.sum(axis=1, keepdims=True)) @ base)
+        x = g.standard_exponential((base.shape[0], min(block, rows - b * block)))
+        out.append((x / x.sum(axis=0)).T @ base)
     return np.vstack(out)
 
 

@@ -45,6 +45,7 @@ from credal import (
     ZeroEvidence,
     bernoulli_family,
     binomial_family,
+    binomial_test,
     build_measure,
     build_tower,
     coin_match_family,
@@ -136,6 +137,18 @@ def exact_tvu_masses(n: int) -> tuple[Fraction, list[Fraction]]:
                        * fact[a] * fact[big - 1 - a])
     m = [Fraction(math.comb(n, k) * v, fact[big] * n**big) for k, v in enumerate(num)]
     return sum(m, Fraction(0)), m
+
+
+@functools.lru_cache(maxsize=None)
+def exact_head_probs(n: int) -> tuple[Fraction, ...]:
+    """``m_k / Z`` for every head count ``k`` of ``n`` tosses, exactly."""
+    z, m = exact_tvu_masses(n)
+    return tuple(v / z for v in m)
+
+
+@functools.lru_cache(maxsize=None)
+def binomial_measure(n: int) -> TvuMeasure:
+    return build_measure(binomial_family(n))
 
 
 def fsum_reference(measure, values) -> float:
@@ -471,6 +484,29 @@ class TestMeasure:
         exact = np.array([float(v / z) for v in m])
         np.testing.assert_allclose(measure.outcome_probs(), exact, rtol=1e-14, atol=0)
         assert measure.z == pytest.approx(float(z), rel=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_head_count_test_reads_the_exact_references(self, n, data):
+        # The head-count test's reference column, hocs_curve's reference
+        # and the evidence ratios along a dyadic grid, whose points are
+        # exact floats, so each ratio has an exact rational value:
+        # C(n, k) p^k (1 - p)^(n - k) over m_k / Z.
+        k = data.draw(st.integers(0, n), label="k")
+        step = Fraction(1, 2 ** data.draw(st.integers(1, 8), label="log2 steps"))
+        exact = exact_head_probs(n)
+        measure = binomial_measure(n)
+        report = binomial_test(n, k, grid_step=float(step), measure=measure)
+        np.testing.assert_allclose(report.reference, [float(v) for v in exact],
+                                   rtol=1e-14, atol=0)
+        assert all(Fraction(p) == i * step for i, p in enumerate(report.grid))
+        curve = hocs_curve(measure, measure.family.space.event([k]), report.grid)
+        np.testing.assert_allclose([r.reference_prob for r in curve], float(exact[k]),
+                                   rtol=1e-14, atol=0)
+        ratios = [float(math.comb(n, k) * (i * step) ** k * (1 - i * step) ** (n - k)
+                        / exact[k]) for i in range(len(report.grid))]
+        np.testing.assert_allclose([r.ratio for r in curve], ratios, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(report.ratios, ratios, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     def test_err_estimate_is_within_a_factor_two_of_the_true_error(self, family, tol):
