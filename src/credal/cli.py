@@ -180,7 +180,9 @@ def _parse_events(text: str, n: int) -> list[int]:
         ks = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise CredalError(f"--events must be comma-separated integers, got {text!r}")
-    if not ks or any(not 0 <= k <= n for k in ks):
+    if not ks:
+        raise CredalError(f"--events needs at least one head count, got {text!r}")
+    if any(not 0 <= k <= n for k in ks):
         raise CredalError(f"--events entries must lie in 0..{n}")
     if len(set(ks)) != len(ks):
         raise CredalError(f"--events entries must not repeat, got {text!r}")
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=24,
                    help="starting quadrature panels (default 24)")
     p.add_argument("--grid-step", type=float, default=0.001,
-                   help="null-bias grid step (default 0.001)")
+                   help="null-bias grid step, rounded to 1/round(1/step) (default 0.001)")
     _common_flags(p)
     p.set_defaults(func=_cmd_binomial_test)
 

@@ -178,12 +178,12 @@ class OutcomeSpace(_Record):
 
 
 class Event(_Record):
-    """A subset of an outcome space, kept as sorted outcome indices."""
+    """A subset of an outcome space: sorted outcome indices, each a true integer."""
 
     __slots__ = ("space", "indices")
 
     def __init__(self, space: OutcomeSpace, indices: Iterable[int]):
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted({_integer("event index", i) for i in indices})
         n = len(space)
         if idx and (idx[0] < 0 or idx[-1] >= n):
             raise IndexOutOfRange(f"event indices must lie in [0, {n})")

@@ -314,9 +314,11 @@ def binomial_test(
     every head count's reference probability from its
     :meth:`~credal.tvuniform.TvuMeasure.outcome_probs`, and sweeps the
     evidence ratio for the point null across a bias grid of the given
-    step.  At ``p = 0`` and ``p = 1`` the likelihood of any interior head
-    count is exactly zero, so the curve's endpoints are exact zeros.  A
-    grid of more than ``MAX_GRID_CELLS`` rows raises :class:`ConfigInvalid`.
+    step, rounded to ``1/round(1/grid_step)`` (``0.3`` gives 4 points, a
+    step of 1/3).  At ``p = 0`` and ``p = 1`` the likelihood of any
+    interior head count is exactly zero, so the curve's endpoints are
+    exact zeros.  A grid of more than ``MAX_GRID_CELLS`` rows raises
+    :class:`ConfigInvalid`.
     """
     n, k = _integer("n", n), _integer("k", k)
     if not 0 <= k <= n:

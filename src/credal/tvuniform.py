@@ -27,23 +27,24 @@ Two regimes are supported:
   tolerance the quadrature cannot reach within ``max_panels`` boxes
   raises :class:`~credal.errors.QuadratureNotConverged`.
 
-The measure is a mixture of the family's distributions, so one vector
-over the outcomes answers every event: at construction it sums the
-unnormalized per-outcome masses ``m_o = sum_i weight_i * density_i *
-f(x_i)_o`` in one pass over the nodes, and an event's probability is
-``m[E].sum() / Z``.  The pass evaluates ``BLOCK_ROWS`` nodes at a time,
-sums each block pairwise, then sums the block partials pairwise; no
-nodes x outcomes matrix is ever held.  Of each block it evaluates only
-the family's ``outcome_span``, the outcomes that can hold more than
-``OUTCOME_FLOOR`` of a node's mass (every outcome for a family that
-registers no span), into one reused workspace of ``BLOCK_ROWS x
-|outcomes|`` (about 1.6 MB at ``n = 400``).  For the binomial family the
-span is a Chernoff band: at ``n = 400`` the pass evaluates 797,184 of
-the 3,200 x 401 node-outcome cells.  Each event then costs ``|E|``
-additions.  Every term is non-negative, so each sum is accurate to a few
-ulps of the total (Higham 1993, "The accuracy of floating point
-summation"), and the block size is a constant, so the reduction order
-and every result are the same on every run.
+In both regimes the measure is a mixture of distributions, so one
+vector of unnormalized per-outcome masses ``m`` answers every event
+through one query path: an event's probability is ``m[E] / total`` (the
+normalizer ``Z``, or the member count) and a one-draw conditional is
+``m[A & B] / m[B]``.  The TV-uniform measure sums ``m_o = sum_i weight_i
+* density_i * f(x_i)_o`` at construction in one pass over the nodes,
+``BLOCK_ROWS`` nodes at a time: each block pairwise, then the block
+partials pairwise; no nodes x outcomes matrix is ever held.  Of each
+block it evaluates only the family's ``outcome_span``, the outcomes that
+can hold more than ``OUTCOME_FLOOR`` of a node's mass (every outcome for
+a family that registers no span), into one reused workspace of
+``BLOCK_ROWS x |outcomes|`` (about 1.6 MB at ``n = 400``).  For the
+binomial family the span is a Chernoff band: at ``n = 400`` the pass
+evaluates 797,184 of the 3,200 x 401 node-outcome cells.  Each event
+then costs ``|E|`` additions.  Every term is non-negative, so each sum
+is accurate to a few ulps of the total (Higham 1993, "The accuracy of
+floating point summation"), and the block size is a constant, so the
+reduction order and every result are the same on every run.
 
 The binomial head-count family is the fully worked example.  Half the
 L1 norm of the pmf's derivative has a closed form (de Moivre's mean
@@ -561,7 +562,30 @@ def _adaptive_panels(family: ParamFamily, resolution: int, tol: float, max_panel
             diagnostics)
 
 
-class TvuMeasure(_Frozen):
+class _Mixture(_Frozen):
+    """A mixture of distributions on one space, holding one unnormalized
+    mass ``m_o`` per outcome.  A subclass supplies ``_event_mass(event)``
+    (the space check and the sum of the event's masses), the normalizer
+    ``_total`` and ``_result``, the type a probability is returned as."""
+
+    __slots__ = ()
+
+    def event_prob(self, event: Event):
+        """Probability of an event on the measure's space: ``m[E] / total``."""
+        return self._result(self._event_mass(event) / self._total)
+
+    def posterior_predictive(self, observed: Event, query: Event):
+        """Conditional probability of ``query`` given ``observed``, two events
+        of one draw: ``m[query & observed] / m[observed]``.  An ``observed``
+        of zero mass raises :class:`ZeroEvidence`."""
+        joint = query.intersect(observed)
+        den = self._event_mass(observed)
+        if den <= 0:
+            raise ZeroEvidence("observed event has zero mass under the measure")
+        return self._result(self._event_mass(joint) / den)
+
+
+class TvuMeasure(_Mixture):
     """Quadrature representation of the uniform measure over a family.
 
     Stores the final node set ``nodes`` (shape ``(N, ndim)``), the
@@ -628,10 +652,12 @@ class TvuMeasure(_Frozen):
         """
         return float(np.sum(self._mass * values))
 
-    def event_prob(self, event: Event) -> float:
-        """Probability of an event on the family's outcome space."""
+    _result = float
+    _total = property(lambda self: self.z)
+
+    def _event_mass(self, event: Event) -> np.float64:
         _require_same_space(self.family.space, event.space)
-        return float(self._outcome_mass[list(event.indices)].sum()) / self.z
+        return self._outcome_mass[list(event.indices)].sum()
 
     def outcome_probs(self) -> np.ndarray:
         """Every outcome's probability, in outcome order: ``m / Z``.
@@ -642,31 +668,20 @@ class TvuMeasure(_Frozen):
         return self._outcome_mass / self.z
 
     def expectation(self, values: np.ndarray) -> float:
-        """Measure-weighted mean of per-node values (e.g. a statistic of x)."""
+        """Measure-weighted mean of per-node values (e.g. a statistic of x).
+
+        Draws sharing the parameter are independent given it, so a
+        predictive after several i.i.d. draws is a ratio of two of them,
+        over products of the columns ``p, q = family.probs_matrix(nodes).T``
+        of a two-outcome family: after ``h`` heads and ``t`` tails,
+        ``P(head)`` is ``expectation(p**(h+1) * q**t) / expectation(p**h *
+        q**t)`` (``2/3`` after one head under the flat Bernoulli measure,
+        Laplace's rule of succession).
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.nodes.shape[0]:
             raise LengthMismatch("need one value per quadrature node")
         return self._integrate(values) / self.z
-
-    def posterior_predictive(self, observed: Event, query: Event) -> float:
-        """Conditional probability of ``query`` given ``observed``, two
-        events of one draw: ``m[query & observed] / m[observed]``.
-
-        Draws sharing the parameter are independent given it, so a
-        predictive after several i.i.d. draws is a ratio of two
-        :meth:`expectation` calls over products of the columns of
-        ``P = family.probs_matrix(nodes)``: after ``h`` heads and ``t``
-        tails of a two-outcome family, ``P(head)`` is
-        ``expectation(p**(h+1) * q**t) / expectation(p**h * q**t)`` with
-        ``p, q = P.T`` (``2/3`` after one head under the flat Bernoulli
-        measure, Laplace's rule of succession).
-        """
-        _require_same_space(self.family.space, observed.space)
-        _require_same_space(self.family.space, query.space)
-        den = float(self._outcome_mass[list(observed.indices)].sum())
-        if den <= 0.0:
-            raise ZeroEvidence("observed event has measure-weighted likelihood zero")
-        return float(self._outcome_mass[list(query.intersect(observed).indices)].sum()) / den
 
     def sample_params(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw parameters from the measure (1-D families).
@@ -682,7 +697,7 @@ class TvuMeasure(_Frozen):
         return self.nodes[_stratified_indices(self._mass, rng, size), 0]
 
 
-class CountingMeasure(_Frozen):
+class CountingMeasure(_Mixture):
     """Uniform counting measure over the members of a finite credal set.
 
     This is what TV-uniformity degenerates to when the credal set is
@@ -692,12 +707,20 @@ class CountingMeasure(_Frozen):
     measure is a mixture of its members, so at construction it sums one
     unnormalized mass per outcome, ``m_o = sum_i member_i(o)``, in exact
     arithmetic (a float member converts exactly through ``Fraction(p)``).
-    An event's probability is ``m[E] / m``: a ``Fraction`` when every
-    member is exact, otherwise that exact value rounded once to a float.
-    A tower over the set reads its members and builds no measure.
+    An event's probability, the average of its members' probabilities, is
+    ``m[E] / m``, and a conditional of one draw is ``m[query & observed]
+    / m[observed]``: each sum is exact and divided once, giving a
+    ``Fraction`` when every member is exact, otherwise that exact value
+    rounded once to a float.  Events are of the set's own space.  A
+    two-draw question about a set ``c`` is asked of its lifted set,
+    ``CountingMeasure(CredalSet([iid_extension(m, 2) for m in
+    c.members]))``, whose events are ordered pairs of draws.  The
+    finite-mode evidence ratio, which removes its null member from the
+    reference, is :func:`~credal.inference.hocs_curve` over the set.  A
+    tower over the set reads its members and builds no measure.
     """
 
-    __slots__ = ("credal_set", "_mass", "_result")
+    __slots__ = ("credal_set", "_outcome_mass", "_total", "_result")
 
     def __init__(self, credal_set: CredalSet):
         mass = [Fraction(0)] * len(credal_set.space)
@@ -705,38 +728,15 @@ class CountingMeasure(_Frozen):
             for o, p in enumerate(member.probs):
                 mass[o] += Fraction(p)
         exact = all(isinstance(m, RationalDistribution) for m in credal_set.members)
-        self._init(credal_set=credal_set, _mass=tuple(mass),
-                   _result=Fraction if exact else float)
+        self._init(credal_set=credal_set, _outcome_mass=tuple(mass),
+                   _total=len(credal_set), _result=Fraction if exact else float)
 
     def __repr__(self) -> str:
         return f"CountingMeasure({len(self.credal_set)} members)"
 
-    def event_prob(self, event: Event):
-        """Average probability of the event across members, ``m[E] / m``.
-
-        The finite-mode evidence ratio, which removes its null member from
-        the reference, is :func:`~credal.inference.hocs_curve` over the set.
-        """
+    def _event_mass(self, event: Event) -> Fraction:
         _require_same_space(self.credal_set.space, event.space)
-        num = sum((self._mass[o] for o in event.indices), Fraction(0))
-        return self._result(num / len(self.credal_set))
-
-    def posterior_predictive(self, observed: Event, query: Event):
-        """Conditional probability of ``query`` given ``observed``.
-
-        Both events are read from the held mass vector, so they are events
-        of the set's own space.  Exact (``Fraction``) when every member is
-        exact.  A two-draw question about a set ``c`` is asked of its
-        lifted set, ``CountingMeasure(CredalSet([iid_extension(m, 2) for m
-        in c.members]))``, whose events are ordered pairs of draws.
-        """
-        _require_same_space(self.credal_set.space, observed.space)
-        joint = query.intersect(observed)
-        den = sum((self._mass[o] for o in observed.indices), Fraction(0))
-        if den == 0:
-            raise ZeroEvidence("observed event has probability zero in every member")
-        num = sum((self._mass[o] for o in joint.indices), Fraction(0))
-        return self._result(num / den)
+        return sum((self._outcome_mass[o] for o in event.indices), Fraction(0))
 
 
 def build_measure(
@@ -894,15 +894,13 @@ def binomial_family(n: int) -> ParamFamily:
     )
 
 
-def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
-    """Single two-outcome draw with probability ``p`` on the first label."""
-    labels = tuple(labels)
-    if len(labels) != 2:
-        raise ConfigInvalid("a two-outcome family needs exactly two labels")
+def _unit_thickness_family(labels: Sequence, columns: Callable, name: str) -> ParamFamily:
+    """A family over ``p`` in ``[0, 1]`` whose thickness is identically 1:
+    ``columns(p)`` maps the biases of a batch to a tuple of one
+    probability column per outcome."""
 
     def probs_batch(xs: np.ndarray, out: np.ndarray, outcomes: slice) -> np.ndarray:
-        p = xs[:, 0]
-        for j, col in enumerate((p, 1.0 - p)[outcomes]):
+        for j, col in enumerate(columns(xs[:, 0])[outcomes]):
             out[:, j] = col
         return out
 
@@ -911,8 +909,16 @@ def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
         OutcomeSpace(labels),
         probs_batch,
         thickness_batch=[lambda xs: np.ones(xs.shape[0])],
-        name="bernoulli",
+        name=name,
     )
+
+
+def bernoulli_family(labels: Sequence = ("H", "T")) -> ParamFamily:
+    """Single two-outcome draw with probability ``p`` on the first label."""
+    labels = tuple(labels)
+    if len(labels) != 2:
+        raise ConfigInvalid("a two-outcome family needs exactly two labels")
+    return _unit_thickness_family(labels, lambda p: (p, 1.0 - p), "bernoulli")
 
 
 def coin_match_family() -> ParamFamily:
@@ -924,21 +930,8 @@ def coin_match_family() -> ParamFamily:
     Conditioning on coin 1's outcome dilates the probability of the
     "match" event — see the dilation demo.  Thickness is identically 1.
     """
-
-    def probs_batch(xs: np.ndarray, out: np.ndarray, outcomes: slice) -> np.ndarray:
-        p = xs[:, 0]
-        heads, tails = 0.5 * p, 0.5 * (1.0 - p)
-        for j, col in enumerate((heads, tails, heads, tails)[outcomes]):
-            out[:, j] = col
-        return out
-
-    return ParamFamily(
-        ParamBox([(0.0, 1.0)]),
-        OutcomeSpace(["H1H2", "H1T2", "T1H2", "T1T2"]),
-        probs_batch,
-        thickness_batch=[lambda xs: np.ones(xs.shape[0])],
-        name="coin-match",
-    )
+    return _unit_thickness_family(["H1H2", "H1T2", "T1H2", "T1T2"],
+                                  lambda p: (0.5 * p, 0.5 * (1.0 - p)) * 2, "coin-match")
 
 
 def product_space(base: OutcomeSpace, draws: int) -> OutcomeSpace:
@@ -954,7 +947,7 @@ def iid_extension(member, draws: int):
 
     Exact for :class:`RationalDistribution` members.  A counting measure
     over the lifted members answers multi-draw questions (see
-    :meth:`CountingMeasure.posterior_predictive`).
+    :class:`CountingMeasure`).
     """
     space = product_space(member.space, draws)
     return type(member)(

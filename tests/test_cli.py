@@ -241,6 +241,14 @@ class TestConvergeCommand:
         assert errors[0] == errors[1] == errors[2]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("events", ["", ","])
+    def test_empty_events_are_reported_as_such(self, tmp_path, capsys, events):
+        assert main(["converge", "--events", events, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--events needs at least one head count" in err
+        assert "must lie in" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_repeated_events_exit_2(self, tmp_path, capsys):
         assert main(["converge", "--events", "1,1", "--out", str(tmp_path)]) == 2
         assert "repeat" in capsys.readouterr().err

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from credal import (
+    ConfigInvalid,
     Event,
     FiniteDistribution,
     IndexOutOfRange,
@@ -70,6 +71,16 @@ class TestOutcomeSpaceAndEvents:
             Event(sp, [2])
         with pytest.raises(IndexOutOfRange):
             Event(sp, [-1])
+
+    @pytest.mark.parametrize("bad", [0.9, True, "1"])
+    def test_event_indices_must_be_true_integers(self, bad):
+        # int() would read 0.9 as 0, True as 1 and "1" as 1.
+        sp = OutcomeSpace(["a", "b", "c"])
+        with pytest.raises(ConfigInvalid, match="event index must be an integer"):
+            sp.event_from_indices([bad])
+        with pytest.raises(ConfigInvalid):
+            Event(sp, [0, bad])
+        assert sp.event_from_indices([np.int64(1), np.uint8(2)]).indices == (1, 2)
 
     def test_event_algebra(self):
         sp = OutcomeSpace(list("abcd"))

@@ -543,6 +543,14 @@ class TestBinomialTestReport:
         assert len(payload["grid"]) == 11
         assert payload["reference"]["2"] == report.reference[2]
 
+    @pytest.mark.parametrize("step, points", [(0.3, 4), (0.25, 5), (0.26, 5), (1.0, 2),
+                                              (0.001, 1001)])
+    def test_grid_step_is_rounded_to_one_over_an_integer(self, step, points):
+        # 0.3 rounds to 1/3: 4 points, not the 0.3-spaced 0, 0.3, 0.6, 0.9.
+        report = binomial_test(4, 2, grid_step=step)
+        assert len(report.grid) == points
+        np.testing.assert_array_equal(report.grid, np.linspace(0.0, 1.0, points))
+
     def test_k_bounds(self):
         with pytest.raises(ConfigInvalid):
             binomial_test(10, 11)

@@ -1210,6 +1210,92 @@ class TestPosteriorPredictive:
         assert got == want
 
 
+def _float_set() -> CredalSet:
+    # No member gives "c" any mass, so {"c"} is a non-empty event of mass zero.
+    sp = OutcomeSpace(["a", "b", "c"])
+    return CredalSet([make_distribution(sp, w) for w in ([0.1, 0.9, 0.0], [0.7, 0.3, 0.0],
+                                                         [1 / 3, 2 / 3, 0.0])])
+
+
+QUERY_MEASURES = {
+    "tvu": lambda: build_measure(binomial_family(10)),
+    "exact counting": lambda: CountingMeasure(urn_credal_set(ball_total=6)),
+    "float counting": lambda: CountingMeasure(_float_set()),
+}
+
+
+class TestOneQueryPath:
+    # Both measures answer through one mass-vector base: an event is
+    # m[E] / total, a conditional m[query & observed] / m[observed].
+
+    @pytest.fixture(scope="class", params=list(QUERY_MEASURES))
+    def case(self, request):
+        """The measure, its space, the mass of an event, the total and the result type."""
+        measure = QUERY_MEASURES[request.param]()
+        if isinstance(measure, TvuMeasure):
+            # numpy's pairwise sum of the held masses, divided once.
+            return (measure, measure.family.space,
+                    lambda e: measure._outcome_mass[list(e.indices)].sum(), measure.z, float)
+        # The exact mass of each outcome, summed afresh from the members.
+        members, space = measure.credal_set.members, measure.credal_set.space
+        mass = [sum(Fraction(d.probs[o]) for d in members) for o in range(len(space))]
+        exact = all(isinstance(d.probs[0], Fraction) for d in members)
+        return (measure, space, lambda e: sum((mass[o] for o in e.indices), Fraction(0)),
+                len(members), Fraction if exact else float)
+
+    @staticmethod
+    def events(space: OutcomeSpace) -> list:
+        if len(space) <= 4:
+            return [space.event_from_indices(c) for r in range(len(space) + 1)
+                    for c in itertools.combinations(range(len(space)), r)]
+        rng = np.random.default_rng(33)
+        return [space.event_from_indices(np.flatnonzero(rng.random(len(space)) < 0.5))
+                for _ in range(40)]
+
+    def test_no_measure_defines_its_own_queries(self):
+        for cls in (TvuMeasure, CountingMeasure):
+            assert not {"event_prob", "posterior_predictive"} & set(vars(cls))
+
+    def test_queries_equal_the_mass_formulas(self, case):
+        measure, space, mass, total, result = case
+        events = self.events(space)
+        for event in events:
+            got = measure.event_prob(event)
+            assert type(got) is result and got == result(mass(event) / total)
+        for observed, query in itertools.product(events, events):
+            den = mass(observed)
+            if den > 0:
+                got = measure.posterior_predictive(observed, query)
+                assert type(got) is result and got == result(mass(query & observed) / den)
+
+    def test_an_empty_event_has_a_zero_of_the_result_type(self, case):
+        measure, space, _, _, result = case
+        empty, full = space.event([]), space.full_event()
+        for got in (measure.event_prob(empty), measure.posterior_predictive(full, empty)):
+            assert type(got) is result and got == 0
+
+    def test_zero_mass_evidence_is_refused(self, case):
+        measure, space, mass, _, _ = case
+        # The empty event, and {"c"} of the float set.
+        zero = [space.event([])] + [e for e in self.events(space) if e.indices and mass(e) == 0]
+        for observed in zero:
+            with pytest.raises(ZeroEvidence):
+                measure.posterior_predictive(observed, space.full_event())
+
+    def test_events_of_another_space_are_refused(self, case):
+        measure, space = case[:2]
+        own, foreign = space.full_event(), OutcomeSpace(["x", "y"]).full_event()
+        with pytest.raises(SpaceMismatch):
+            measure.event_prob(foreign)
+        with pytest.raises(SpaceMismatch):
+            measure.posterior_predictive(foreign, own)
+        with pytest.raises(SpaceMismatch):
+            measure.posterior_predictive(own, foreign)
+        # A foreign query is refused even when the evidence has zero mass.
+        with pytest.raises(SpaceMismatch):
+            measure.posterior_predictive(space.event([]), foreign)
+
+
 class TestSampling:
     def test_samples_are_nodes_in_proportion_to_their_mass(self, measure):
         size = 1601
