@@ -9,7 +9,9 @@ rational arithmetic: no floats, no Monte Carlo, just big integers.
 The striking feature is *inertia*: after seeing a red ball, the
 probability of red moves barely past 1/2 rather than jumping toward 1,
 because most compositions compatible with one red draw still contain
-plenty of the other colors.
+plenty of the other colors.  However many balls the urn holds, the
+credal envelope after a few draws stays nearly vacuous, while the
+counting-prior predictive settles on Laplace's rule.
 
 Run:  python3 demos/06_urn_inertia.py
 """
@@ -71,3 +73,25 @@ cs = urn_credal_set(small)
 print(f"with only 6 balls the set is small enough to print ({len(cs)} members):")
 for member, label in zip(cs.members, cs.labels):
     print(f"  {label}: {[str(x) for x in member.probs]}")
+print()
+
+# -- 5. Inertia at large N --------------------------------------------------------
+
+# After red, red, blue every composition with a red and a blue ball still
+# explains the history, so the credal envelope of P(red next) stays
+# [1/N, (N-1)/N].  The counting-prior predictive instead tends to Laplace's
+# rule (h_red + 1) / (H + c) = 3/6: as N grows the counting prior over
+# compositions tends to the flat Dirichlet, the TV-uniform measure on the
+# simplex.  The update's work follows the three draws, not N.
+history = ("red", "red", "blue")
+alive = [d.probs[0] for d in urn_credal_set(UrnState()).members if d.probs[0] and d.probs[2]]
+assert (min(alive), max(alive)) == (Fraction(1, 90), Fraction(89, 90))
+print("after red, red, blue:")
+print("  balls N          envelope of P(red)        P(red next)    N * (P(red) - 1/2)")
+for n in (90, 10**3, 10**6, 10**9):
+    red = urn_update(UrnState(ball_total=n, history=history))["red"]
+    print(f"  {n:<14,}   [{1 / n:.1e}, 1 - {1 / n:.1e}]   {float(red):.10f}   "
+          f"{float(n * (red - Fraction(1, 2))):.10f}")
+print()
+print("The envelope never narrows, yet the predictive converges to 1/2 at")
+print("rate 1/(4N): the finite urn meets the continuum's Laplace rule.")

@@ -6,8 +6,11 @@ Two workhorses live here.
 total of balls in known colors but unknown composition; draws are with
 replacement.  Complete agnosticism over compositions is the counting
 prior, and the posterior predictive after any history is a ratio of
-integer sums over compositions, each one coefficient of a polynomial
-product, returned exactly as ``fractions.Fraction``.
+integer sums over compositions.  Each sum has a closed form: expanding
+the powers in falling factorials turns it into one polynomial product,
+of the history's degree, dotted with a column of binomial coefficients,
+so no composition is listed and the work does not grow with the number
+of balls.  Results are returned exactly as ``fractions.Fraction``.
 
 ``hocs_ratio`` scores a point null hypothesis inside a parametrized
 family against the family as a whole: the likelihood the null member
@@ -64,11 +67,17 @@ class UrnState(_Record):
     """An urn of ``ball_total`` balls over known colors, unknown counts.
 
     ``history`` lists the colors seen so far (draws with replacement).
+    Both are sequences of color names: a bare string, or a non-iterable
+    such as ``None``, raises :class:`ConfigInvalid` (a string is not split
+    into one-letter colors).
     """
 
     __slots__ = ("colors", "ball_total", "history")
 
     def __init__(self, colors=("red", "yellow", "blue"), ball_total: int = 90, history=()):
+        if any(isinstance(v, str) or not hasattr(v, "__iter__") for v in (colors, history)):
+            raise ConfigInvalid(f"colors and history must be sequences of color names, "
+                                f"got {colors!r} and {history!r}")
         colors, history = tuple(colors), tuple(history)
         if len(colors) < 1 or len(set(colors)) != len(colors):
             raise ConfigInvalid("colors must be distinct and non-empty")
@@ -100,14 +109,20 @@ def urn_update(state: UrnState, mode: str = "exact"):
 
     Under the counting prior over compositions ``k`` of the ``N`` balls,
     with ``h_c`` draws of color ``c`` so far,
+    ``P(next = c) = S(h + 1_c) / (N * S(h))`` for
+    ``S(e) = sum_k prod_c k_c ** e_c``.  Expanding each power in falling
+    factorials, ``x ** e = sum_j R_e[j] * C(x, j)`` with
+    ``R_e[j] = j! * S2(e, j)`` (Graham, Knuth & Patashnik, *Concrete
+    Mathematics*, eq. 6.10), and summing over compositions with
+    ``sum_k prod_c C(k_c, j_c) = C(N + c - 1, J + c - 1)`` gives
 
-        P(next = c | history) = S(h + 1_c) / (N * S(h)),
-        S(e) = sum_k prod_c k_c ** e_c = [t^N] prod_c sum_x x ** e_c * t^x
+        S(e) = sum_J A_J * C(N + c - 1, J + c - 1),   A(t) = prod_c sum_j R_(e_c)[j] * t^j,
 
-    (generating functions, ``0 ** 0 = 1``): ``c + 1`` integer polynomial
-    products cut off at degree ``N``.  An update whose multiply-adds and
-    powers, charged by size as :func:`urn_work` counts them, together
-    pass ``MAX_GRID_CELLS`` raises :class:`ConfigInvalid`.
+    integer polynomials of the history's degree, every product cut off
+    at degree ``N`` (beyond it ``C = 0``).  ``S(h) = 0``, raising
+    :class:`ImpossibleHistory`, exactly when more colors were drawn than
+    there are balls.  An update whose :func:`urn_work` passes
+    ``MAX_GRID_CELLS`` raises :class:`ConfigInvalid` before any work.
     ``mode="exact"`` returns ``Fraction`` values (the default),
     ``mode="float"`` the floats nearest them.
     """
@@ -117,21 +132,27 @@ def urn_update(state: UrnState, mode: str = "exact"):
     cost = urn_work(state)
     work = cost["multiply_adds"] + cost["powers"]
     if work > MAX_GRID_CELLS:
-        raise ConfigInvalid(f"an urn of {n} balls in {len(colors)} colors needs {work} "
-                            f"word-sized integer multiply-adds and powers, above {MAX_GRID_CELLS}")
+        raise ConfigInvalid(f"an urn of {n} balls in {len(colors)} colors needs {work} word-sized "
+                            f"integer additions and multiply-adds, above {MAX_GRID_CELLS}")
+    h = [state.history.count(c) for c in colors]
+    row, rows = [1], {0: [1]}  # row = R_e cut at degree N; rows keeps those the weights use
+    for e in range(1, max(h) + 2):
+        row = [0] + [j * (a + b) for j, a, b in zip(range(1, n + 1), row, row[1:] + [0])]
+        if e in h or e - 1 in h:
+            rows[e] = row
+    top, low = n + len(colors) - 1, len(colors) - 1  # C(top, J + low) for J = 0 .. degree
+    binoms = list(itertools.accumulate(range(low, low + cost["degree"]),
+                                       lambda b, r: b * (top - r) // (r + 1),
+                                       initial=math.comb(top, low)))
 
     def weight(exponents) -> int:
-        if len(exponents) == 1:  # [t^N] sum_x x ** e * t^x
-            return n ** exponents[0]
-        # Only a factor the convolution slices is listed; the others stream.
-        first, *middle, last = exponents
-        poly = map(pow, range(n + 1), itertools.repeat(first))
-        for e in middle:
-            poly, powers = list(poly), [x**e for x in range(n + 1)]
-            poly = [sum(map(int.__mul__, poly[: d + 1], powers[d::-1])) for d in range(n + 1)]
-        return sum(map(int.__mul__, poly, map(pow, range(n, -1, -1), itertools.repeat(last))))
+        poly = rows[exponents[0]]
+        for e in exponents[1:]:  # multiply by the next row, cut off at degree N
+            rev, b = rows[e][::-1], len(rows[e])
+            poly = [sum(map(int.__mul__, poly[max(0, d + 1 - b):d + 1], rev[max(0, b - 1 - d):]))
+                    for d in range(min(len(poly) + b - 1, n + 1))]
+        return sum(map(int.__mul__, poly, binoms))
 
-    h = [state.history.count(c) for c in colors]
     wsum = weight(h)
     if wsum == 0:  # more colors drawn than there are balls
         raise ImpossibleHistory("no composition can generate the history")
@@ -141,33 +162,36 @@ def urn_update(state: UrnState, mode: str = "exact"):
 
 
 def urn_work(state: UrnState) -> dict:
-    """The work :func:`urn_update` does for ``state``, for diagnostics.
+    """The work :func:`urn_update` does for ``state``, known before it starts.
 
-    ``degree`` is the truncation degree ``N`` (the ball total),
-    ``colors`` the number of colours ``c``.  Each of the update's
-    ``c + 1`` weights computes ``c`` colours' ``N + 1`` powers ``x ** e``
-    (listing only those a product slices, so two colours list none)
-    and takes ``c - 2`` products cut off at degree ``N``, of
-    ``(N + 1) * (N + 2) / 2`` multiply-adds each, and one last
-    coefficient of ``N + 1`` (a single colour's weight is the one power
-    ``N ** e``, which lists nothing).  ``powers`` charges each power one
-    unit per 64-bit word it may hold (``e * b`` bits for ``b`` the bit
-    length of ``N``), and ``multiply_adds`` each multiply-add the product
-    of its operands' words, bounding a partial product of ``k`` colours
-    by ``(E + k - 1) * b`` bits for exponents summing to ``E``.  While
-    every operand fits one word (short histories) both are plain counts.
+    ``degree`` is the highest degree kept, ``min(N, H + 1)`` for ``H``
+    draws.  ``powers`` counts the additions building the rows ``R_e``
+    (``e <= max(h) + 1``, ``min(e, N)`` entries each), ``multiply_adds``
+    the pairs of the ``c + 1`` weights' row products and binomial dot
+    products; the binomial column itself costs about one dot product.
+    Each unit is charged per 64-bit word its operands may hold: for
+    ``b`` the bit length of ``min(N, max(h) + 1)``, ``R_e[j] <= j ** e``
+    has at most ``e * b`` bits, a product of ``k`` rows whose exponents
+    sum to ``E`` at most ``(E + k) * b`` (the rows' sums bound it), and a
+    binomial at most ``degree + c - 1`` times the bit length of
+    ``N + c - 1``.  ``N`` enters only through that and the cut.
     """
-    n, c, bits = state.ball_total, len(state.colors), state.ball_total.bit_length()
+    n, c = state.ball_total, len(state.colors)
     h = [state.history.count(x) for x in state.colors]
-    powers = multiply_adds = 0
-    for i in range(-1, c) if c > 1 else ():  # the history's weight, then one per colour
-        words = [1 + (e + (j == i)) * bits // 64 for j, e in enumerate(h)]
-        powers += (n + 1) * sum(words)
-        for k in range(1, c):  # multiply the product of k colours by the next
-            cells = (n + 1) * (n + 2) // 2 if k < c - 1 else n + 1
-            partial = 1 + (sum(h[:k]) + (0 <= i < k) + k - 1) * bits // 64
-            multiply_adds += cells * partial * words[k]
-    return {"degree": n, "colors": c, "multiply_adds": multiply_adds, "powers": powers}
+    degree, bits = min(n, len(state.history) + 1), min(n, max(h) + 1).bit_length()
+    binomial_bits = (degree + c - 1) * (n + c - 1).bit_length()
+    powers = sum(min(e, n) * (1 + e * bits // 64) for e in range(1, max(h) + 2))
+    multiply_adds = 0
+    for i in range(-1, c):  # the history's weight, then one per colour
+        e = [x + (j == i) for j, x in enumerate(h)]
+        for k in range(1, c):  # multiply the product of k rows, a terms, by the next, b terms
+            a, b = min(sum(e[:k]), n) + 1, min(e[k], n) + 1
+            cut = max(0, a + b - n - 2)  # pairs past degree N, not formed (a, b <= N + 1)
+            multiply_adds += ((a * b - cut * (cut + 1) // 2) * (1 + (sum(e[:k]) + k) * bits // 64)
+                              * (1 + e[k] * bits // 64))
+        multiply_adds += ((min(sum(e), n) + 1) * (1 + (sum(e) + c) * bits // 64)
+                          * (1 + binomial_bits // 64))
+    return {"degree": degree, "colors": c, "multiply_adds": multiply_adds, "powers": powers}
 
 
 def urn_credal_set(state: UrnState | None = None, **kwargs) -> CredalSet:

@@ -60,13 +60,30 @@ class TestUrnCommand:
         assert code == 0
         probs = json.loads(capsys.readouterr().out)
         assert sum(Fraction(v) for v in probs.values()) == 1
+        # 2**40 balls after three draws: N (P(red) - 1/2) = (N - 2) / (2 (2N + 1)).
+        assert main(["urn", "--balls", str(2**40), "--history", "red,red,blue",
+                     "--out", str(tmp_path)]) == 0
+        red = Fraction(json.loads(capsys.readouterr().out)["red"])
+        assert 2**40 * (red - Fraction(1, 2)) == Fraction(2**40 - 2, 2 * (2**41 + 1))
 
-    def test_urn_with_wide_powers_is_refused(self, tmp_path, capsys):
-        # 300,000 balls are few powers, but after 200 draws each spans 60 words.
+    def test_urn_with_wide_powers_runs(self, tmp_path, capsys):
+        # 300,000 balls after 200 draws: the work follows the draws.
         code = main(["urn", "--colors", "a,b", "--balls", "300000", "--history",
                      ",".join(["a"] * 200), "--out", str(tmp_path)])
+        assert code == 0
+        probs = {c: Fraction(v) for c, v in json.loads(capsys.readouterr().out).items()}
+        assert sum(probs.values()) == 1
+        assert 0 < probs["a"] - Fraction(201, 202) < Fraction(1, 300_000)  # Laplace's rule
+        rows = read_csv(tmp_path / "urn.csv")
+        assert [Fraction(r["prob"]) for r in rows] == [probs["a"], probs["b"]]
+
+    def test_urn_with_a_very_long_history_is_refused(self, tmp_path, capsys):
+        # 20,000 draws: refused by its price, before any row is built.
+        code = main(["urn", "--colors", "a,b", "--balls", "300000", "--history",
+                     ",".join(["a"] * 20_000), "--out", str(tmp_path)])
         assert code == 2
         assert "300000 balls" in capsys.readouterr().err
+        assert not (tmp_path / "urn.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +367,8 @@ class TestTvuDensityCommand:
     ["binomial-test", "--n"],
     ["converge", "--n"],
     ["tvu-density", "--n"],
-    ["urn", "--balls"],
+    # An urn's work follows its history, so only a long one makes 2**40 balls oversized.
+    ["urn", "--colors", "a,b", "--history", ",".join(["a"] * 20_000), "--balls"],
     ["tvu-density", "--points"],
     ["converge", "--base-samples"],
     ["converge", "--order-samples"],
@@ -427,11 +445,13 @@ def test_manifest_records_diagnostics(tmp_path, capsys, command):
         assert diagnostics["tower"]["workspace_bytes"] > 0
         assert len(diagnostics["tower"]["level_sizes"]) == 2
     if "urn" in diagnostics:
-        # three colours, 6 balls: 4 weights of one truncated product
-        # (28 multiply-adds) and one last coefficient (7), each weight
-        # listing 3 colours' 7 powers
-        assert diagnostics["urn"] == {"degree": 6, "colors": 3, "multiply_adds": 4 * (28 + 7),
-                                      "powers": 4 * 3 * 7}
+        # three colours, 6 balls, one red: the weights of (1, 0, 0), (2, 0, 0),
+        # (1, 1, 0) and (1, 0, 1) each multiply 3 rows (two products) and take
+        # one dot product with the binomials, cut at degree H + 1 = 2; the
+        # rows R_1 and R_2 take 1 + 2 additions
+        assert diagnostics["urn"] == {"degree": 2, "colors": 3,
+                                      "multiply_adds": (2 + 2 + 2) + (3 + 3 + 3) + (4 + 3 + 3)
+                                      + (2 + 4 + 3), "powers": 1 + 2}
 
 
 @pytest.mark.parametrize("argv, cells", [

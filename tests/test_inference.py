@@ -109,7 +109,9 @@ class TestUrnUpdate:
     def test_matches_brute_force_on_random_small_urns(self, data):
         n = data.draw(st.integers(1, 12), label="balls")
         colors = tuple(f"c{i}" for i in range(data.draw(st.integers(1, 4), label="colors")))
-        history = tuple(data.draw(st.lists(st.sampled_from(colors), max_size=5), label="history"))
+        # Up to 8 draws: a colour drawn more often than the urn has balls
+        # exercises the cut at degree N.
+        history = tuple(data.draw(st.lists(st.sampled_from(colors), max_size=8), label="history"))
         state = UrnState(colors=colors, ball_total=n, history=history)
         if len(set(history)) > n:  # no composition holds every drawn color
             with pytest.raises(ImpossibleHistory):
@@ -146,10 +148,10 @@ class TestUrnUpdate:
         state = UrnState(colors=colors, ball_total=12, history=("a", "a"))
         monkeypatch.setattr(credal.inference, "map", counting_map, raising=False)
         urn_update(state)
-        c = len(colors)
-        assert urn_work(state) == {"degree": 12, "colors": c, "multiply_adds": formed,
-                                   "powers": (c + 1) * c * 13 if c > 1 else 0}
-        assert formed > 0 or c == 1
+        # Degree H + 1 = 3 < 12; the rows R_1, R_2, R_3 take 1 + 2 + 3 additions.
+        assert urn_work(state) == {"degree": 3, "colors": len(colors), "multiply_adds": formed,
+                                   "powers": 1 + 2 + 3}
+        assert formed > 0
 
     def test_work_charges_wide_integers_by_their_words(self, monkeypatch):
         # A long history makes the powers and products span many 64-bit
@@ -171,11 +173,17 @@ class TestUrnUpdate:
         urn_update(state)
         cost = urn_work(state)
         assert formed < words <= cost["multiply_adds"]
-        # 5-bit balls: the four weights' exponents (40|41, 25|26, 3|4) span
-        # 4, 2|3, 1 words; the 496-cell product's operands 4 and 2|3 words,
-        # the last coefficient's partial products 6 words.
-        assert cost["powers"] == 31 * (7 + 7 + 8 + 7)
-        assert cost["multiply_adds"] == 496 * 4 * (2 + 2 + 3 + 2) + 31 * 6 * 4
+        # b = 5 bits (30 balls): a row R_e spans 1 + 5e // 64 words, so the
+        # rows R_1 .. R_41, min(e, 30) entries each, take
+        # 1·(1+..+12) + 2·(13+..+25) + 3·(26+..+30 + 8·30) + 4·3·30 additions.
+        assert cost["powers"] == 78 + 2 * 247 + 3 * (140 + 8 * 30) + 4 * 3 * 30
+        # Each weight's first product (R_40|41 of 4 words by R_25|26 of 2|3,
+        # cut at degree 30) has 496 - 15 = 481 pairs, or 496 - 10 = 486 with
+        # R_26; its second (6 words by R_3|4 of 1) 496 - 378 = 118, or
+        # 496 - 351 = 145 with R_4; and its dot product 31 pairs of 6 words
+        # by binomials C(32, J + 2) of 1 + 32·6 // 64 = 4.
+        weights = [481 * 4 * 2 + 118 * 6] * 2 + [486 * 4 * 3 + 118 * 6, 481 * 4 * 2 + 145 * 6]
+        assert cost["multiply_adds"] == sum(weights) + 4 * 31 * 6 * 4
 
     def test_more_colors_drawn_than_balls_is_impossible(self):
         with pytest.raises(ImpossibleHistory):
@@ -186,6 +194,23 @@ class TestUrnUpdate:
         for n in (5, 30, 90):
             got = urn_update(UrnState(ball_total=n, history=("red",)))["red"]
             assert got == Fraction(n + 1, 2 * n)
+
+    @pytest.mark.parametrize("balls", [90, 10**3, 10**6, 10**9])
+    def test_predictive_tends_to_laplace_rule(self, balls):
+        # After red, red, blue, by hand: k^2 = 2 C(k, 2) + C(k, 1) and
+        # k^3 = 6 C(k, 3) + 6 C(k, 2) + C(k, 1) give S(2, 0, 1) =
+        # C(N+2, 4) (2N + 1) / 5 and S(3, 0, 1) = C(N+2, 4) (N² + N - 1) / 5,
+        # so N (P(red) - 1/2) = (N - 2) / (2 (2N + 1)), which tends to 1/4.
+        state = UrnState(ball_total=balls, history=("red", "red", "blue"))
+        probs = urn_update(state)
+        assert balls * (probs["red"] - Fraction(1, 2)) == Fraction(balls - 2, 2 * (2 * balls + 1))
+        # Laplace's rule (h_c + 1) / (H + c), the flat-Dirichlet (TV-uniform)
+        # limit of the counting prior, holds within 1/N for every colour.
+        laplace = {"red": Fraction(3, 6), "yellow": Fraction(1, 6), "blue": Fraction(2, 6)}
+        assert all(abs(probs[c] - laplace[c]) < Fraction(1, balls) for c in laplace)
+        # The work follows the three draws, not the ball total.
+        cost = urn_work(state)
+        assert cost["degree"] == 4 and cost["multiply_adds"] + cost["powers"] < 200
 
     def test_predictive_sums_to_one_exactly(self):
         state = UrnState(history=("red", "blue", "blue"))
@@ -209,6 +234,12 @@ class TestUrnUpdate:
     def test_validation(self):
         with pytest.raises(ImpossibleHistory):
             UrnState(history=("green",))
+        # Colours and histories are sequences of names: a bare string is
+        # refused, not split into one-letter colours.
+        for fields in ({"colors": "rgb"}, {"history": "rr"}, {"colors": None},
+                       {"history": None}, {"history": 3}):
+            with pytest.raises(ConfigInvalid, match="sequences of color names"):
+                UrnState(**fields)
         with pytest.raises(ConfigInvalid):
             UrnState(ball_total=0)
         with pytest.raises(ConfigInvalid):
@@ -242,10 +273,10 @@ class TestUrnUpdate:
             urn_update(state)
 
     def test_large_two_colour_urn_runs(self):
-        # 10,032 multiply-adds and 20,064 powers: far inside the cap,
-        # which a bound quadratic in the ball total used to pass.
+        # 37 multiply-adds: (3·2 + 4) + (4·2 + 5) + (3·3 + 5) for the
+        # weights of (2, 1), (3, 1) and (2, 2), whatever the ball total.
         state = UrnState(colors=("a", "b"), ball_total=3343, history=("a", "b", "a"))
-        assert urn_work(state)["multiply_adds"] == 10_032
+        assert urn_work(state)["multiply_adds"] == 37
         probs = urn_update(state)
         assert all(isinstance(v, Fraction) for v in probs.values())
         assert sum(probs.values()) == 1
@@ -253,14 +284,27 @@ class TestUrnUpdate:
 
     @pytest.mark.parametrize("balls, history", [(300_000, ("a",) * 200),
                                                 (100_000, ("a", "b") * 100)])
-    def test_long_history_over_many_balls_is_refused(self, balls, history):
-        # Few powers per ball, but each spans dozens of 64-bit words.
+    def test_long_history_over_many_balls_runs(self, balls, history):
+        # The work follows the 200 draws, not the ball total.
         state = UrnState(colors=("a", "b"), ball_total=balls, history=history)
+        probs = urn_update(state)
+        assert all(isinstance(v, Fraction) for v in probs.values())
+        assert sum(probs.values()) == 1
+        # Laplace's rule (h_a + 1) / (H + 2) within 1/N; the even history
+        # is symmetric, so there it holds exactly.
+        laplace = Fraction(history.count("a") + 1, len(history) + 2)
+        assert 0 <= probs["a"] - laplace < Fraction(1, balls)
+        assert (probs["a"] == laplace) is (laplace == Fraction(1, 2))
+
+    def test_very_long_history_is_refused_before_any_work(self):
+        # 20,000 draws: the rows alone would take some 6·10¹¹ word-sized additions.
+        state = UrnState(colors=("a", "b"), ball_total=300_000, history=("a",) * 20_000)
         cost = urn_work(state)
-        assert cost["multiply_adds"] + cost["powers"] > credal.inference.MAX_GRID_CELLS
-        assert 3 * 2 * (balls + 1) < 2 * 10**6
-        with pytest.raises(ConfigInvalid):
+        assert cost["powers"] > credal.inference.MAX_GRID_CELLS
+        start = time.perf_counter()
+        with pytest.raises(ConfigInvalid, match="300000 balls"):
             urn_update(state)
+        assert time.perf_counter() - start < 2.0
 
     def test_two_colour_weights_stream_their_powers(self):
         # Neither factor of a two-colour weight is sliced, so no list of
@@ -279,9 +323,14 @@ class TestUrnUpdate:
         assert urn_update(UrnState(history=("red", "red")))["red"] == GOLDEN_AFTER_RED_RED
 
     def test_one_colour_lists_nothing(self):
+        # Nothing of the ball total's size: rows of e <= 201 entries of
+        # 1 + 8e // 64 words, and two dot products with 202 binomials.
         state = UrnState(colors=("a",), ball_total=16_000_000, history=("a",) * 200)
-        assert urn_work(state) == {"degree": 16_000_000, "colors": 1,
-                                   "multiply_adds": 0, "powers": 0}
+        powers = sum(e * (1 + 8 * e // 64) for e in range(1, 202))
+        multiply_adds = sum((e + 1) * (1 + (e + 1) * 8 // 64) * (1 + 201 * 24 // 64)
+                            for e in (200, 201))
+        assert urn_work(state) == {"degree": 201, "colors": 1,
+                                   "multiply_adds": multiply_adds, "powers": powers}
         assert urn_update(state) == {"a": 1}
 
     def test_runtime_is_fast(self):
