@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,6 +73,37 @@ def _integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a ``float`` if it is a real number (not a ``bool``)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
+
+
+def _sequence(name: str, value) -> tuple:
+    """``value``'s items as a tuple, unless it is a bare string or not iterable.
+
+    A string is refused rather than split into one-character items, which
+    could name different labels, colours or outcomes than were meant.
+    """
+    if not isinstance(value, str):
+        try:
+            items = iter(value)
+        except TypeError:
+            pass
+        else:
+            return tuple(items)
+    raise ConfigInvalid(f"{name} must be a sequence, not a bare string or a scalar; got {value!r}")
+
+
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array; an entry that is not a number raises ConfigInvalid."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{name} must be numbers: {exc}") from None
 
 
 class _Frozen:
@@ -143,7 +175,7 @@ class OutcomeSpace(_Record):
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels: Sequence[str | int]):
-        labels = tuple(labels)
+        labels = _sequence("outcome labels", labels)
         if len(labels) == 0:
             raise LengthMismatch("an outcome space needs at least one outcome")
         index = {lab: i for i, lab in enumerate(labels)}
@@ -167,8 +199,13 @@ class OutcomeSpace(_Record):
             raise IndexOutOfRange(f"label {label!r} not in space") from None
 
     def event(self, labels: Iterable) -> "Event":
-        """Event consisting of the given outcome labels."""
-        return Event(self, indices=[self.index(lab) for lab in labels])
+        """Event consisting of the given outcome labels.
+
+        ``labels`` is a sequence of labels; a bare string, or a
+        non-iterable such as ``None``, raises :class:`ConfigInvalid`
+        (``'ab'`` is not split into the labels ``'a'`` and ``'b'``).
+        """
+        return Event(self, indices=[self.index(lab) for lab in _sequence("event labels", labels)])
 
     def event_from_indices(self, indices: Iterable[int]) -> "Event":
         return Event(self, indices=indices)
@@ -204,7 +241,7 @@ class Event(_Record):
         return Event(self.space, (i for i in range(len(self.space)) if i not in present))
 
     def intersect(self, other: "Event") -> "Event":
-        _require_same_space(self.space, other.space)
+        _require_event(self.space, other)
         return Event(self.space, set(self.indices) & set(other.indices))
 
     __and__ = intersect
@@ -213,6 +250,13 @@ class Event(_Record):
 def _require_same_space(a: OutcomeSpace, b: OutcomeSpace) -> None:
     if a != b:
         raise SpaceMismatch(f"outcome spaces differ: {a!r} vs {b!r}")
+
+
+def _require_event(space: OutcomeSpace, event) -> None:
+    """Refuse ``event`` with :class:`SpaceMismatch` unless it is an Event over ``space``."""
+    if not isinstance(event, Event):
+        raise SpaceMismatch(f"need an Event over {space!r}, got {event!r}")
+    _require_same_space(space, event.space)
 
 
 class FiniteDistribution(_Frozen):
@@ -226,7 +270,7 @@ class FiniteDistribution(_Frozen):
     __slots__ = ("space", "probs")
 
     def __init__(self, space: OutcomeSpace, probs):
-        probs = np.asarray(probs, dtype=np.float64)
+        probs = _floats("probabilities", probs)
         if probs.ndim != 1 or probs.size != len(space):
             raise LengthMismatch(
                 f"need {len(space)} probabilities, got shape {probs.shape}"
@@ -245,7 +289,7 @@ class FiniteDistribution(_Frozen):
         return f"FiniteDistribution({{{body}}})"
 
     def prob(self, event: Event) -> float:
-        _require_same_space(self.space, event.space)
+        _require_event(self.space, event)
         if not event.indices:
             return 0.0
         return stable_sum(self.probs[list(event.indices)])
@@ -297,7 +341,7 @@ class RationalDistribution(_Record):
         return f"RationalDistribution({{{body}}})"
 
     def prob(self, event: Event) -> Fraction:
-        _require_same_space(self.space, event.space)
+        _require_event(self.space, event)
         return sum((self.probs[i] for i in event.indices), Fraction(0))
 
     def to_float(self) -> FiniteDistribution:
@@ -310,7 +354,7 @@ def make_distribution(space: OutcomeSpace, weights) -> FiniteDistribution:
     Relative proportions are preserved exactly up to the single division
     by the total; already-normalized input passes through unchanged.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = _floats("weights", weights)
     if w.ndim != 1 or w.size != len(space):
         raise LengthMismatch(f"need {len(space)} weights, got shape {w.shape}")
     if np.any(w < 0.0):

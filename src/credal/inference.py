@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (MAX_GRID_CELLS, Event, OutcomeSpace, RationalDistribution, _Frozen, _integer,
-                   _Record, _require_same_space)
+                   _Record, _floats, _real, _require_event, _sequence)
 from .errors import ConfigInvalid, ImpossibleHistory, ZeroEvidence
 from .sets import CredalSet
 from .tvuniform import (
@@ -261,14 +261,14 @@ def hocs_curve(measure, event: Event, nulls) -> list[HocsResult]:
     ``.credal_set``.
     """
     if isinstance(measure, TvuMeasure):
-        points = np.asarray(nulls, dtype=float)
+        points = _floats("nulls", nulls)
         likes = measure.family.event_probs(points[:, None] if points.ndim == 1 else points, event)
         refs = [measure.event_prob(event)] * len(points)
         nulls = [p if np.isscalar(p) else tuple(p) for p in points]
         mode = "continuum"
     elif isinstance(measure, CredalSet):
-        _require_same_space(measure.space, event.space)
-        nulls = [_integer("a finite-mode null", i) for i in nulls]
+        _require_event(measure.space, event)
+        nulls = [_integer("a finite-mode null", i) for i in _sequence("nulls", nulls)]
         likes = [float(measure.member(i).prob(event)) for i in nulls]
         if len(measure) == 1:
             raise ZeroEvidence("a one-member set leaves no member to refer a null to")
@@ -347,7 +347,7 @@ def binomial_test(
     n, k = _integer("n", n), _integer("k", k)
     if not 0 <= k <= n:
         raise ConfigInvalid(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
+    if not (math.isfinite(_real("grid_step", grid_step)) and 0.0 < grid_step <= 1.0):
         raise ConfigInvalid(f"need a finite grid step in (0, 1], got {grid_step!r}")
     if measure is None:
         measure = build_measure(binomial_family(n))

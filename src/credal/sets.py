@@ -32,7 +32,9 @@ from .core import (
     RationalDistribution,
     _Frozen,
     _integer,
+    _require_event,
     _require_same_space,
+    _sequence,
     condition,
 )
 from .errors import AllMembersZero, ConfigInvalid, IndexOutOfRange, LengthMismatch
@@ -65,9 +67,12 @@ class CredalSet(_Frozen):
         labels: Sequence | None = None,
         multiplicities: Sequence[int] | None = None,
     ):
-        members = tuple(members)
+        members = _sequence("members", members)
         if not members:
             raise LengthMismatch("a credal set needs at least one member")
+        bad = [m for m in members if not isinstance(m, (FiniteDistribution, RationalDistribution))]
+        if bad:
+            raise ConfigInvalid(f"credal set members must be distributions, got {bad[0]!r}")
         space = members[0].space
         for m in members[1:]:
             _require_same_space(space, m.space)
@@ -173,7 +178,7 @@ def credal_condition(c: CredalSet, event: Event) -> tuple[CredalSet, EventMap]:
     Returns the conditioned set together with the :class:`EventMap`
     used for the restriction.
     """
-    _require_same_space(c.space, event.space)
+    _require_event(c.space, event)
     emap = EventMap(event)
 
     merged: dict[tuple, int] = {}

@@ -49,16 +49,18 @@ and order ``i`` spawns one child stream per block from the ``i``-th (see
 ``STREAMS``).  A block's values depend only on its stream, and
 ``einsum`` sums them in fixed chunks, so results are byte-identical for
 a configuration and SIMD dispatch whatever the number of worker threads
-or BLAS threads.
+or BLAS threads.  With ``n_jobs == 1`` the calling thread fills the
+blocks in order, and no thread pool is made; more jobs share one
+``ThreadPoolExecutor`` that runs the same per-block function.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
 
 import numpy as np
 
-from .core import MAX_GRID_CELLS, Event, _Frozen, _integer, _require_same_space, stable_sum
+from .core import MAX_GRID_CELLS, Event, _Frozen, _integer, _require_event, stable_sum
 from .errors import AllDropped, ConfigInvalid, IndexOutOfRange
 from .sets import CredalSet
 from .tvuniform import CountingMeasure, ParamFamily, TvuMeasure, _stratified_indices, build_measure
@@ -201,7 +203,7 @@ class Tower(_Frozen):
         ``result[i-1][j]`` is the probability particle ``j`` of order
         ``i`` implies for the event: the event's column sum of its row.
         """
-        _require_same_space(self.space, event.space)
+        _require_event(self.space, event)
         cols = list(event.indices)
         return tuple(v[:, cols].sum(axis=1) for v in self.levels)
 
@@ -213,7 +215,7 @@ def _grid_params(family: ParamFamily, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
-def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.ndarray:
+def _mix_level(gen_parent, rows: int, prev: np.ndarray, block_map, shape=None) -> np.ndarray:
     """``rows`` Dirichlet mixtures of ``prev``'s rows, in blocks of ``BLOCK_ROWS``.
 
     The weights are flat over ``prev``'s S rows, or ``Dirichlet(shape)``
@@ -229,6 +231,8 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.
     are the products over that total.  ``einsum`` (never BLAS, whose sums
     depend on its thread count) sums each chunk in order, so the values
     depend on ``BLOCK_ROWS`` and ``DRAW_ROWS``, never on the thread count.
+    ``block_map`` runs the blocks: the builtin ``map`` on the calling
+    thread, or a thread pool's ``map``.
     """
     gens = gen_parent.spawn(-(-rows // BLOCK_ROWS))
     width, outcomes = prev.shape
@@ -252,7 +256,7 @@ def _mix_level(gen_parent, rows: int, prev: np.ndarray, pool, shape=None) -> np.
         np.divide(acc[:-1], acc[-1], out=part[:-1])
         block[:] = part[:-1].T
 
-    list(pool.map(fill, range(len(gens))))
+    list(block_map(fill, range(len(gens))))
     return out
 
 
@@ -273,7 +277,8 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
 
     Every random stream derives from ``cfg.seed`` (see ``STREAMS``), so
     a config fixes the tower's bytes.  ``n_jobs`` threads fill a level's
-    blocks without changing any value.
+    blocks without changing any value; with ``n_jobs == 1`` the calling
+    thread fills them in order, and no thread is started.
     """
     if _integer("n_jobs", n_jobs) < 1:
         raise ConfigInvalid(f"need n_jobs >= 1, got {n_jobs}")
@@ -306,10 +311,14 @@ def build_tower(cfg: TowerConfig, n_jobs: int = 1) -> Tower:
     if starts.size < params.size:
         prev, shape = base_probs[starts], np.diff(np.r_[starts, params.size]).astype(np.float64)
     levels, mixed_over = [base_probs], []
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    with contextlib.ExitStack() as stack:
+        block_map = map  # one thread fills the blocks in order, on this thread
+        if n_jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            block_map = stack.enter_context(ThreadPoolExecutor(max_workers=n_jobs)).map
         for gen in level_gens:
             mixed_over.append(prev.shape[0])
-            levels.append(_mix_level(gen, cfg.order_samples, prev, pool, shape))
+            levels.append(_mix_level(gen, cfg.order_samples, prev, block_map, shape))
             prev, shape = levels[-1], None
     return Tower(cfg, space, levels, params, mixed_over)
 
@@ -389,7 +398,8 @@ def dilation_profile(tower: Tower, pre_event: Event, query_event: Event) -> Dila
     each particle's conditional is the ratio of its implied joint
     probability to its implied conditioning probability.
     """
-    a_chain = tower.implied_vectors(query_event.intersect(pre_event))
+    _require_event(tower.space, pre_event)
+    a_chain = tower.implied_vectors(pre_event.intersect(query_event))
     b_chain = tower.implied_vectors(pre_event)
     n_dropped = int((b_chain[0] <= 0.0).sum())
     if n_dropped == b_chain[0].size:

@@ -71,8 +71,10 @@ from .core import (
     OutcomeSpace,
     RationalDistribution,
     _Frozen,
+    _floats,
     _integer,
-    _require_same_space,
+    _real,
+    _require_event,
 )
 from .errors import (
     ConfigInvalid,
@@ -101,8 +103,23 @@ __all__ = [
 ]
 
 # Gauss-Legendre nodes and weights on [-1, 1]: each quadrature box's rule,
-# and the coarser rule that checks it along one slot at a time.
-_GL8, _GL4 = (np.polynomial.legendre.leggauss(m) for m in (8, 4))
+# and the coarser rule that checks it along one slot at a time.  They are
+# the float64 values numpy 2.4's ``np.polynomial.legendre.leggauss(8)`` and
+# ``(4)`` return (a LAPACK eigen-solve, Golub & Welsch 1969, then one Newton
+# step), written out as shortest round-trip literals; the tests check them
+# bit for bit against it and by the exactness of each rule on polynomials.
+# Written out, the package loads no ``numpy.polynomial`` and calls no BLAS
+# or LAPACK routine, and the nodes do not depend on the LAPACK build.
+_GL8 = (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362]),
+        np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706]))
+_GL4 = (np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
+                  0.8611363115940526]),
+        np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
+                  0.34785484513745357]))
 
 # Parameter rows whose distributions are evaluated at a time when a node
 # set or a grid is reduced over the outcomes.  A constant, so that the
@@ -301,7 +318,7 @@ class ParamFamily(_Frozen):
         Only the outcomes from the event's first to its last are
         evaluated.  Every row must lie in the box; a row with a NaN does not.
         """
-        _require_same_space(self.space, event.space)
+        _require_event(self.space, event)
         xs = _checked_rows(self, xs)
         idx = event.indices
         span = slice(min(idx, default=0), max(idx, default=-1) + 1)
@@ -317,9 +334,10 @@ def _checked_rows(family: ParamFamily, xs) -> np.ndarray:
 
     The one check of the public evaluations: a wrong shape raises
     :class:`LengthMismatch`, and a row outside the box, or holding a NaN,
-    raises :class:`IndexOutOfRange` naming the first such row.
+    raises :class:`IndexOutOfRange` naming the first such row.  An entry
+    that is not a number raises :class:`ConfigInvalid`.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    xs = np.atleast_2d(_floats("parameter rows", xs))
     if xs.ndim != 2 or xs.shape[1] != family.ndim:
         raise LengthMismatch(f"expected (N, {family.ndim}) parameter rows, got shape {xs.shape}")
     lo, hi = np.array(family.box.intervals).T
@@ -656,7 +674,7 @@ class TvuMeasure(_Mixture):
     _total = property(lambda self: self.z)
 
     def _event_mass(self, event: Event) -> np.float64:
-        _require_same_space(self.family.space, event.space)
+        _require_event(self.family.space, event)
         return self._outcome_mass[list(event.indices)].sum()
 
     def outcome_probs(self) -> np.ndarray:
@@ -735,7 +753,7 @@ class CountingMeasure(_Mixture):
         return f"CountingMeasure({len(self.credal_set)} members)"
 
     def _event_mass(self, event: Event) -> Fraction:
-        _require_same_space(self.credal_set.space, event.space)
+        _require_event(self.credal_set.space, event)
         return sum((self._outcome_mass[o] for o in event.indices), Fraction(0))
 
 
@@ -773,7 +791,8 @@ def build_measure(
         raise ConfigInvalid(f"cannot build a measure over {type(family).__name__}; "
                             "a finite credal set's measure is CountingMeasure")
     resolution, max_panels = _integer("resolution", resolution), _integer("max_panels", max_panels)
-    if not (resolution >= 1 and math.isfinite(tol) and tol > 0.0 and max_panels >= resolution):
+    if not (resolution >= 1 and math.isfinite(_real("tol", tol)) and tol > 0.0
+            and max_panels >= resolution):
         raise ConfigInvalid("need resolution >= 1, a finite tol > 0, max_panels >= resolution")
 
     nodes, weights, rho, diagnostics = _adaptive_panels(family, resolution, tol, max_panels)

@@ -13,15 +13,21 @@ one base, ``credal.core._Frozen``: it refuses assignment, holds only
 read-only arrays, and deep-copies and pickles into a value that keeps
 that rule.  Equality is declared once too, on ``credal.core._Record``:
 the values without arrays compare and hash by their fields, every other
-value by identity.
+value by identity.  At the library boundary, an argument of the wrong
+kind raises a typed ``CredalError`` before any work, never a raw Python
+error.  And the package loads only what a run uses: importing it, or
+running a command that builds no tower, loads no thread pool, no logging
+and no ``numpy.random``.
 """
 
 import copy
 import importlib
 import itertools
 import importlib.util
+import os
 import pickle
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -243,3 +249,89 @@ def _held_arrays(base_mode):
 def test_no_held_array_is_writable(base_mode):
     writable = [name for name, arr in _held_arrays(base_mode).items() if arr.flags.writeable]
     assert writable == []
+
+
+def _bad_arguments():
+    space = credal.OutcomeSpace(["a", "b", "c"])
+    family = credal.binomial_family(4)
+    measure = credal.build_measure(family)
+    tower = credal.build_tower(credal.TowerConfig(family, base_samples=8, order_samples=8,
+                                                  max_order=2))
+    return {
+        "make_distribution(space, ['x', 1, 1])": (
+            credal.ConfigInvalid, lambda: credal.make_distribution(space, ["x", 1, 1])),
+        "tvu_density(family, 'x')": (
+            credal.ConfigInvalid, lambda: credal.tvu_density(family, "x")),
+        "hocs_curve(measure, event, ['a'])": (
+            credal.ConfigInvalid,
+            lambda: credal.hocs_curve(measure, family.space.event([1]), ["a"])),
+        "build_measure(family, tol='x')": (
+            credal.ConfigInvalid, lambda: credal.build_measure(family, tol="x")),
+        "binomial_test(10, 1, grid_step='x')": (
+            credal.ConfigInvalid, lambda: credal.binomial_test(10, 1, grid_step="x")),
+        "OutcomeSpace(None)": (credal.ConfigInvalid, lambda: credal.OutcomeSpace(None)),
+        "measure.event_prob(None)": (credal.SpaceMismatch, lambda: measure.event_prob(None)),
+        "CredalSet([1, 2])": (credal.ConfigInvalid, lambda: credal.CredalSet([1, 2])),
+        "dilation_profile(tower, None, None)": (
+            credal.SpaceMismatch, lambda: credal.dilation_profile(tower, None, None)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_arguments()))
+def test_a_wrong_kind_of_argument_raises_a_typed_error(case):
+    # A non-event where an event belongs is a SpaceMismatch; any other
+    # argument of the wrong kind is ConfigInvalid.
+    error, call = _bad_arguments()[case]
+    with pytest.raises(error):
+        call()
+
+
+# Modules a run that builds no tower never needs: the quadrature's rules
+# are written out (no numpy.polynomial), a one-thread tower fills its
+# blocks on the calling thread (no concurrent.futures, which imports
+# logging), and only a tower draws random numbers (numpy.random).
+UNUSED = ("numpy.polynomial", "numpy.random", "concurrent.futures", "logging")
+
+
+def _run_fresh(script: str, tmp_path) -> list[str]:
+    """Run ``script`` in a fresh interpreter and return its output lines."""
+    src = str(Path(credal.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_and_tower_free_commands_load_only_what_they_use(tmp_path):
+    script = f"""
+import sys
+before = set(sys.modules)
+import credal, credal.cli
+print(sorted(m for m in {UNUSED!r} if m in sys.modules and m not in before))
+for argv in (["binomial-test", "--n", "10", "--k", "1"], ["urn", "--history", "red"],
+             ["tvu-density", "--points", "11"]):
+    assert credal.cli.main(argv + ["--out", "."]) == 0, argv
+print(sorted(m for m in {UNUSED!r} if m in sys.modules and m not in before))
+"""
+    lines = _run_fresh(script, tmp_path)  # the commands print between the two lists
+    assert [lines[0], lines[-1]] == ["[]", "[]"]
+
+
+def test_a_one_thread_tower_starts_no_thread(tmp_path):
+    # A tower loads numpy.random; with one job it loads no thread pool and
+    # starts no thread.
+    script = """
+import sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
+import credal
+cfg = credal.TowerConfig(credal.binomial_family(4), base_samples=600, order_samples=600,
+                         max_order=3, seed=1)
+credal.build_tower(cfg, n_jobs=1)
+print(started, threading.active_count(), "concurrent.futures" in sys.modules,
+      "numpy.random" in sys.modules)
+"""
+    assert _run_fresh(script, tmp_path) == ["[] 1 False True"]

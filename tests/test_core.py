@@ -96,6 +96,16 @@ class TestOutcomeSpaceAndEvents:
         with pytest.raises(SpaceMismatch):
             e & f
 
+    @pytest.mark.parametrize("bad", ["ab", "a", None, 3])
+    def test_event_labels_must_be_a_sequence(self, bad):
+        # A bare string is not split into one-character labels: on this
+        # space "ab" would have named the event {a, b}, not the label "ab".
+        sp = OutcomeSpace(["a", "b", "ab"])
+        with pytest.raises(ConfigInvalid, match="event labels must be a sequence"):
+            sp.event(bad)
+        assert sp.event(["ab"]).labels == ("ab",)
+        assert sp.event(("a", "b")).labels == ("a", "b")
+
 
 class TestMakeDistribution:
     def test_normalizes_preserving_proportions(self):

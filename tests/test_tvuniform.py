@@ -60,7 +60,7 @@ from credal import (
     urn_credal_set,
 )
 from credal import tvuniform
-from credal.tvuniform import BLOCK_ROWS, _breakpoints, _panel_edges
+from credal.tvuniform import _GL4, _GL8, BLOCK_ROWS, _breakpoints, _panel_edges
 
 N = 10
 KINKS = [k / N for k in range(1, N)]
@@ -1384,3 +1384,26 @@ class TestParamBox:
                 lambda xs, out, outcomes: np.concatenate([xs, 1 - xs], axis=1)[:, outcomes],
                 kinks=[(0.0,)],
             )
+
+
+class TestGaussLegendreRules:
+    @pytest.mark.parametrize("rule, m", [(_GL8, 8), (_GL4, 4)], ids=["GL8", "GL4"])
+    def test_constants_are_leggauss_bit_for_bit(self, rule, m):
+        # The package writes the rules out rather than importing
+        # numpy.polynomial; the test may import it.
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(m)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rule, degree", [(_GL8, 15), (_GL4, 7)], ids=["GL8", "GL4"])
+    def test_rules_integrate_polynomials_exactly(self, rule, degree):
+        # An m-point rule is exact for x**k, k <= 2m - 1: the integral over
+        # [-1, 1] is 2 / (k + 1) for even k and 0 for odd k.  The sums are
+        # exact fractions, so only the float64 nodes and weights err: each
+        # lies a few ulps from the true value (the GL-8 moments miss by up
+        # to 1.22e-15), so the bound is 16 ulps of 1.
+        x, w = ([Fraction(v) for v in a.tolist()] for a in rule)
+        for k in range(degree + 1):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else 0
+            moment = sum(wi * xi**k for wi, xi in zip(w, x))
+            assert abs(moment - exact) <= 16 * np.finfo(np.float64).eps, k
